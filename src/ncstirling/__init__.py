@@ -5,114 +5,8 @@ by two independent constructions, verifies a catalogue of exact identities
 around the k=1 column (factorials, harmonic numbers, binomial sums), and
 cross-checks the derivative expansion of x^(-alpha) * ln^beta(x) numerically
 with truncated-Taylor jets.
+
+Import from the submodules: exact, stirling, noncentral, identities, jets, cli.
 """
 
-from .exact import (
-    AlphaPoly,
-    binomial,
-    binomial_rational,
-    falling_factorial,
-    falling_factorial_poly,
-    format_rational,
-    parse_rational,
-)
-from .identities import (
-    IdentityReport,
-    RatioDenominatorZero,
-    StructuralCheck,
-    check_binomial_stirling_identity,
-    check_factorial_identity,
-    check_harmonic_difference,
-    check_harmonic_sum,
-    check_hn_formulas,
-    check_negative_alpha_closed_form,
-    column_one_polynomial,
-    h_closed_form,
-    q_closed_form,
-    run_suite,
-    structural_checks,
-)
-from .jets import (
-    ExpansionTerm,
-    JetDomainError,
-    ResidualReport,
-    derivative_by_jets,
-    evaluate_expansion,
-    expansion_grid,
-    expansion_terms,
-    jet_exp,
-    jet_ln,
-    jet_mul,
-    jet_pow_real,
-    jet_seed,
-    verify_derivative_expansion,
-)
-from .noncentral import (
-    NoncentralTriangle,
-    build_by_explicit,
-    build_by_recurrence,
-    corrupt_entry,
-    s_n1_recurrence,
-    s_n1_sum_formula,
-    triangle_from_json,
-    triangle_to_json,
-)
-from .stirling import (
-    StirlingTable,
-    build_stirling_table,
-    harmonic,
-    stirling_expansion_oracle,
-    table_to_csv,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlphaPoly",
-    "ExpansionTerm",
-    "IdentityReport",
-    "JetDomainError",
-    "NoncentralTriangle",
-    "RatioDenominatorZero",
-    "ResidualReport",
-    "StirlingTable",
-    "StructuralCheck",
-    "binomial",
-    "binomial_rational",
-    "build_by_explicit",
-    "build_by_recurrence",
-    "build_stirling_table",
-    "check_binomial_stirling_identity",
-    "check_factorial_identity",
-    "check_harmonic_difference",
-    "check_harmonic_sum",
-    "check_hn_formulas",
-    "check_negative_alpha_closed_form",
-    "column_one_polynomial",
-    "corrupt_entry",
-    "derivative_by_jets",
-    "evaluate_expansion",
-    "expansion_grid",
-    "expansion_terms",
-    "falling_factorial",
-    "falling_factorial_poly",
-    "format_rational",
-    "h_closed_form",
-    "harmonic",
-    "jet_exp",
-    "jet_ln",
-    "jet_mul",
-    "jet_pow_real",
-    "jet_seed",
-    "parse_rational",
-    "q_closed_form",
-    "run_suite",
-    "s_n1_recurrence",
-    "s_n1_sum_formula",
-    "stirling_expansion_oracle",
-    "structural_checks",
-    "table_to_csv",
-    "triangle_from_json",
-    "triangle_to_json",
-    "verify_derivative_expansion",
-]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 
 from .exact import format_rational, parse_rational
@@ -21,7 +22,7 @@ from .noncentral import (
     corrupt_entry,
     triangle_to_json,
 )
-from .stirling import build_stirling_table
+from .stirling import StirlingTable
 
 MAX_FAILURES_PRINTED = 25
 
@@ -70,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--n", type=int, required=True)
     ev.add_argument("--k", type=int, required=True)
     ev.add_argument("--alpha", type=_rational_argument, required=True,
-                    help='rational, e.g. "-2" or "7/3"')
+                    help='rational, e.g. "-2" or "7/3"; write a negative '
+                         'fraction as --alpha=-5/2')
     ev.add_argument("--beta", type=float, default=None,
                     help="with --x0: also evaluate the derivative expansion")
     ev.add_argument("--x0", type=float, default=None)
@@ -152,7 +154,7 @@ def cmd_verify(args) -> int:
     if not args.tol > 0:
         print("--tol must be positive", file=sys.stderr)
         return 2
-    table = build_stirling_table(args.n_max)
+    table = StirlingTable(args.n_max)
     by_recurrence = build_by_recurrence(args.n_max)
     by_explicit = build_by_explicit(args.n_max, table)
     if args.corrupt is not None:
@@ -218,11 +220,14 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--k must not exceed --n")
     if (args.beta is None) != (args.x0 is None):
         parser.error("--beta and --x0 must be given together")
+    if args.beta is not None:
+        if not (math.isfinite(args.beta) and math.isfinite(args.x0)):
+            parser.error("--beta and --x0 must be finite")
+        if not args.x0 > 1.0:
+            parser.error("--x0 must exceed 1")
     triangle = build_by_recurrence(args.n)
     print(format_rational(triangle.evaluate(args.n, args.k, args.alpha)))
     if args.beta is not None:
-        if not args.x0 > 1.0:
-            parser.error("--x0 must exceed 1")
         value = evaluate_expansion(args.x0, args.alpha, args.beta, args.n, triangle)
         print("expansion n=%d alpha=%s beta=%r x0=%r -> %r"
               % (args.n, format_rational(args.alpha), args.beta, args.x0, value))

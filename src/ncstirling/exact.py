@@ -16,6 +16,7 @@ from typing import Iterable, Sequence, Union
 RationalLike = Union[int, Fraction]
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_CANONICAL_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 
 class AlphaPoly:
@@ -38,10 +39,6 @@ class AlphaPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "AlphaPoly":
-        return cls()
 
     @classmethod
     def one(cls) -> "AlphaPoly":
@@ -129,7 +126,11 @@ class AlphaPoly:
 
     @classmethod
     def from_coefficient_strings(cls, strings: Sequence[str]) -> "AlphaPoly":
-        return cls(int(s) for s in strings)
+        """Inverse of coefficient_strings; rejects any list it does not emit."""
+        coeffs = [parse_canonical_int(s) for s in strings]
+        if coeffs and coeffs[-1] == 0:
+            raise ValueError("trailing zero coefficient in %r" % (strings,))
+        return cls(coeffs)
 
 
 def falling_factorial_poly(k: int) -> AlphaPoly:
@@ -186,6 +187,14 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise ValueError("zero denominator: %r" % (text,))
     return Fraction(num, den)
+
+
+def parse_canonical_int(text: str) -> int:
+    """Parse an integer only as str(int) writes it: ASCII digits, an optional
+    leading '-', no leading zeros, no "-0", no whitespace or underscores."""
+    if not isinstance(text, str) or _CANONICAL_INT_RE.fullmatch(text) is None:
+        raise ValueError("not a canonical integer string: %r" % (text,))
+    return int(text)
 
 
 def format_rational(value: RationalLike) -> str:

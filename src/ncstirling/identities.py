@@ -18,19 +18,20 @@ from .exact import (
     AlphaPoly,
     RationalLike,
     binomial,
-    binomial_rational,
+    binomial_rational,  # noqa: F401  unused; perfbench/tracing.py patches this name
     falling_factorial_poly,
     format_rational,
 )
-from .noncentral import NoncentralTriangle, s_n1_recurrence, s_n1_sum_formula
+from .noncentral import (
+    NoncentralTriangle,
+    alternating_binomial_sum,
+    s_n1_recurrence,
+    s_n1_sum_formula,
+)
 from .stirling import StirlingTable, harmonic, stirling_expansion_oracle
 
 RANDOM_NUMERATOR_RANGE = (-50, 50)
 RANDOM_DENOMINATOR_RANGE = (1, 20)
-
-
-class RatioDenominatorZero(ArithmeticError):
-    """The Stirling power sum in a ratio-form denominator vanished."""
 
 
 @dataclass(frozen=True)
@@ -82,16 +83,6 @@ def column_one_polynomial(table: StirlingTable, n: int) -> AlphaPoly:
     return AlphaPoly(coeffs)
 
 
-def _alternating_binomial_sum(alpha: Fraction, n: int) -> Fraction:
-    """sum_{k=0}^{n-1} (-1)^k C(-alpha, k) / (n - k), exact."""
-    total = Fraction(0)
-    sign = 1
-    for k in range(n):
-        total += sign * binomial_rational(-alpha, k) / (n - k)
-        sign = -sign
-    return total
-
-
 def check_binomial_stirling_identity(table: StirlingTable, n: int,
                                      alpha: RationalLike) -> List[IdentityReport]:
     """Master identity: for every real alpha,
@@ -104,7 +95,7 @@ def check_binomial_stirling_identity(table: StirlingTable, n: int,
     if n < 1:
         raise ValueError("n must be positive")
     a = Fraction(alpha)
-    lhs = math.factorial(n) * _alternating_binomial_sum(a, n)
+    lhs = math.factorial(n) * alternating_binomial_sum(a, n)
     rhs = Fraction(0)
     for k in range(n):
         rhs += (k + 1) * table.unsigned(n, k + 1) * a ** k
@@ -153,10 +144,7 @@ def check_negative_alpha_closed_form(table: StirlingTable, n: int,
         raise ValueError("alpha_pos must be positive")
     if n < a + 1:
         raise ValueError("requires n >= alpha_pos + 1")
-    total = Fraction(0)
-    for k in range(a + 1):
-        sign = -1 if (a - k) % 2 else 1
-        total += Fraction(sign * binomial(a, k), n - k)
+    total = (-1) ** a * alternating_binomial_sum(-a, n)
     point = Fraction(-a)
     reports = [
         _report("neg_alpha_factorial_form", n, point,
@@ -180,17 +168,6 @@ def h_closed_form(n: int, alpha_pos: int) -> Fraction:
     return (harmonic(a) - harmonic(a - n)) * Fraction(math.factorial(a), math.factorial(a - n))
 
 
-def _harmonic_difference_ratio_form(table: StirlingTable, n: int, a: int) -> Fraction:
-    """sum_k (k+1) s(n,k+1) a^k  /  sum_k s(n,k) a^k, signed Stirling numbers."""
-    numerator = sum((k + 1) * table.signed(n, k + 1) * a ** k for k in range(n))
-    denominator = sum(table.signed(n, k) * a ** k for k in range(n + 1))
-    if denominator == 0:
-        raise RatioDenominatorZero(
-            "Stirling power sum vanishes at n=%d, alpha=%d" % (n, a)
-        )
-    return Fraction(numerator, denominator)
-
-
 def check_harmonic_difference(table: StirlingTable, n: int,
                               alpha_pos: int) -> List[IdentityReport]:
     """For a positive integer a = alpha_pos and 1 <= n <= a, compare
@@ -202,14 +179,13 @@ def check_harmonic_difference(table: StirlingTable, n: int,
     if not 1 <= n <= a:
         raise ValueError("requires 1 <= n <= alpha_pos")
     direct = harmonic(a) - harmonic(a - n)
-    total = Fraction(0)
-    sign = 1
-    for k in range(n):
-        total += Fraction(sign * binomial(a, k), n - k)
-        sign = -sign
     outer = -1 if (n + 1) % 2 else 1
-    sum_form = Fraction(outer, binomial(a, n)) * total
-    ratio_form = _harmonic_difference_ratio_form(table, n, a)
+    sum_form = Fraction(outer, binomial(a, n)) * alternating_binomial_sum(-a, n)
+    # The denominator sum_k s(n,k) a^k is the falling factorial a!/(a-n)!,
+    # positive for 1 <= n <= a.
+    numerator = sum((k + 1) * table.signed(n, k + 1) * a ** k for k in range(n))
+    denominator = sum(table.signed(n, k) * a ** k for k in range(n + 1))
+    ratio_form = Fraction(numerator, denominator)
     point = Fraction(-a)
     return [
         _report("harmonic_diff_sum_form", n, point, direct, sum_form),
@@ -226,11 +202,7 @@ def check_hn_formulas(table: StirlingTable, n: int) -> List[IdentityReport]:
     if n < 1:
         raise ValueError("n must be positive")
     hn = harmonic(n)
-    total = Fraction(0)
-    sign = 1
-    for k in range(n):
-        total += Fraction(sign * binomial(n, k), n - k)
-        sign = -sign
+    total = alternating_binomial_sum(-n, n)
     binomial_form = -total if (n + 1) % 2 else total
     power_sum = sum((k + 1) * table.signed(n, k + 1) * n ** k for k in range(n))
     stirling_form = Fraction(power_sum, math.factorial(n))

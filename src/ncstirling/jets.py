@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
 
-from .exact import RationalLike, format_rational
+from .exact import RationalLike, falling_factorial, format_rational
 from .noncentral import NoncentralTriangle
 
 Jet = List[float]
@@ -109,6 +109,14 @@ def jet_pow_real(a: Sequence[float], p: float) -> Jet:
     return jet_exp(jet_scale(jet_ln(a), p))
 
 
+def _check_point(x0: float, *exponents: float) -> None:
+    """x0 must be a finite number above 1 and every exponent finite."""
+    if not all(math.isfinite(v) for v in (x0,) + exponents):
+        raise ValueError("non-finite input: x0=%r, exponents=%r" % (x0, exponents))
+    if not x0 > 1.0:
+        raise ValueError("x0 must exceed 1, got %r" % (x0,))
+
+
 def derivative_by_jets(x0: float, alpha: float, beta: float, n: int) -> float:
     """n-th derivative of x^(-alpha) * ln^beta(x) at x0 by jet arithmetic.
 
@@ -118,8 +126,7 @@ def derivative_by_jets(x0: float, alpha: float, beta: float, n: int) -> float:
     factorial scaling of the top coefficient erodes binary64 accuracy, so
     larger n is rejected; the exact modules carry correctness there.
     """
-    if not x0 > 1.0:
-        raise ValueError("x0 must exceed 1, got %r" % (x0,))
+    _check_point(x0, alpha, beta)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > MAX_DERIVATIVE_ORDER:
@@ -127,14 +134,6 @@ def derivative_by_jets(x0: float, alpha: float, beta: float, n: int) -> float:
     x = jet_seed(float(x0), n)
     f = jet_mul(jet_pow_real(x, -float(alpha)), jet_pow_real(jet_ln(x), float(beta)))
     return math.factorial(n) * f[n]
-
-
-def real_falling_factorial(x: float, k: int) -> float:
-    """x(x-1)...(x-k+1) by direct product; exact zero when x is an integer < k."""
-    out = 1.0
-    for j in range(k):
-        out *= x - j
-    return out
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ def expansion_terms(n: int, alpha: RationalLike, beta: float,
     a = Fraction(alpha)
     terms = []
     for i in range(n + 1):
-        weight = real_falling_factorial(float(beta), i)
+        weight = falling_factorial(float(beta), i)
         if weight == 0.0:
             continue
         coeff = float(triangle.evaluate(n, i, a)) * weight
@@ -172,8 +171,7 @@ def evaluate_expansion(x0: float, alpha: RationalLike, beta: float, n: int,
     with exact polynomial values rounded to float at the end. Dropping the
     zero-weight terms leaves the sum bit-for-bit unchanged and keeps
     integer-beta cases exact."""
-    if not x0 > 1.0:
-        raise ValueError("x0 must exceed 1, got %r" % (x0,))
+    _check_point(x0, beta)
     log_x0 = math.log(x0)
     power = float(x0) ** float(-Fraction(alpha) - n)
     total = 0.0

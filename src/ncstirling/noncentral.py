@@ -24,11 +24,12 @@ from .exact import (
     AlphaPoly,
     RationalLike,
     binomial,
-    binomial_rational,
+    binomial_rational,  # noqa: F401  unused; perfbench/tracing.py patches this name
     falling_factorial,
     falling_factorial_poly,
+    parse_canonical_int,
 )
-from .stirling import StirlingTable, build_stirling_table
+from .stirling import StirlingTable, check_index
 
 
 class NoncentralTriangle:
@@ -45,18 +46,12 @@ class NoncentralTriangle:
         self.n_max = len(self._rows) - 1
         self.construction = construction
 
-    def _check(self, n: int, k: int) -> None:
-        if not 0 <= n <= self.n_max:
-            raise IndexError("n=%d outside [0, %d]" % (n, self.n_max))
-        if not 0 <= k <= n:
-            raise IndexError("k=%d outside [0, %d]" % (k, n))
-
     def entry(self, n: int, k: int) -> AlphaPoly:
-        self._check(n, k)
+        check_index(n, k, self.n_max)
         return self._rows[n][k]
 
     def row(self, n: int) -> tuple:
-        self._check(n, 0)
+        check_index(n, 0, self.n_max)
         return self._rows[n]
 
     def evaluate(self, n: int, k: int, alpha: RationalLike) -> Fraction:
@@ -88,7 +83,7 @@ def build_by_recurrence(n_max: int) -> NoncentralTriangle:
         shift = AlphaPoly((-n, -1))  # the factor (-alpha - n)
         row = []
         for i in range(n + 2):
-            acc = shift * prev[i] if i <= n else AlphaPoly.zero()
+            acc = shift * prev[i] if i <= n else AlphaPoly()
             if i >= 1:
                 acc = acc + prev[i - 1]
             row.append(acc)
@@ -101,13 +96,13 @@ def build_by_explicit(n_max: int, table: Optional[StirlingTable] = None) -> Nonc
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if table is None or table.n_max < n_max:
-        table = build_stirling_table(n_max)
+        table = StirlingTable(n_max)
     ff = [falling_factorial_poly(k) for k in range(n_max + 1)]
     rows = []
     for n in range(n_max + 1):
         row = []
         for i in range(n + 1):
-            acc = AlphaPoly.zero()
+            acc = AlphaPoly()
             for k in range(n - i + 1):
                 scalar = binomial(n, k) * table.signed(n - k, i)
                 if scalar:
@@ -117,19 +112,32 @@ def build_by_explicit(n_max: int, table: Optional[StirlingTable] = None) -> Nonc
     return NoncentralTriangle(rows, "explicit")
 
 
+def alternating_binomial_sum(alpha: RationalLike, n: int) -> Fraction:
+    """S(alpha, n) = sum_{k=0}^{n-1} (-1)^k C(-alpha, k) / (n - k), exact.
+
+    The signed term t_k = (-1)^k C(-alpha, k) is carried from k to k+1 by
+    t_{k+1} = t_k (k + alpha) / (k + 1), one multiply and one divide per term.
+    At a negative integer alpha = -a every term with k > a is zero.
+    """
+    a = Fraction(alpha)
+    total = Fraction(0)
+    term = Fraction(1)
+    for k in range(n):
+        total += term / (n - k)
+        term = term * (k + a) / (k + 1)
+    return total
+
+
 def s_n1_sum_formula(n: int, alpha: RationalLike) -> Fraction:
     """s(n, 1, alpha) by the alternating binomial sum, independent of any triangle:
 
         n! * sum_{k=0}^{n-1} (-1)^(n-k-1) C(-alpha, k) / (n - k)
+            = (-1)^(n-1) n! S(alpha, n)
     """
     if n < 1:
         raise ValueError("n must be positive")
-    a = Fraction(alpha)
-    total = Fraction(0)
-    for k in range(n):
-        term = binomial_rational(-a, k) / (n - k)
-        total += term if (n - k - 1) % 2 == 0 else -term
-    return math.factorial(n) * total
+    value = math.factorial(n) * alternating_binomial_sum(alpha, n)
+    return value if n % 2 else -value
 
 
 def s_n1_recurrence(n: int, alpha: RationalLike) -> Fraction:
@@ -164,14 +172,21 @@ def triangle_to_json(triangle: NoncentralTriangle) -> str:
 
 
 def triangle_from_json(text: str) -> NoncentralTriangle:
+    """Inverse of triangle_to_json. Numbers must be canonical decimal strings
+    and coefficient lists must have no trailing zero, so that parsing and
+    re-emitting a document reproduces its numbers exactly."""
     doc = json.loads(text)
-    n_max = int(doc["n_max"])
-    rows = [[AlphaPoly.zero()] * (n + 1) for n in range(n_max + 1)]
+    n_max = parse_canonical_int(doc["n_max"])
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    rows = [[AlphaPoly()] * (n + 1) for n in range(n_max + 1)]
     seen = set()
     for item in doc["entries"]:
-        n, k = int(item["n"]), int(item["k"])
+        n, k = parse_canonical_int(item["n"]), parse_canonical_int(item["k"])
         if not 0 <= k <= n <= n_max:
             raise ValueError("entry (%d, %d) outside triangle" % (n, k))
+        if not isinstance(item["coeffs"], list):
+            raise ValueError("coeffs of entry (%d, %d) is not a list" % (n, k))
         rows[n][k] = AlphaPoly.from_coefficient_strings(item["coeffs"])
         seen.add((n, k))
     expected = {(n, k) for n in range(n_max + 1) for k in range(n + 1)}
@@ -186,7 +201,7 @@ def corrupt_entry(triangle: NoncentralTriangle, n: int, k: int, delta: int = 1) 
     the structural checks."""
     if delta == 0:
         raise ValueError("delta must be nonzero")
-    triangle._check(n, k)
+    check_index(n, k, triangle.n_max)
     rows = [list(row) for row in triangle._rows]
     rows[n][k] = rows[n][k] + AlphaPoly((delta,))
     return NoncentralTriangle(rows, triangle.construction)

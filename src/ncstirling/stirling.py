@@ -5,10 +5,17 @@ The signed numbers are the stored primitive; unsigned values are a view.
 """
 from __future__ import annotations
 
-import io
 from fractions import Fraction
 
 from .exact import AlphaPoly
+
+
+def check_index(n: int, k: int, n_max: int) -> None:
+    """Raise IndexError unless 0 <= k <= n <= n_max."""
+    if not 0 <= n <= n_max:
+        raise IndexError("n=%d outside [0, %d]" % (n, n_max))
+    if not 0 <= k <= n:
+        raise IndexError("k=%d outside [0, %d]" % (k, n))
 
 
 class StirlingTable:
@@ -36,28 +43,18 @@ class StirlingTable:
             rows.append(tuple(row))
         self._rows = tuple(rows)
 
-    def _check(self, n: int, k: int) -> None:
-        if not 0 <= n <= self.n_max:
-            raise IndexError("n=%d outside [0, %d]" % (n, self.n_max))
-        if not 0 <= k <= n:
-            raise IndexError("k=%d outside [0, %d]" % (k, n))
-
     def signed(self, n: int, k: int) -> int:
-        self._check(n, k)
+        check_index(n, k, self.n_max)
         return self._rows[n][k]
 
     def unsigned(self, n: int, k: int) -> int:
         """|s(n, k)|, i.e. (-1)^(n-k) * s(n, k); counts n-permutations with k cycles."""
-        self._check(n, k)
+        check_index(n, k, self.n_max)
         return abs(self._rows[n][k])
 
     def row(self, n: int) -> tuple:
-        self._check(n, 0)
+        check_index(n, 0, self.n_max)
         return self._rows[n]
-
-
-def build_stirling_table(n_max: int) -> StirlingTable:
-    return StirlingTable(n_max)
 
 
 def stirling_expansion_oracle(n: int) -> list:
@@ -84,13 +81,3 @@ def harmonic(n: int) -> Fraction:
     for k in range(1, n + 1):
         total += Fraction(1, k)
     return total
-
-
-def table_to_csv(table: StirlingTable) -> str:
-    """Dump the signed triangle as CSV with header "n,k,value"."""
-    out = io.StringIO()
-    out.write("n,k,value\n")
-    for n in range(table.n_max + 1):
-        for k in range(n + 1):
-            out.write("%d,%d,%d\n" % (n, k, table.signed(n, k)))
-    return out.getvalue()

@@ -31,7 +31,7 @@ from ncstirling.noncentral import (
     s_n1_recurrence,
     s_n1_sum_formula,
 )
-from ncstirling.stirling import build_stirling_table, stirling_expansion_oracle
+from ncstirling.stirling import StirlingTable, stirling_expansion_oracle
 
 SEED = 0
 
@@ -66,7 +66,7 @@ def test_02_construction_agreement_to_20():
 def test_03_boundaries_and_specialization_to_20():
     started = time.monotonic()
     triangle = build_by_recurrence(20)
-    table = build_stirling_table(20)
+    table = StirlingTable(20)
     for n in range(21):
         assert triangle.entry(n, 0) == falling_factorial_poly(n)
         assert triangle.entry(n, n) == AlphaPoly([1])
@@ -79,7 +79,7 @@ def test_03_boundaries_and_specialization_to_20():
 
 
 def test_04_master_identity_grid():
-    table = build_stirling_table(15)
+    table = StirlingTable(15)
     alphas = [Fraction(a) for a in range(-15, 16)]
     alphas += random_rationals(30, random.Random(SEED))
     for n in range(1, 16):
@@ -90,7 +90,7 @@ def test_04_master_identity_grid():
 
 
 def test_05_specialized_identity_families():
-    table = build_stirling_table(15)
+    table = StirlingTable(15)
     for n in range(2, 16):
         (report,) = check_factorial_identity(table, n)
         assert report.holds, report

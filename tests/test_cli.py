@@ -1,4 +1,5 @@
 """Tests for the command-line interface."""
+import hashlib
 import json
 import subprocess
 import sys
@@ -91,6 +92,16 @@ def test_eval_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("beta, x0", [("nan", "2"), ("1", "inf"), ("-inf", "2"),
+                                      ("1", "nan"), ("1", "1"), ("1", "0.5")])
+def test_eval_rejects_bad_expansion_point_before_printing(capsys, beta, x0):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("eval", "--n", "3", "--k", "1", "--alpha", "1",
+                "--beta=" + beta, "--x0=" + x0)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_small_passes(capsys):
     assert run_cli("verify", "--n-max", "5") == 0
     out = capsys.readouterr().out
@@ -180,3 +191,27 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-3"
+
+
+# sha256 of the exact parts of `verify --n-max 16 --with-oracle --seed 0`:
+# the CSV report (no floats in it) and the structural and identities sections
+# of the JSON report, re-serialized compactly. The oracle's float reprs are
+# left out because they depend on the platform's libm.
+GOLDEN_VERIFY_CSV = "302d0c30c2224278b1cac939cc472b1a69237809996aaa2c9624ea17932dcdb9"
+GOLDEN_VERIFY_JSON = {
+    "structural": "b0f5319444edfd0ebff6697e7e8ad7c8514aff7490a652b1f41330c5c2cb1d6a",
+    "identities": "6452d5bc4b82e504330014f1fea51382a061cb1ce34b562c51c6a3a5f2bf1158",
+}
+
+
+def test_verify_exact_reports_match_golden_digests(capsys, tmp_path):
+    base = ("verify", "--n-max", "16", "--with-oracle", "--seed", "0")
+    csv_path, json_path = tmp_path / "report.csv", tmp_path / "report.json"
+    assert run_cli(*base, "--format", "csv", "--out", str(csv_path)) == 0
+    assert run_cli(*base, "--format", "json", "--out", str(json_path)) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == GOLDEN_VERIFY_CSV
+    doc = json.loads(json_path.read_text())
+    for section, digest in GOLDEN_VERIFY_JSON.items():
+        text = json.dumps(doc[section], separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, section

@@ -6,8 +6,6 @@ import pytest
 
 from ncstirling.exact import AlphaPoly
 from ncstirling.identities import (
-    RatioDenominatorZero,
-    _harmonic_difference_ratio_form,
     check_binomial_stirling_identity,
     check_factorial_identity,
     check_harmonic_difference,
@@ -22,14 +20,14 @@ from ncstirling.identities import (
     structural_checks,
 )
 from ncstirling.noncentral import build_by_explicit, build_by_recurrence, corrupt_entry, s_n1_recurrence
-from ncstirling.stirling import build_stirling_table, harmonic
+from ncstirling.stirling import StirlingTable, harmonic
 
 N_MAX = 20
 
 
 @pytest.fixture(scope="module")
 def table():
-    return build_stirling_table(N_MAX)
+    return StirlingTable(N_MAX)
 
 
 @pytest.fixture(scope="module")
@@ -132,12 +130,6 @@ def test_harmonic_difference_sweep(table, triangle):
             assert s_n1_recurrence(n, Fraction(-a)) == h_closed_form(n, a)
     with pytest.raises(ValueError):
         check_harmonic_difference(table, 3, 2)
-
-
-def test_ratio_form_zero_denominator_is_distinct_error(table):
-    # the Stirling power sum is the falling factorial (a)_n, zero for a < n
-    with pytest.raises(RatioDenominatorZero):
-        _harmonic_difference_ratio_form(table, 2, 1)
 
 
 def test_hn_formulas_hand_values(table):

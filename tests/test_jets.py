@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ncstirling.exact import falling_factorial
 from ncstirling.jets import (
     JetDomainError,
     derivative_by_jets,
@@ -16,11 +17,10 @@ from ncstirling.jets import (
     jet_mul,
     jet_pow_real,
     jet_seed,
-    real_falling_factorial,
     verify_derivative_expansion,
 )
 from ncstirling.noncentral import build_by_recurrence
-from ncstirling.stirling import build_stirling_table
+from ncstirling.stirling import StirlingTable
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +82,18 @@ def test_derivative_rejects_bad_arguments():
         derivative_by_jets(2.0, 0.0, 1.0, 13)
     with pytest.raises(ValueError):
         derivative_by_jets(2.0, 0.0, 1.0, -1)
+    for x0, alpha, beta in ((math.inf, 0.0, 1.0), (math.nan, 0.0, 1.0),
+                            (2.0, math.nan, 1.0), (2.0, 0.0, math.nan),
+                            (2.0, 0.0, -math.inf)):
+        with pytest.raises(ValueError):
+            derivative_by_jets(x0, alpha, beta, 1)
+
+
+def test_expansion_rejects_non_finite_or_small_x0_and_beta(triangle):
+    for x0, beta in ((math.inf, 1.0), (math.nan, 1.0), (2.0, math.nan),
+                     (2.0, math.inf), (1.0, 1.0)):
+        with pytest.raises(ValueError):
+            evaluate_expansion(x0, Fraction(1, 2), beta, 3, triangle)
 
 
 def test_jets_cross_check_expansion_at_fractional_exponents(triangle):
@@ -126,18 +138,18 @@ def test_integer_beta_terms_above_beta_vanish(triangle):
     power = x0 ** float(-alpha - n)
     truncated = 0.0
     for i in range(3):
-        weight = real_falling_factorial(beta, i)
+        weight = falling_factorial(beta, i)
         coeff = float(triangle.evaluate(n, i, alpha))
         truncated += coeff * weight * power * math.log(x0) ** (beta - i)
     assert full == truncated
     for i in range(3, n + 1):
-        assert real_falling_factorial(beta, i) == 0.0
+        assert falling_factorial(beta, i) == 0.0
 
 
 def test_pure_log_powers_match_classical_composition(triangle):
     # alpha = 0, beta = m: the jet derivative of ln^m x must match the
     # composition formula built from classical s(n, i) directly
-    table = build_stirling_table(12)
+    table = StirlingTable(12)
     for m in (1, 2, 3):
         n = m + 1
         for x0 in (2.0, math.e):
@@ -145,7 +157,7 @@ def test_pure_log_powers_match_classical_composition(triangle):
             log_x0 = math.log(x0)
             classical = sum(
                 table.signed(n, i)
-                * real_falling_factorial(float(m), i)
+                * falling_factorial(float(m), i)
                 * x0 ** (-n)
                 * log_x0 ** (m - i)
                 for i in range(1, n + 1)

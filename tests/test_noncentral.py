@@ -1,12 +1,15 @@
 """Tests for the non-central triangle: both constructions, boundary closed
 forms, the k=1 column formulas, and serialization."""
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ncstirling.exact import AlphaPoly, falling_factorial_poly
 from ncstirling.noncentral import (
+    NoncentralTriangle,
     build_by_explicit,
     build_by_recurrence,
     corrupt_entry,
@@ -15,7 +18,7 @@ from ncstirling.noncentral import (
     triangle_from_json,
     triangle_to_json,
 )
-from ncstirling.stirling import build_stirling_table
+from ncstirling.stirling import StirlingTable
 
 N_MAX = 12
 
@@ -64,7 +67,7 @@ def test_boundaries(by_recurrence):
 
 
 def test_specializes_to_classical_at_zero(by_recurrence):
-    table = build_stirling_table(N_MAX)
+    table = StirlingTable(N_MAX)
     for n in range(N_MAX + 1):
         for k in range(n + 1):
             assert by_recurrence.entry(n, k)(0) == table.signed(n, k)
@@ -136,6 +139,53 @@ def test_json_rejects_bad_documents():
         triangle_from_json(
             '{"n_max":"0","entries":[{"n":"1","k":"0","coeffs":["1"]}]}'
         )
+
+
+@st.composite
+def triangles(draw):
+    n_max = draw(st.integers(0, 4))
+    coeffs = st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=5)
+    rows = [[AlphaPoly(draw(coeffs)) for _ in range(n + 1)] for n in range(n_max + 1)]
+    return NoncentralTriangle(rows, "parsed")
+
+
+@given(triangles())
+def test_json_round_trip_any_triangle(triangle):
+    text = triangle_to_json(triangle)
+    parsed = triangle_from_json(text)
+    assert parsed == triangle
+    assert triangle_to_json(parsed) == text
+
+
+NEAR_INTEGERS = st.from_regex(r"\s?[+-]?[0-9\u0660-\u0669_]{0,3}\s?", fullmatch=True)
+
+
+@given(st.sampled_from(("n_max", "n", "k", "coeff")), NEAR_INTEGERS)
+def test_json_accepts_only_what_re_emits_identically(field, number):
+    doc = {"n_max": "1", "entries": [
+        {"n": "0", "k": "0", "coeffs": ["1"]},
+        {"n": "1", "k": "0", "coeffs": ["0", "-1"]},
+        {"n": "1", "k": "1", "coeffs": ["1"]},
+    ]}
+    if field == "n_max":
+        doc["n_max"] = number
+    elif field == "coeff":
+        doc["entries"][1]["coeffs"][1] = number
+    else:
+        doc["entries"][2][field] = number
+    text = json.dumps(doc, separators=(",", ":")) + "\n"
+    try:
+        parsed = triangle_from_json(text)
+    except ValueError:
+        return
+    assert triangle_to_json(parsed) == text
+
+
+@pytest.mark.parametrize("coeffs", [[" -1_0 "], ["\u0661"], ["1", "0"], "1"])
+def test_json_rejects_non_canonical_coefficients(coeffs):
+    doc = {"n_max": "0", "entries": [{"n": "0", "k": "0", "coeffs": coeffs}]}
+    with pytest.raises(ValueError):
+        triangle_from_json(json.dumps(doc))
 
 
 def test_corrupt_entry_changes_exactly_one(by_recurrence):

@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 from ncstirling.stirling import (
-    build_stirling_table,
+    StirlingTable,
     harmonic,
     stirling_expansion_oracle,
-    table_to_csv,
 )
 
 N_MAX = 20
@@ -16,7 +15,7 @@ N_MAX = 20
 
 @pytest.fixture(scope="module")
 def table():
-    return build_stirling_table(N_MAX)
+    return StirlingTable(N_MAX)
 
 
 def test_base_cases(table):
@@ -101,11 +100,3 @@ def test_harmonic_differences():
         assert current.denominator > 0
         previous = current
 
-
-def test_csv_dump():
-    text = table_to_csv(build_stirling_table(3))
-    lines = text.strip().split("\n")
-    assert lines[0] == "n,k,value"
-    assert lines[1] == "0,0,1"
-    assert "3,2,-3" in lines
-    assert len(lines) == 1 + 1 + 2 + 3 + 4
