@@ -20,6 +20,7 @@ from .noncentral import (
     build_by_explicit,
     build_by_recurrence,
     corrupt_entry,
+    evaluate_row,
     triangle_to_json,
 )
 from .stirling import StirlingTable
@@ -225,10 +226,15 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
             parser.error("--beta and --x0 must be finite")
         if not args.x0 > 1.0:
             parser.error("--x0 must exceed 1")
-    triangle = build_by_recurrence(args.n)
-    print(format_rational(triangle.evaluate(args.n, args.k, args.alpha)))
+    row = evaluate_row(args.n, args.alpha)
+    try:
+        text = format_rational(row[args.k])
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        print("ncstirling: eval: s(n,k,alpha) cannot be printed: %s" % exc, file=sys.stderr)
+        return 2
+    print(text)
     if args.beta is not None:
-        value = evaluate_expansion(args.x0, args.alpha, args.beta, args.n, triangle)
+        value = evaluate_expansion(args.x0, args.alpha, args.beta, args.n, row)
         print("expansion n=%d alpha=%s beta=%r x0=%r -> %r"
               % (args.n, format_rational(args.alpha), args.beta, args.x0, value))
     return 0

@@ -147,35 +147,35 @@ class ExpansionTerm:
 
 
 def expansion_terms(n: int, alpha: RationalLike, beta: float,
-                    triangle: NoncentralTriangle) -> List[ExpansionTerm]:
-    """The terms of the derivative expansion of order n; terms whose falling
-    factorial (beta)_i vanishes are dropped (they are exactly zero)."""
-    a = Fraction(alpha)
+                    row: Sequence[Fraction]) -> List[ExpansionTerm]:
+    """The terms of the derivative expansion of order n, given the exact row
+    row[i] = s(n, i, alpha); terms whose falling factorial (beta)_i vanishes
+    are dropped (they are exactly zero)."""
     terms = []
     for i in range(n + 1):
         weight = falling_factorial(float(beta), i)
         if weight == 0.0:
             continue
-        coeff = float(triangle.evaluate(n, i, a)) * weight
+        coeff = float(row[i]) * weight
         terms.append(ExpansionTerm(index=i, coefficient=coeff,
                                    log_exponent=float(beta) - i))
     return terms
 
 
 def evaluate_expansion(x0: float, alpha: RationalLike, beta: float, n: int,
-                       triangle: NoncentralTriangle) -> float:
+                       row: Sequence[Fraction]) -> float:
     """Evaluate the derivative expansion
 
         sum_{i=0}^{n} s(n, i, alpha) * (beta)_i * x0^(-alpha-n) * ln(x0)^(beta-i)
 
-    with exact polynomial values rounded to float at the end. Dropping the
+    with the exact values row[i] = s(n, i, alpha) rounded to float. Dropping the
     zero-weight terms leaves the sum bit-for-bit unchanged and keeps
     integer-beta cases exact."""
     _check_point(x0, beta)
     log_x0 = math.log(x0)
     power = float(x0) ** float(-Fraction(alpha) - n)
     total = 0.0
-    for term in expansion_terms(n, alpha, beta, triangle):
+    for term in expansion_terms(n, alpha, beta, row):
         total += term.coefficient * power * log_x0 ** term.log_exponent
     return total
 
@@ -194,13 +194,14 @@ class ResidualReport:
     passed: bool
 
 
-def verify_derivative_expansion(triangle: NoncentralTriangle, x0: float,
+def verify_derivative_expansion(row: Sequence[Fraction], x0: float,
                                 alpha: RationalLike, beta: float, n: int,
                                 rel_tol: float = 1e-6) -> ResidualReport:
-    """Relative residual |jet - expansion| / max(|jet|, 1e-300); passes iff <= rel_tol."""
+    """Relative residual |jet - expansion| / max(|jet|, 1e-300), with the
+    expansion taken over row[i] = s(n, i, alpha); passes iff <= rel_tol."""
     a = Fraction(alpha)
     jet_value = derivative_by_jets(x0, float(a), beta, n)
-    expansion_value = evaluate_expansion(x0, a, beta, n, triangle)
+    expansion_value = evaluate_expansion(x0, a, beta, n, row)
     rel = abs(jet_value - expansion_value) / max(abs(jet_value), RESIDUAL_FLOOR)
     return ResidualReport(
         n=n,
@@ -218,14 +219,16 @@ def expansion_grid(triangle: NoncentralTriangle, rel_tol: float = 1e-6,
                    max_order: int = GRID_MAX_ORDER,
                    alphas=GRID_ALPHAS, betas=GRID_BETAS,
                    x0s=GRID_X0S) -> List[ResidualReport]:
-    """Run the validation grid; grid points are independent pure computations."""
+    """Run the validation grid; grid points are independent pure computations.
+    Each (n, alpha) row is read from the triangle once, for all its points."""
     reports = []
     for n in range(max_order + 1):
         for alpha in alphas:
+            row = [triangle.evaluate(n, i, alpha) for i in range(n + 1)]
             for beta in betas:
                 for x0 in x0s:
                     reports.append(
-                        verify_derivative_expansion(triangle, x0, alpha, beta, n, rel_tol)
+                        verify_derivative_expansion(row, x0, alpha, beta, n, rel_tol)
                     )
     return reports
 

@@ -11,14 +11,16 @@ Two independent constructions are provided and must agree exactly:
 * the explicit binomial sum over classical Stirling numbers
       s(n, i, a) = sum_k C(n, k) (-a)(-a-1)...(-a-k+1) s(n-k, i).
 
-Specializing alpha = 0 recovers the classical signed numbers.
+Specializing alpha = 0 recovers the classical signed numbers. A third use of
+the recurrence, after the triangle and the k=1 column, runs it at one rational
+alpha in integer arithmetic and gives a whole row of values (evaluate_row).
 """
 from __future__ import annotations
 
 import json
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import List, Optional
 
 from .exact import (
     AlphaPoly,
@@ -89,6 +91,25 @@ def build_by_recurrence(n_max: int) -> NoncentralTriangle:
             row.append(acc)
         rows.append(row)
     return NoncentralTriangle(rows, "recurrence")
+
+
+def evaluate_row(n: int, alpha: RationalLike) -> List[Fraction]:
+    """[s(n, 0, alpha), ..., s(n, n, alpha)] at one rational alpha, exactly:
+    the coefficients of (x - alpha)(x - alpha - 1)...(x - alpha - n + 1).
+
+    With alpha = p/q the scaled values c(m, i) = q^(m-i) s(m, i, alpha) are
+    integers, and the recurrence becomes c(m+1, i) = c(m, i-1) - (p + m q) c(m, i),
+    so the row costs O(n^2) integer steps and no polynomial arithmetic.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    a = Fraction(alpha)
+    p, q = a.numerator, a.denominator
+    c = [1]
+    for m in range(n):
+        shift = p + m * q
+        c = [low - shift * high for low, high in zip([0] + c, c + [0])]
+    return [Fraction(value, q ** (n - i)) for i, value in enumerate(c)]
 
 
 def build_by_explicit(n_max: int, table: Optional[StirlingTable] = None) -> NoncentralTriangle:
@@ -172,15 +193,15 @@ def triangle_to_json(triangle: NoncentralTriangle) -> str:
 
 
 def triangle_from_json(text: str) -> NoncentralTriangle:
-    """Inverse of triangle_to_json. Numbers must be canonical decimal strings
-    and coefficient lists must have no trailing zero, so that parsing and
-    re-emitting a document reproduces its numbers exactly."""
+    """Inverse of triangle_to_json, accepting only the documents it emits:
+    numbers must be canonical decimal strings, coefficient lists must have no
+    trailing zero, and the whole text must re-emit byte for byte (which
+    rejects extra keys, reordered keys or entries, and added whitespace)."""
     doc = json.loads(text)
     n_max = parse_canonical_int(doc["n_max"])
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     rows = [[AlphaPoly()] * (n + 1) for n in range(n_max + 1)]
-    seen = set()
     for item in doc["entries"]:
         n, k = parse_canonical_int(item["n"]), parse_canonical_int(item["k"])
         if not 0 <= k <= n <= n_max:
@@ -188,11 +209,11 @@ def triangle_from_json(text: str) -> NoncentralTriangle:
         if not isinstance(item["coeffs"], list):
             raise ValueError("coeffs of entry (%d, %d) is not a list" % (n, k))
         rows[n][k] = AlphaPoly.from_coefficient_strings(item["coeffs"])
-        seen.add((n, k))
-    expected = {(n, k) for n in range(n_max + 1) for k in range(n + 1)}
-    if seen != expected:
-        raise ValueError("triangle entries missing or duplicated")
-    return NoncentralTriangle(rows, "parsed")
+    # re-emission also catches missing, duplicated or out-of-order entries
+    triangle = NoncentralTriangle(rows, "parsed")
+    if triangle_to_json(triangle) != text:
+        raise ValueError("document is not in canonical form")
+    return triangle
 
 
 def corrupt_entry(triangle: NoncentralTriangle, n: int, k: int, delta: int = 1) -> NoncentralTriangle:

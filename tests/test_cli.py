@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from ncstirling import cli
 from ncstirling.cli import main
 from ncstirling.noncentral import triangle_from_json, triangle_to_json
 
@@ -90,6 +91,37 @@ def test_eval_usage_errors(capsys):
         run_cli("eval", "--n", "2", "--k", "1", "--alpha", "1/0")
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+def test_eval_builds_no_triangle(capsys, monkeypatch):
+    def refuse(n_max):
+        raise AssertionError("eval built a triangle")
+
+    monkeypatch.setattr(cli, "build_by_recurrence", refuse)
+    assert run_cli("eval", "--n", "6", "--k", "2", "--alpha", "7/3") == 0
+    assert run_cli("eval", "--n", "6", "--k", "2", "--alpha", "7/3",
+                   "--beta", "1.5", "--x0", "2") == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[0] == lines[1] == "188348/27"
+    assert lines[2].startswith("expansion n=6 alpha=7/3")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_eval_value_past_the_digit_limit_exits_2(capsys):
+    # s(300, 1, 7/3) has about 1,000 digits; a lowered limit stands in for
+    # a large n against the default limit of 4300 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        status = run_cli("eval", "--n", "300", "--k", "1", "--alpha", "7/3")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ncstirling: eval: s(n,k,alpha) cannot be printed: ")
+    assert "set_int_max_str_digits" in captured.err
 
 
 @pytest.mark.parametrize("beta, x0", [("nan", "2"), ("1", "inf"), ("-inf", "2"),
@@ -215,3 +247,45 @@ def test_verify_exact_reports_match_golden_digests(capsys, tmp_path):
     for section, digest in GOLDEN_VERIFY_JSON.items():
         text = json.dumps(doc[section], separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, section
+
+
+# sha256 of `eval` stdout, pinned before `eval` stopped building the
+# triangle: k = 0, k = n and middle k; integer, negative and fractional
+# alpha; n up to 300; and expansion points from the oracle grid's beta and
+# x0 values. The expansion lines print float reprs, so like the oracle part
+# of the verify report they assume a libm that rounds log and pow alike.
+GOLDEN_EVAL = [
+    (("--n", "0", "--k", "0", "--alpha", "0"),
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    (("--n", "20", "--k", "0", "--alpha", "7/3"),
+     "8e015ec239f2696e493fb2d65f1000c5bfd932ed58f353d5b4cfcbb2bbed7e39"),
+    (("--n", "20", "--k", "20", "--alpha=-5/2"),
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    (("--n", "40", "--k", "17", "--alpha", "3"),
+     "f031fbc9c35048ad83a4eb2372ff52dcc1f43285d13e917da352c8edc1fd4389"),
+    (("--n", "64", "--k", "32", "--alpha=-5/2"),
+     "58ac9f188338047e4577a4b81f196d21e1c38b51e56cd98c8fc71bcd2398ae15"),
+    (("--n", "100", "--k", "1", "--alpha", "7/3"),
+     "1acceae22f8db9d8e627179c79a78614b5df748d2520030611a186ff94e08ea6"),
+    (("--n", "150", "--k", "75", "--alpha=-7"),
+     "57a1036b3a1fac4a4faa67a5e7fd99c17bc5bc7fed2d0e47936c434dba663d1b"),
+    (("--n", "300", "--k", "7", "--alpha", "7/3"),
+     "3279226bdf29cef2a31f1fcf98e1d51a7556598f3828e3c34f402ad61e3a1017"),
+    (("--n", "300", "--k", "150", "--alpha=-41/19"),
+     "90771f9a41de6fe5763d0998a2305c793e9aeb523a3d7ae2b745acc8f9a95c15"),
+    (("--n", "8", "--k", "3", "--alpha", "1/2", "--beta", "2.5",
+      "--x0", "2.718281828459045"),
+     "27eb4f4c91906eb56b8f856518eac385096df01283ceba8aca37b079fb6a8f9e"),
+    (("--n", "12", "--k", "6", "--alpha=-2", "--beta", "0.5", "--x0", "1.5"),
+     "46d7215b21480bb34d0d7c47b83ec89ebc4fc49313701ce8474ba2865f676437"),
+    (("--n", "30", "--k", "10", "--alpha=-1/2", "--beta", "2", "--x0", "5"),
+     "14af93adb394f1800b22611a146e90d72b90f942d0a272247cc16035e4df4713"),
+    (("--n", "64", "--k", "0", "--alpha", "7/3", "--beta", "1", "--x0", "2"),
+     "70e044c6b9ffbe2befe47d770d632eaebbd5030a5367b9663661d03dfad150b4"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_EVAL)
+def test_eval_matches_golden_digests(capsys, argv, digest):
+    assert run_cli("eval", *argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -28,6 +28,11 @@ def triangle():
     return build_by_recurrence(12)
 
 
+def row_of(triangle, n, alpha):
+    """The exact row [s(n, 0, alpha), ..., s(n, n, alpha)] read from the triangle."""
+    return [triangle.evaluate(n, i, alpha) for i in range(n + 1)]
+
+
 def test_jet_seed():
     assert jet_seed(2.0, 2) == [2.0, 1.0, 0.0]
     assert jet_seed(math.e, 0) == [math.e]
@@ -93,48 +98,52 @@ def test_expansion_rejects_non_finite_or_small_x0_and_beta(triangle):
     for x0, beta in ((math.inf, 1.0), (math.nan, 1.0), (2.0, math.nan),
                      (2.0, math.inf), (1.0, 1.0)):
         with pytest.raises(ValueError):
-            evaluate_expansion(x0, Fraction(1, 2), beta, 3, triangle)
+            evaluate_expansion(x0, Fraction(1, 2), beta, 3,
+                               row_of(triangle, 3, Fraction(1, 2)))
 
 
 def test_jets_cross_check_expansion_at_fractional_exponents(triangle):
     jet_value = derivative_by_jets(math.e, 0.5, 1.5, 3)
-    expansion = evaluate_expansion(math.e, Fraction(1, 2), 1.5, 3, triangle)
+    expansion = evaluate_expansion(math.e, Fraction(1, 2), 1.5, 3,
+                                   row_of(triangle, 3, Fraction(1, 2)))
     assert jet_value == pytest.approx(expansion, rel=1e-8)
 
 
 def test_expansion_order_zero(triangle):
     beta = 1.5
     expected = 2.0 ** -0.5 * math.log(2.0) ** beta
-    assert evaluate_expansion(2.0, Fraction(1, 2), beta, 0, triangle) == pytest.approx(
+    row = row_of(triangle, 0, Fraction(1, 2))
+    assert evaluate_expansion(2.0, Fraction(1, 2), beta, 0, row) == pytest.approx(
         expected, rel=1e-14
     )
 
 
 def test_expansion_first_derivative_of_log(triangle):
-    assert evaluate_expansion(2.0, 0, 1.0, 1, triangle) == pytest.approx(0.5, rel=1e-14)
+    assert evaluate_expansion(2.0, 0, 1.0, 1, row_of(triangle, 1, 0)) == pytest.approx(
+        0.5, rel=1e-14)
 
 
 def test_expansion_only_constant_log_power_survives(triangle):
     # beta = 0 keeps only the i = 0 term: s(2,0,1) * x^-3 = 2/8
-    assert evaluate_expansion(2.0, 1, 0.0, 2, triangle) == 0.25
+    assert evaluate_expansion(2.0, 1, 0.0, 2, row_of(triangle, 2, 1)) == 0.25
 
 
 def test_expansion_terms_drop_zero_weights(triangle):
     # integer beta = 2: only i <= 2 can survive, and each log exponent is beta - i
-    terms = expansion_terms(6, Fraction(1, 2), 2.0, triangle)
+    terms = expansion_terms(6, Fraction(1, 2), 2.0, row_of(triangle, 6, Fraction(1, 2)))
     assert [t.index for t in terms] == [0, 1, 2]
     assert [t.log_exponent for t in terms] == [2.0, 1.0, 0.0]
     # i = 1: s(6,1,1/2) * (2)_1; weight (beta)_1 = 2
     assert terms[1].coefficient == float(triangle.evaluate(6, 1, Fraction(1, 2))) * 2.0
     # fractional beta keeps every term
-    assert len(expansion_terms(4, 0, 2.5, triangle)) == 5
+    assert len(expansion_terms(4, 0, 2.5, row_of(triangle, 4, 0))) == 5
 
 
 def test_integer_beta_terms_above_beta_vanish(triangle):
     # with beta = 2 the falling factorial kills every term with i > 2,
     # so truncating the sum there changes nothing, bit for bit
     n, alpha, beta, x0 = 6, Fraction(1, 2), 2.0, 2.0
-    full = evaluate_expansion(x0, alpha, beta, n, triangle)
+    full = evaluate_expansion(x0, alpha, beta, n, row_of(triangle, n, alpha))
     power = x0 ** float(-alpha - n)
     truncated = 0.0
     for i in range(3):
@@ -177,20 +186,23 @@ def test_exp_ln_round_trip(jet):
 
 
 def test_verify_order_zero_residual_vanishes(triangle):
-    report = verify_derivative_expansion(triangle, 2.0, Fraction(1, 2), 1.5, 0)
+    report = verify_derivative_expansion(row_of(triangle, 0, Fraction(1, 2)), 2.0,
+                                         Fraction(1, 2), 1.5, 0)
     assert report.rel_residual <= 1e-12
     assert report.passed
 
 
 def test_verify_spot_points(triangle):
-    assert verify_derivative_expansion(triangle, 2.0, 2, 2.0, 4, rel_tol=1e-8).passed
-    assert verify_derivative_expansion(triangle, math.e, -1, 1.0, 3, rel_tol=1e-8).passed
+    assert verify_derivative_expansion(row_of(triangle, 4, 2), 2.0, 2, 2.0, 4,
+                                       rel_tol=1e-8).passed
+    assert verify_derivative_expansion(row_of(triangle, 3, -1), math.e, -1, 1.0, 3,
+                                       rel_tol=1e-8).passed
 
 
 def test_identically_zero_derivatives_give_zero_residual(triangle):
     # x^2 differentiated three times is identically zero; both sides must
     # agree exactly, not merely to rounding
-    report = verify_derivative_expansion(triangle, 1.5, -2, 0.0, 3)
+    report = verify_derivative_expansion(row_of(triangle, 3, -2), 1.5, -2, 0.0, 3)
     assert report.jet_value == 0.0
     assert report.expansion_value == 0.0
     assert report.rel_residual == 0.0

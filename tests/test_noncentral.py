@@ -13,6 +13,7 @@ from ncstirling.noncentral import (
     build_by_explicit,
     build_by_recurrence,
     corrupt_entry,
+    evaluate_row,
     s_n1_recurrence,
     s_n1_sum_formula,
     triangle_from_json,
@@ -91,6 +92,30 @@ def test_evaluate(by_recurrence):
     assert by_recurrence.evaluate(5, 5, Fraction(7, 3)) == 1
 
 
+@pytest.fixture(scope="module")
+def by_recurrence_40():
+    return build_by_recurrence(40)
+
+
+@given(n=st.integers(0, 40), p=st.integers(-60, 60), q=st.integers(1, 25))
+def test_evaluate_row_matches_recurrence_triangle(by_recurrence_40, n, p, q):
+    alpha = Fraction(p, q)
+    expected = [by_recurrence_40.evaluate(n, i, alpha) for i in range(n + 1)]
+    assert evaluate_row(n, alpha) == expected
+
+
+@pytest.mark.parametrize("alpha", [0, 3, -7, Fraction(-5, 2), Fraction(7, 3)])
+def test_evaluate_row_order_zero_and_integer_alphas(by_recurrence_40, alpha):
+    assert evaluate_row(0, alpha) == [1]
+    expected = [by_recurrence_40.evaluate(40, i, alpha) for i in range(41)]
+    assert evaluate_row(40, alpha) == expected
+
+
+def test_evaluate_row_rejects_negative_order():
+    with pytest.raises(ValueError):
+        evaluate_row(-1, 0)
+
+
 def test_entry_range_checks(by_recurrence):
     with pytest.raises(IndexError):
         by_recurrence.entry(2, 3)
@@ -139,6 +164,32 @@ def test_json_rejects_bad_documents():
         triangle_from_json(
             '{"n_max":"0","entries":[{"n":"1","k":"0","coeffs":["1"]}]}'
         )
+
+
+CANONICAL_ONE = ('{"n_max":"1","entries":[{"n":"0","k":"0","coeffs":["1"]},'
+                 '{"n":"1","k":"0","coeffs":["0","-1"]},{"n":"1","k":"1","coeffs":["1"]}]}\n')
+
+
+@pytest.mark.parametrize("text", [
+    # an extra key in the document and in an entry
+    CANONICAL_ONE.replace('{"n_max":"1",', '{"n_max":"1","note":"x",'),
+    CANONICAL_ONE.replace('{"n":"0","k":"0",', '{"n":"0","k":"0","x":"1",'),
+    # reordered keys, reordered entries
+    CANONICAL_ONE.replace('{"n":"0","k":"0",', '{"k":"0","n":"0",'),
+    CANONICAL_ONE.replace('{"n":"1","k":"0","coeffs":["0","-1"]},{"n":"1","k":"1","coeffs":["1"]}',
+                          '{"n":"1","k":"1","coeffs":["1"]},{"n":"1","k":"0","coeffs":["0","-1"]}'),
+    # JSON whitespace, and no final newline
+    CANONICAL_ONE.replace(",", ", "),
+    CANONICAL_ONE.rstrip("\n"),
+], ids=["extra-key", "extra-entry-key", "reordered-keys", "reordered-entries",
+        "whitespace", "no-final-newline"])
+def test_json_rejects_documents_that_do_not_re_emit_identically(text):
+    with pytest.raises(ValueError):
+        triangle_from_json(text)
+
+
+def test_json_canonical_fixture_parses():
+    assert triangle_to_json(triangle_from_json(CANONICAL_ONE)) == CANONICAL_ONE
 
 
 @st.composite
