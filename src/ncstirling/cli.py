@@ -12,9 +12,9 @@ import json
 import math
 import sys
 
-from .exact import format_rational, parse_rational
+from .exact import RATIONAL_RE, format_rational, parse_rational
 from .identities import reports_to_json_records, run_suite, structural_checks
-from .jets import GRID_MAX_ORDER, evaluate_expansion, expansion_grid, residuals_to_json_records
+from .jets import evaluate_expansion, expansion_grid, residuals_to_json_records
 from .noncentral import (
     NoncentralTriangle,
     build_by_explicit,
@@ -72,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--n", type=int, required=True)
     ev.add_argument("--k", type=int, required=True)
     ev.add_argument("--alpha", type=_rational_argument, required=True,
-                    help='rational, e.g. "-2" or "7/3"; write a negative '
-                         'fraction as --alpha=-5/2')
+                    help='rational, e.g. "-2", "7/3" or "-5/2"')
     ev.add_argument("--beta", type=float, default=None,
                     help="with --x0: also evaluate the derivative expansion")
     ev.add_argument("--x0", type=float, default=None)
@@ -152,12 +151,12 @@ def cmd_verify(args) -> int:
     if args.n_max < 0:
         print("--n-max must be nonnegative", file=sys.stderr)
         return 2
-    if not args.tol > 0:
-        print("--tol must be positive", file=sys.stderr)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print("--tol must be finite and positive", file=sys.stderr)
         return 2
     table = StirlingTable(args.n_max)
     by_recurrence = build_by_recurrence(args.n_max)
-    by_explicit = build_by_explicit(args.n_max, table)
+    by_explicit = build_by_explicit(args.n_max)
     if args.corrupt is not None:
         try:
             n_str, k_str = args.corrupt.split(",")
@@ -171,8 +170,7 @@ def cmd_verify(args) -> int:
     identity_reports = run_suite(table, by_recurrence, args.n_max, seed=args.seed)
     oracle_reports = []
     if args.with_oracle:
-        oracle_reports = expansion_grid(by_recurrence, rel_tol=args.tol,
-                                        max_order=min(GRID_MAX_ORDER, args.n_max))
+        oracle_reports = expansion_grid(by_recurrence, rel_tol=args.tol)
 
     failed_checks = [c for c in checks if not c.ok]
     failed_identities = [r for r in identity_reports if not r.holds]
@@ -240,9 +238,21 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+def _attach_alpha_values(argv) -> list:
+    """Rewrite "--alpha VALUE" as "--alpha=VALUE" when VALUE is a rational
+    literal, since argparse takes a separate "-5/2" for an option."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--alpha" and RATIONAL_RE.fullmatch(token):
+            out[-1] = "--alpha=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_alpha_values(sys.argv[1:] if argv is None else argv))
     if args.command == "triangle":
         return cmd_triangle(args)
     if args.command == "verify":

@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: dense integer polynomials in one indeterminate,
-exact rationals, and binomial coefficients with generalized arguments.
+exact rationals, and binomial coefficients with rational arguments (integer
+binomials are ``math.comb``).
 
 Python ints are arbitrary precision and ``fractions.Fraction`` is always
 reduced with a positive denominator, so those two stdlib types carry the
@@ -15,7 +16,7 @@ from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 _CANONICAL_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 
@@ -156,20 +157,6 @@ def falling_factorial(x: RationalLike, k: int) -> RationalLike:
     return out
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for any integer n (negative allowed) and k >= 0, exactly.
-
-    Each intermediate value equals C(n, i) for some i, so the floor
-    divisions below are exact regardless of sign.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    result = 1
-    for i in range(1, k + 1):
-        result = result * (n - i + 1) // i
-    return result
-
-
 def binomial_rational(x: RationalLike, k: int) -> Fraction:
     """Generalized binomial coefficient C(x, k) = x(x-1)...(x-k+1)/k!."""
     if k < 0:
@@ -179,7 +166,7 @@ def binomial_rational(x: RationalLike, k: int) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or plain integer decimal strings into a reduced Fraction."""
-    m = _RATIONAL_RE.match(text.strip())
+    m = RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError("not a rational literal: %r" % (text,))
     num = int(m.group(1))

@@ -17,7 +17,6 @@ from typing import List, Optional
 from .exact import (
     AlphaPoly,
     RationalLike,
-    binomial,
     binomial_rational,  # noqa: F401  unused; perfbench/tracing.py patches this name
     falling_factorial_poly,
     format_rational,
@@ -32,6 +31,8 @@ from .stirling import StirlingTable, harmonic, stirling_expansion_oracle
 
 RANDOM_NUMERATOR_RANGE = (-50, 50)
 RANDOM_DENOMINATOR_RANGE = (1, 20)
+MASTER_RANDOM_POINTS = 30
+COLUMN_RANDOM_POINTS = 20
 
 
 @dataclass(frozen=True)
@@ -90,34 +91,35 @@ def check_binomial_stirling_identity(table: StirlingTable, n: int,
         n! * sum_{k=0}^{n-1} (-1)^k C(-alpha, k)/(n-k)
             == sum_{k=0}^{n-1} (k+1) |s(n, k+1)| alpha^k,
 
-    with the convention 0^0 = 1 at alpha = 0 (Fraction(0)**0 == 1 already).
+    whose right side is (-1)^(n-1) s(n, 1, alpha), read off the column-one
+    polynomial.
     """
     if n < 1:
         raise ValueError("n must be positive")
     a = Fraction(alpha)
     lhs = math.factorial(n) * alternating_binomial_sum(a, n)
-    rhs = Fraction(0)
-    for k in range(n):
-        rhs += (k + 1) * table.unsigned(n, k + 1) * a ** k
+    rhs = (-1) ** (n - 1) * column_one_polynomial(table, n)(a)
     return [_report("binomial_stirling_sum", n, a, lhs, rhs)]
 
 
 def check_factorial_identity(table: StirlingTable, n: int) -> List[IdentityReport]:
     """At alpha = -1 the master identity collapses to
-    (-1)^n (n-2)! == sum_k (k+1) s(n, k+1) with signed Stirling numbers."""
+    (-1)^n (n-2)! == sum_k (k+1) s(n, k+1) with signed Stirling numbers,
+    which is the column-one polynomial at -1."""
     if n < 2:
         raise ValueError("n must be at least 2")
     lhs = (-1) ** n * math.factorial(n - 2)
-    rhs = sum((k + 1) * table.signed(n, k + 1) for k in range(n))
+    rhs = column_one_polynomial(table, n)(-1)
     return [_report("factorial_from_stirling", n, Fraction(-1), lhs, rhs)]
 
 
 def check_harmonic_sum(table: StirlingTable, n: int) -> List[IdentityReport]:
-    """At alpha = 1: n! * H_n == sum_k (k+1) |s(n, k+1)|."""
+    """At alpha = 1: n! * H_n == sum_k (k+1) |s(n, k+1)|, which is
+    (-1)^(n-1) times the column-one polynomial at 1."""
     if n < 1:
         raise ValueError("n must be positive")
     lhs = math.factorial(n) * harmonic(n)
-    rhs = sum((k + 1) * table.unsigned(n, k + 1) for k in range(n))
+    rhs = (-1) ** (n - 1) * column_one_polynomial(table, n)(1)
     return [_report("harmonic_sum", n, Fraction(1), lhs, rhs)]
 
 
@@ -152,7 +154,7 @@ def check_negative_alpha_closed_form(table: StirlingTable, n: int,
                 math.factorial(a) * math.factorial(n - a - 1)),
         _report("neg_alpha_reciprocal_form", n, point,
                 (a + 1) * total,
-                Fraction(1, binomial(n, a + 1))),
+                Fraction(1, math.comb(n, a + 1))),
     ]
     return reports
 
@@ -172,7 +174,8 @@ def check_harmonic_difference(table: StirlingTable, n: int,
                               alpha_pos: int) -> List[IdentityReport]:
     """For a positive integer a = alpha_pos and 1 <= n <= a, compare
     H_a - H_{a-n} against the alternating binomial sum form and against the
-    signed-Stirling ratio form."""
+    signed-Stirling ratio form: the column-one polynomial at -a over the
+    classical row polynomial at a."""
     a = alpha_pos
     if a < 1:
         raise ValueError("alpha_pos must be positive")
@@ -180,11 +183,11 @@ def check_harmonic_difference(table: StirlingTable, n: int,
         raise ValueError("requires 1 <= n <= alpha_pos")
     direct = harmonic(a) - harmonic(a - n)
     outer = -1 if (n + 1) % 2 else 1
-    sum_form = Fraction(outer, binomial(a, n)) * alternating_binomial_sum(-a, n)
+    sum_form = Fraction(outer, math.comb(a, n)) * alternating_binomial_sum(-a, n)
     # The denominator sum_k s(n,k) a^k is the falling factorial a!/(a-n)!,
     # positive for 1 <= n <= a.
-    numerator = sum((k + 1) * table.signed(n, k + 1) * a ** k for k in range(n))
-    denominator = sum(table.signed(n, k) * a ** k for k in range(n + 1))
+    numerator = column_one_polynomial(table, n)(-a)
+    denominator = AlphaPoly(table.row(n))(a)
     ratio_form = Fraction(numerator, denominator)
     point = Fraction(-a)
     return [
@@ -197,14 +200,16 @@ def check_hn_formulas(table: StirlingTable, n: int) -> List[IdentityReport]:
     """Both harmonic-number expressions at alpha = n:
 
         H_n == (-1)^(n+1) sum_{k=0}^{n-1} (-1)^k C(n,k)/(n-k)
-        H_n == (1/n!) sum_{k=0}^{n-1} (k+1) s(n,k+1) n^k   (signed numbers).
+        H_n == (1/n!) sum_{k=0}^{n-1} (k+1) s(n,k+1) n^k   (signed numbers),
+
+    where the power sum is the column-one polynomial at -n.
     """
     if n < 1:
         raise ValueError("n must be positive")
     hn = harmonic(n)
     total = alternating_binomial_sum(-n, n)
     binomial_form = -total if (n + 1) % 2 else total
-    power_sum = sum((k + 1) * table.signed(n, k + 1) * n ** k for k in range(n))
+    power_sum = column_one_polynomial(table, n)(-n)
     stirling_form = Fraction(power_sum, math.factorial(n))
     point = Fraction(n)
     return [
@@ -224,8 +229,7 @@ def random_rationals(count: int, rng: random.Random) -> List[Fraction]:
 
 
 def run_suite(table: StirlingTable, triangle: NoncentralTriangle, n_max: int,
-              seed: int = 0, master_random_points: int = 30,
-              column_random_points: int = 20) -> List[IdentityReport]:
+              seed: int = 0) -> List[IdentityReport]:
     """Run the whole exact identity suite up to n_max and return every report.
 
     The random alpha sample is drawn from ``random.Random(seed)`` so a run is
@@ -235,8 +239,8 @@ def run_suite(table: StirlingTable, triangle: NoncentralTriangle, n_max: int,
         raise ValueError("table/triangle too small for n_max=%d" % n_max)
     rng = random.Random(seed)
     master_alphas = [Fraction(a) for a in range(-n_max, n_max + 1)]
-    master_alphas += random_rationals(master_random_points, rng)
-    column_alphas = random_rationals(column_random_points, rng)
+    master_alphas += random_rationals(MASTER_RANDOM_POINTS, rng)
+    column_alphas = random_rationals(COLUMN_RANDOM_POINTS, rng)
 
     reports: List[IdentityReport] = []
     for n in range(1, n_max + 1):

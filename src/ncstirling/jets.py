@@ -215,18 +215,17 @@ def verify_derivative_expansion(row: Sequence[Fraction], x0: float,
     )
 
 
-def expansion_grid(triangle: NoncentralTriangle, rel_tol: float = 1e-6,
-                   max_order: int = GRID_MAX_ORDER,
-                   alphas=GRID_ALPHAS, betas=GRID_BETAS,
-                   x0s=GRID_X0S) -> List[ResidualReport]:
-    """Run the validation grid; grid points are independent pure computations.
-    Each (n, alpha) row is read from the triangle once, for all its points."""
+def expansion_grid(triangle: NoncentralTriangle,
+                   rel_tol: float = 1e-6) -> List[ResidualReport]:
+    """Run the validation grid: every n up to min(GRID_MAX_ORDER, triangle.n_max)
+    against GRID_ALPHAS x GRID_BETAS x GRID_X0S. Grid points are independent
+    pure computations; each (n, alpha) row is read from the triangle once."""
     reports = []
-    for n in range(max_order + 1):
-        for alpha in alphas:
+    for n in range(min(GRID_MAX_ORDER, triangle.n_max) + 1):
+        for alpha in GRID_ALPHAS:
             row = [triangle.evaluate(n, i, alpha) for i in range(n + 1)]
-            for beta in betas:
-                for x0 in x0s:
+            for beta in GRID_BETAS:
+                for x0 in GRID_X0S:
                     reports.append(
                         verify_derivative_expansion(row, x0, alpha, beta, n, rel_tol)
                     )

@@ -20,12 +20,11 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from .exact import (
     AlphaPoly,
     RationalLike,
-    binomial,
     binomial_rational,  # noqa: F401  unused; perfbench/tracing.py patches this name
     falling_factorial,
     falling_factorial_poly,
@@ -35,18 +34,13 @@ from .stirling import StirlingTable, check_index
 
 
 class NoncentralTriangle:
-    """Immutable triangle of AlphaPoly entries indexed (n, k), 0 <= k <= n <= n_max.
+    """Immutable triangle of AlphaPoly entries indexed (n, k), 0 <= k <= n <= n_max."""
 
-    ``construction`` records how the triangle was produced ("recurrence",
-    "explicit", or "parsed" for deserialized instances).
-    """
+    __slots__ = ("n_max", "_rows")
 
-    __slots__ = ("n_max", "construction", "_rows")
-
-    def __init__(self, rows, construction: str) -> None:
+    def __init__(self, rows) -> None:
         self._rows = tuple(tuple(row) for row in rows)
         self.n_max = len(self._rows) - 1
-        self.construction = construction
 
     def entry(self, n: int, k: int) -> AlphaPoly:
         check_index(n, k, self.n_max)
@@ -65,14 +59,8 @@ class NoncentralTriangle:
             return NotImplemented
         return self._rows == other._rows
 
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
     def __repr__(self) -> str:
-        return "NoncentralTriangle(n_max=%d, construction=%r)" % (
-            self.n_max,
-            self.construction,
-        )
+        return "NoncentralTriangle(n_max=%d)" % self.n_max
 
 
 def build_by_recurrence(n_max: int) -> NoncentralTriangle:
@@ -90,7 +78,7 @@ def build_by_recurrence(n_max: int) -> NoncentralTriangle:
                 acc = acc + prev[i - 1]
             row.append(acc)
         rows.append(row)
-    return NoncentralTriangle(rows, "recurrence")
+    return NoncentralTriangle(rows)
 
 
 def evaluate_row(n: int, alpha: RationalLike) -> List[Fraction]:
@@ -112,12 +100,11 @@ def evaluate_row(n: int, alpha: RationalLike) -> List[Fraction]:
     return [Fraction(value, q ** (n - i)) for i, value in enumerate(c)]
 
 
-def build_by_explicit(n_max: int, table: Optional[StirlingTable] = None) -> NoncentralTriangle:
+def build_by_explicit(n_max: int) -> NoncentralTriangle:
     """Assemble each entry from the explicit sum over classical Stirling numbers."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if table is None or table.n_max < n_max:
-        table = StirlingTable(n_max)
+    table = StirlingTable(n_max)
     ff = [falling_factorial_poly(k) for k in range(n_max + 1)]
     rows = []
     for n in range(n_max + 1):
@@ -125,12 +112,12 @@ def build_by_explicit(n_max: int, table: Optional[StirlingTable] = None) -> Nonc
         for i in range(n + 1):
             acc = AlphaPoly()
             for k in range(n - i + 1):
-                scalar = binomial(n, k) * table.signed(n - k, i)
+                scalar = math.comb(n, k) * table.signed(n - k, i)
                 if scalar:
                     acc = acc + scalar * ff[k]
             row.append(acc)
         rows.append(row)
-    return NoncentralTriangle(rows, "explicit")
+    return NoncentralTriangle(rows)
 
 
 def alternating_binomial_sum(alpha: RationalLike, n: int) -> Fraction:
@@ -210,19 +197,17 @@ def triangle_from_json(text: str) -> NoncentralTriangle:
             raise ValueError("coeffs of entry (%d, %d) is not a list" % (n, k))
         rows[n][k] = AlphaPoly.from_coefficient_strings(item["coeffs"])
     # re-emission also catches missing, duplicated or out-of-order entries
-    triangle = NoncentralTriangle(rows, "parsed")
+    triangle = NoncentralTriangle(rows)
     if triangle_to_json(triangle) != text:
         raise ValueError("document is not in canonical form")
     return triangle
 
 
-def corrupt_entry(triangle: NoncentralTriangle, n: int, k: int, delta: int = 1) -> NoncentralTriangle:
+def corrupt_entry(triangle: NoncentralTriangle, n: int, k: int) -> NoncentralTriangle:
     """Copy of the triangle with the constant coefficient of entry (n, k)
-    shifted by delta. Verification test hook only: the result must fail
-    the structural checks."""
-    if delta == 0:
-        raise ValueError("delta must be nonzero")
+    raised by 1. Verification test hook only: the result must fail the
+    structural checks."""
     check_index(n, k, triangle.n_max)
     rows = [list(row) for row in triangle._rows]
-    rows[n][k] = rows[n][k] + AlphaPoly((delta,))
-    return NoncentralTriangle(rows, triangle.construction)
+    rows[n][k] = rows[n][k] + AlphaPoly.one()
+    return NoncentralTriangle(rows)

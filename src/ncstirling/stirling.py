@@ -1,8 +1,5 @@
-"""Classical (signed and unsigned) Stirling numbers of the first kind,
-plus exact harmonic numbers.
-
-The signed numbers are the stored primitive; unsigned values are a view.
-"""
+"""Classical signed Stirling numbers of the first kind, plus exact harmonic
+numbers. The unsigned |s(n, k)| = (-1)^(n-k) s(n, k) is not stored."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -46,11 +43,6 @@ class StirlingTable:
     def signed(self, n: int, k: int) -> int:
         check_index(n, k, self.n_max)
         return self._rows[n][k]
-
-    def unsigned(self, n: int, k: int) -> int:
-        """|s(n, k)|, i.e. (-1)^(n-k) * s(n, k); counts n-permutations with k cycles."""
-        check_index(n, k, self.n_max)
-        return abs(self._rows[n][k])
 
     def row(self, n: int) -> tuple:
         check_index(n, 0, self.n_max)

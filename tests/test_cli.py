@@ -80,6 +80,14 @@ def test_eval_with_expansion(capsys):
     assert "0.5" in lines[1]
 
 
+def test_eval_alpha_accepts_a_separate_negative_fraction(capsys):
+    assert run_cli("eval", "--n", "6", "--k", "2", "--alpha", "-5/2") == 0
+    separate = capsys.readouterr().out
+    assert run_cli("eval", "--n", "6", "--k", "2", "--alpha=-5/2") == 0
+    assert capsys.readouterr().out == separate
+    assert separate.strip() != ""
+
+
 def test_eval_usage_errors(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run_cli("eval", "--n", "2", "--k", "3", "--alpha", "1")
@@ -189,6 +197,14 @@ def test_verify_csv_summary(capsys, tmp_path):
     assert all(line.endswith(",true") for line in lines[1:])
 
 
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1"])
+def test_verify_rejects_non_finite_or_non_positive_tol(capsys, tol):
+    assert run_cli("verify", "--n-max", "3", "--with-oracle", "--tol=" + tol) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err
+
+
 def test_verify_corrupt_hook_flips_exit(capsys):
     assert run_cli("verify", "--n-max", "4", "--corrupt", "3,1") == 1
     out = capsys.readouterr().out
@@ -225,28 +241,60 @@ def test_module_entry_point_subprocess():
     assert proc.stdout.strip() == "-3"
 
 
-# sha256 of the exact parts of `verify --n-max 16 --with-oracle --seed 0`:
-# the CSV report (no floats in it) and the structural and identities sections
-# of the JSON report, re-serialized compactly. The oracle's float reprs are
-# left out because they depend on the platform's libm.
+# sha256 of the exact parts of `verify --with-oracle --seed 0` reports: the
+# CSV report (no floats in it) and the structural and identities sections of
+# the JSON report, re-serialized compactly. The oracle's float reprs are left
+# out because they depend on the platform's libm; the CSV still pins how many
+# grid points ran and whether each passed.
 GOLDEN_VERIFY_CSV = "302d0c30c2224278b1cac939cc472b1a69237809996aaa2c9624ea17932dcdb9"
 GOLDEN_VERIFY_JSON = {
     "structural": "b0f5319444edfd0ebff6697e7e8ad7c8514aff7490a652b1f41330c5c2cb1d6a",
     "identities": "6452d5bc4b82e504330014f1fea51382a061cb1ce34b562c51c6a3a5f2bf1158",
 }
+# The edges: the empty identity suite (n = 0), the smallest one (n = 1), a
+# grid cut short by n_max (n = 5) and the corruption hook (exit 1).
+GOLDEN_VERIFY_EDGES = [
+    (("--n-max", "0"), 0,
+     "6d8db475b4281c79cbd85e19bdd10f7bda39cc9fed22a44e8ff691f8fdc87457",
+     {"structural": "9b624e0407c17c326ac67fc31557be71e0d5984bc91be28838d5806193164fee",
+      "identities": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"}),
+    (("--n-max", "1"), 0,
+     "561c88f04a57d0b844f11f6fbfe403dcd1b4251707d9c969f602cd4499e6ee02",
+     {"structural": "e2fb323e4fd4635d5d475b7bd4c65b7cff557e3b2cd9dec27edd439c834c4c97",
+      "identities": "685d00d378dcb43e4428f410dc6f4a4fe9edd0d7e1eb4702b8aa4b5cba2521c1"}),
+    (("--n-max", "5"), 0,
+     "5dc954423fc801a864a065ba9c931298d39b8d2f19a04b9f09a6f978842f85b3",
+     {"structural": "6620907374184b91f00b180cfce7acd493ff4812299c55aaca89210137d73275",
+      "identities": "c80d46d53a1a78c6ebe7b1923049fbe2dcd194295b050957adb2bdc7e0006a8a"}),
+    (("--n-max", "12", "--corrupt", "5,2"), 1,
+     "c135f4b4614365107bdad704bae8ab3a6023fa563500641d47b4c87f197a3ba3",
+     {"structural": "850655b36f68fd7b925333ae7568dc420ce60fb26a816f94f28a10960dce7f2d",
+      "identities": "3dbb3c8376039668072491e403349f27555922a5a1952e40ac81618514f891a1"}),
+]
+
+
+def _assert_verify_digests(capsys, tmp_path, argv, status, csv_digest, json_digests):
+    base = ("verify", *argv, "--with-oracle", "--seed", "0")
+    csv_path, json_path = tmp_path / "report.csv", tmp_path / "report.json"
+    assert run_cli(*base, "--format", "csv", "--out", str(csv_path)) == status
+    assert run_cli(*base, "--format", "json", "--out", str(json_path)) == status
+    capsys.readouterr()
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
+    doc = json.loads(json_path.read_text())
+    for section, digest in json_digests.items():
+        text = json.dumps(doc[section], separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, section
 
 
 def test_verify_exact_reports_match_golden_digests(capsys, tmp_path):
-    base = ("verify", "--n-max", "16", "--with-oracle", "--seed", "0")
-    csv_path, json_path = tmp_path / "report.csv", tmp_path / "report.json"
-    assert run_cli(*base, "--format", "csv", "--out", str(csv_path)) == 0
-    assert run_cli(*base, "--format", "json", "--out", str(json_path)) == 0
-    capsys.readouterr()
-    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == GOLDEN_VERIFY_CSV
-    doc = json.loads(json_path.read_text())
-    for section, digest in GOLDEN_VERIFY_JSON.items():
-        text = json.dumps(doc[section], separators=(",", ":"))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, section
+    _assert_verify_digests(capsys, tmp_path, ("--n-max", "16"), 0,
+                           GOLDEN_VERIFY_CSV, GOLDEN_VERIFY_JSON)
+
+
+@pytest.mark.parametrize("argv, status, csv_digest, json_digests", GOLDEN_VERIFY_EDGES)
+def test_verify_edge_reports_match_golden_digests(capsys, tmp_path, argv, status,
+                                                  csv_digest, json_digests):
+    _assert_verify_digests(capsys, tmp_path, argv, status, csv_digest, json_digests)
 
 
 # sha256 of `eval` stdout, pinned before `eval` stopped building the

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from ncstirling.exact import (
     AlphaPoly,
-    binomial,
     binomial_rational,
     falling_factorial,
     falling_factorial_poly,
@@ -106,23 +105,6 @@ def test_falling_factorial_poly_at_negative_integers(k, m):
     assert falling_factorial_poly(k)(-m) == expected
 
 
-def test_binomial_values():
-    assert binomial(5, 2) == 10
-    assert binomial(17, 0) == 1
-    assert binomial(-1, 3) == -1
-    assert binomial(3, 7) == 0
-    assert binomial(-4, 2) == 10
-    with pytest.raises(ValueError):
-        binomial(5, -1)
-
-
-def test_binomial_matches_math_comb():
-    # math.comb already returns 0 for k > n
-    for n in range(12):
-        for k in range(n + 3):
-            assert binomial(n, k) == math.comb(n, k)
-
-
 def test_binomial_rational_values():
     assert binomial_rational(Fraction(-1), 3) == -1
     assert binomial_rational(Fraction(7, 2), 0) == 1
@@ -137,8 +119,7 @@ def test_falling_factorial_exact():
 
 
 def test_large_factorial_scale_values():
-    # coefficients and binomials at the n=200 workload stay exact
-    assert binomial(200, 100) == math.comb(200, 100)
+    # falling factorials at the n=200 workload stay exact
     assert falling_factorial(200, 200) == math.factorial(200)
 
 

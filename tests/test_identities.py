@@ -60,6 +60,15 @@ def test_master_identity_hand_values(table):
     assert (r.lhs, r.rhs, r.holds) == (11, 11, True)
 
 
+def test_master_identity_rhs_is_the_unsigned_power_sum(table):
+    # the paper writes the right side as sum_k (k+1) |s(n,k+1)| a^k
+    for alpha in random_rationals(50, random.Random(2009)):
+        for n in range(1, N_MAX + 1):
+            expected = sum((k + 1) * abs(table.signed(n, k + 1)) * alpha ** k
+                           for k in range(n))
+            assert _single(check_binomial_stirling_identity(table, n, alpha)).rhs == expected
+
+
 def test_master_identity_sweep(table):
     alphas = [Fraction(a) for a in range(-N_MAX, N_MAX + 1)]
     alphas += random_rationals(30, random.Random(123))
@@ -185,7 +194,7 @@ def test_run_suite_detects_corruption(table, triangle):
 
 
 def test_structural_checks_clean_and_corrupted(table, triangle):
-    explicit = build_by_explicit(N_MAX, table)
+    explicit = build_by_explicit(N_MAX)
     checks = structural_checks(triangle, explicit, table)
     assert checks and all(c.ok for c in checks)
     bad = corrupt_entry(triangle, 7, 3)
