@@ -23,7 +23,7 @@ from .noncentral import (
     evaluate_row,
     triangle_to_json,
 )
-from .stirling import StirlingTable
+from .stirling import StirlingTable, check_index
 
 MAX_FAILURES_PRINTED = 25
 
@@ -38,13 +38,15 @@ def _rational_argument(text: str):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncstirling",
+        allow_abbrev=False,
         description="Non-central Stirling numbers of the first kind: exact "
                     "polynomial triangles, identity verification, and a "
                     "numerical derivative-expansion cross-check.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tri = sub.add_parser("triangle", help="emit the polynomial triangle")
+    tri = sub.add_parser("triangle", allow_abbrev=False,
+                         help="emit the polynomial triangle")
     tri.add_argument("--n-max", type=int, default=64, help="largest row (default 64)")
     tri.add_argument("--construction", choices=("recurrence", "explicit"),
                      default="recurrence", help="which construction to run")
@@ -53,6 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser(
         "verify",
+        allow_abbrev=False,
         help="run every exact check up to --n-max; nonzero exit on any failure",
     )
     ver.add_argument("--n-max", type=int, default=20)
@@ -68,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="test hook: perturb one triangle coefficient before "
                           "verifying (must flip the exit status to 1)")
 
-    ev = sub.add_parser("eval", help="print s(n, k, alpha) exactly")
+    ev = sub.add_parser("eval", allow_abbrev=False, help="print s(n, k, alpha) exactly")
     ev.add_argument("--n", type=int, required=True)
     ev.add_argument("--k", type=int, required=True)
     ev.add_argument("--alpha", type=_rational_argument, required=True,
@@ -154,16 +157,19 @@ def cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         print("--tol must be finite and positive", file=sys.stderr)
         return 2
+    if args.corrupt is not None:
+        try:
+            n_str, k_str = args.corrupt.split(",")
+            corrupt = int(n_str), int(k_str)
+            check_index(*corrupt, args.n_max)
+        except (ValueError, IndexError) as exc:
+            print("bad --corrupt argument %r: %s" % (args.corrupt, exc), file=sys.stderr)
+            return 2
     table = StirlingTable(args.n_max)
     by_recurrence = build_by_recurrence(args.n_max)
     by_explicit = build_by_explicit(args.n_max)
     if args.corrupt is not None:
-        try:
-            n_str, k_str = args.corrupt.split(",")
-            by_recurrence = corrupt_entry(by_recurrence, int(n_str), int(k_str))
-        except (ValueError, IndexError) as exc:
-            print("bad --corrupt argument %r: %s" % (args.corrupt, exc), file=sys.stderr)
-            return 2
+        by_recurrence = corrupt_entry(by_recurrence, *corrupt)
         print("test hook: corrupted entry (%s, %s)" % (n_str.strip(), k_str.strip()))
 
     checks = structural_checks(by_recurrence, by_explicit, table)
@@ -175,7 +181,7 @@ def cmd_verify(args) -> int:
     failed_checks = [c for c in checks if not c.ok]
     failed_identities = [r for r in identity_reports if not r.holds]
     failed_oracle = [r for r in oracle_reports if not r.passed]
-    failures = len(failed_checks) + len(failed_identities) + len(failed_oracle)
+    failing = failed_checks + failed_identities + failed_oracle
 
     print("structural checks: %d run, %d failing" % (len(checks), len(failed_checks)))
     print("identity suite:    %d reports, %d failing (seed=%d)"
@@ -185,13 +191,10 @@ def cmd_verify(args) -> int:
         print("expansion grid:    %d points, %d over tol %g, max residual %.3e"
               % (len(oracle_reports), len(failed_oracle), args.tol, worst))
 
-    shown = 0
-    for record in failed_checks + failed_identities + failed_oracle:
-        if shown >= MAX_FAILURES_PRINTED:
-            print("... %d more failing records" % (failures - shown))
-            break
+    for record in failing[:MAX_FAILURES_PRINTED]:
         print("FAIL %r" % (record,))
-        shown += 1
+    if len(failing) > MAX_FAILURES_PRINTED:
+        print("... %d more failing records" % (len(failing) - MAX_FAILURES_PRINTED))
 
     if args.out is not None:
         if args.format == "json":
@@ -208,8 +211,8 @@ def cmd_verify(args) -> int:
         if not _emit(text, args.out):
             return 1
 
-    print("VERIFY: %s" % ("PASS" if failures == 0 else "FAIL"))
-    return 0 if failures == 0 else 1
+    print("VERIFY: %s" % ("FAIL" if failing else "PASS"))
+    return 1 if failing else 0
 
 
 def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
@@ -232,7 +235,7 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
         return 2
     print(text)
     if args.beta is not None:
-        value = evaluate_expansion(args.x0, args.alpha, args.beta, args.n, row)
+        value = evaluate_expansion(args.x0, args.alpha, args.beta, row)
         print("expansion n=%d alpha=%s beta=%r x0=%r -> %r"
               % (args.n, format_rational(args.alpha), args.beta, args.x0, value))
     return 0

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
-RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 _CANONICAL_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 
@@ -65,9 +65,6 @@ class AlphaPoly:
     def leading_coefficient(self) -> int:
         return self._coeffs[-1] if self._coeffs else 0
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __add__(self, other: "AlphaPoly") -> "AlphaPoly":
         if not isinstance(other, AlphaPoly):
             return NotImplemented
@@ -78,14 +75,6 @@ class AlphaPoly:
         for i, c in enumerate(b):
             out[i] += c
         return AlphaPoly(out)
-
-    def __neg__(self) -> "AlphaPoly":
-        return AlphaPoly(tuple(-c for c in self._coeffs))
-
-    def __sub__(self, other: "AlphaPoly") -> "AlphaPoly":
-        if not isinstance(other, AlphaPoly):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, AlphaPoly):
@@ -114,9 +103,6 @@ class AlphaPoly:
         if not isinstance(other, AlphaPoly):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
 
     def __repr__(self) -> str:
         return "AlphaPoly(%r)" % (list(self._coeffs),)
@@ -165,7 +151,8 @@ def binomial_rational(x: RationalLike, k: int) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or plain integer decimal strings into a reduced Fraction."""
+    """Parse "p/q" or a plain integer, in ASCII decimal digits, into a reduced
+    Fraction."""
     m = RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError("not a rational literal: %r" % (text,))

@@ -59,10 +59,6 @@ def jet_mul(a: Sequence[float], b: Sequence[float]) -> Jet:
     return out
 
 
-def jet_scale(a: Sequence[float], c: float) -> Jet:
-    return [c * v for v in a]
-
-
 def jet_ln(a: Sequence[float]) -> Jet:
     """ln of a jet via b' = a'/a; requires a positive constant term."""
     if not a[0] > 0.0:
@@ -106,7 +102,7 @@ def jet_pow_real(a: Sequence[float], p: float) -> Jet:
         for _ in range(int(p)):
             out = jet_mul(out, a)
         return out
-    return jet_exp(jet_scale(jet_ln(a), p))
+    return jet_exp([p * v for v in jet_ln(a)])
 
 
 def _check_point(x0: float, *exponents: float) -> None:
@@ -136,47 +132,26 @@ def derivative_by_jets(x0: float, alpha: float, beta: float, n: int) -> float:
     return math.factorial(n) * f[n]
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
-    """One surviving term of the derivative expansion: coefficient is
-    s(n, i, alpha) * (beta)_i as a float, log_exponent is beta - i."""
-
-    index: int
-    coefficient: float
-    log_exponent: float
-
-
-def expansion_terms(n: int, alpha: RationalLike, beta: float,
-                    row: Sequence[Fraction]) -> List[ExpansionTerm]:
-    """The terms of the derivative expansion of order n, given the exact row
-    row[i] = s(n, i, alpha); terms whose falling factorial (beta)_i vanishes
-    are dropped (they are exactly zero)."""
-    terms = []
-    for i in range(n + 1):
-        weight = falling_factorial(float(beta), i)
-        if weight == 0.0:
-            continue
-        coeff = float(row[i]) * weight
-        terms.append(ExpansionTerm(index=i, coefficient=coeff,
-                                   log_exponent=float(beta) - i))
-    return terms
-
-
-def evaluate_expansion(x0: float, alpha: RationalLike, beta: float, n: int,
+def evaluate_expansion(x0: float, alpha: RationalLike, beta: float,
                        row: Sequence[Fraction]) -> float:
-    """Evaluate the derivative expansion
+    """Evaluate the derivative expansion of order n = len(row) - 1
 
         sum_{i=0}^{n} s(n, i, alpha) * (beta)_i * x0^(-alpha-n) * ln(x0)^(beta-i)
 
-    with the exact values row[i] = s(n, i, alpha) rounded to float. Dropping the
-    zero-weight terms leaves the sum bit-for-bit unchanged and keeps
+    with the exact values row[i] = s(n, i, alpha) rounded to float. A term
+    whose falling factorial (beta)_i is zero is skipped before its row value
+    is rounded: that leaves the sum bit-for-bit unchanged and keeps
     integer-beta cases exact."""
     _check_point(x0, beta)
+    beta = float(beta)
+    n = len(row) - 1
     log_x0 = math.log(x0)
     power = float(x0) ** float(-Fraction(alpha) - n)
     total = 0.0
-    for term in expansion_terms(n, alpha, beta, row):
-        total += term.coefficient * power * log_x0 ** term.log_exponent
+    for i, value in enumerate(row):
+        weight = falling_factorial(beta, i)
+        if weight != 0.0:
+            total += float(value) * weight * power * log_x0 ** (beta - i)
     return total
 
 
@@ -195,13 +170,15 @@ class ResidualReport:
 
 
 def verify_derivative_expansion(row: Sequence[Fraction], x0: float,
-                                alpha: RationalLike, beta: float, n: int,
+                                alpha: RationalLike, beta: float,
                                 rel_tol: float = 1e-6) -> ResidualReport:
-    """Relative residual |jet - expansion| / max(|jet|, 1e-300), with the
-    expansion taken over row[i] = s(n, i, alpha); passes iff <= rel_tol."""
+    """Relative residual |jet - expansion| / max(|jet|, 1e-300) at order
+    n = len(row) - 1, with the expansion taken over row[i] = s(n, i, alpha);
+    passes iff <= rel_tol."""
     a = Fraction(alpha)
+    n = len(row) - 1
     jet_value = derivative_by_jets(x0, float(a), beta, n)
-    expansion_value = evaluate_expansion(x0, a, beta, n, row)
+    expansion_value = evaluate_expansion(x0, a, beta, row)
     rel = abs(jet_value - expansion_value) / max(abs(jet_value), RESIDUAL_FLOOR)
     return ResidualReport(
         n=n,
@@ -227,7 +204,7 @@ def expansion_grid(triangle: NoncentralTriangle,
             for beta in GRID_BETAS:
                 for x0 in GRID_X0S:
                     reports.append(
-                        verify_derivative_expansion(row, x0, alpha, beta, n, rel_tol)
+                        verify_derivative_expansion(row, x0, alpha, beta, rel_tol)
                     )
     return reports
 

@@ -11,9 +11,9 @@ Two independent constructions are provided and must agree exactly:
 * the explicit binomial sum over classical Stirling numbers
       s(n, i, a) = sum_k C(n, k) (-a)(-a-1)...(-a-k+1) s(n-k, i).
 
-Specializing alpha = 0 recovers the classical signed numbers. A third use of
-the recurrence, after the triangle and the k=1 column, runs it at one rational
-alpha in integer arithmetic and gives a whole row of values (evaluate_row).
+Specializing alpha = 0 recovers the classical signed numbers. A second use of
+the recurrence runs it at one rational alpha in integer arithmetic and gives a
+whole row of values (evaluate_row); the k=1 column is read off that row.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .exact import (
     AlphaPoly,
     RationalLike,
     binomial_rational,  # noqa: F401  unused; perfbench/tracing.py patches this name
-    falling_factorial,
+    falling_factorial,  # noqa: F401  unused; perfbench/tracing.py patches this name
     falling_factorial_poly,
     parse_canonical_int,
 )
@@ -45,10 +45,6 @@ class NoncentralTriangle:
     def entry(self, n: int, k: int) -> AlphaPoly:
         check_index(n, k, self.n_max)
         return self._rows[n][k]
-
-    def row(self, n: int) -> tuple:
-        check_index(n, 0, self.n_max)
-        return self._rows[n]
 
     def evaluate(self, n: int, k: int, alpha: RationalLike) -> Fraction:
         """s(n, k, alpha) at a concrete rational alpha, exactly."""
@@ -149,17 +145,10 @@ def s_n1_sum_formula(n: int, alpha: RationalLike) -> Fraction:
 
 
 def s_n1_recurrence(n: int, alpha: RationalLike) -> Fraction:
-    """s(n, 1, alpha) by the scalar recurrence
-
-        s(1,1,a) = 1,   s(m,1,a) = (-a - m + 1) s(m-1,1,a) + (-a)(-a-1)...(-a-m+2).
-    """
+    """s(n, 1, alpha) read off the exact row at alpha (evaluate_row)."""
     if n < 1:
         raise ValueError("n must be positive")
-    a = Fraction(alpha)
-    value = Fraction(1)
-    for m in range(2, n + 1):
-        value = (-a - m + 1) * value + falling_factorial(-a, m - 1)
-    return value
+    return evaluate_row(n, alpha)[1]
 
 
 def triangle_to_json(triangle: NoncentralTriangle) -> str:

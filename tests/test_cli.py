@@ -88,6 +88,16 @@ def test_eval_alpha_accepts_a_separate_negative_fraction(capsys):
     assert separate.strip() != ""
 
 
+def test_abbreviated_options_are_rejected(capsys):
+    for alpha in ("7/3", "-5/2"):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("eval", "--n", "2", "--k", "1", "--alph", alpha)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+    assert run_cli("eval", "--n", "2", "--k", "1", "--alpha", "-5/2") == 0
+    assert capsys.readouterr().out == "4\n"
+
+
 def test_eval_usage_errors(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run_cli("eval", "--n", "2", "--k", "3", "--alpha", "1")
@@ -98,7 +108,10 @@ def test_eval_usage_errors(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run_cli("eval", "--n", "2", "--k", "1", "--alpha", "1/0")
     assert excinfo.value.code == 2
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:  # Arabic-Indic 1/2
+        run_cli("eval", "--n", "2", "--k", "1", "--alpha", "\u0661/\u0662")
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_eval_builds_no_triangle(capsys, monkeypatch):
@@ -212,9 +225,18 @@ def test_verify_corrupt_hook_flips_exit(capsys):
     assert "FAIL" in out
 
 
-def test_verify_corrupt_bad_argument(capsys):
-    assert run_cli("verify", "--n-max", "2", "--corrupt", "nope") == 2
-    capsys.readouterr()
+def test_verify_corrupt_bad_argument(capsys, monkeypatch):
+    # a bad N,K is rejected before the table or either triangle is built
+    def refuse(n_max):
+        raise AssertionError("verify built a triangle before checking --corrupt")
+
+    for name in ("StirlingTable", "build_by_recurrence", "build_by_explicit"):
+        monkeypatch.setattr(cli, name, refuse)
+    for corrupt in ("nope", "99,1"):
+        assert run_cli("verify", "--n-max", "2", "--corrupt", corrupt) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bad --corrupt argument %r: " % corrupt)
 
 
 def test_verify_seed_changes_sample_but_not_outcome(capsys, tmp_path):

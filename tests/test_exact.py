@@ -21,7 +21,7 @@ rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 def test_trailing_zeros_trimmed():
     assert AlphaPoly([1, 2, 0, 0]).coefficients == (1, 2)
     assert AlphaPoly([0, 0]).coefficients == ()
-    assert AlphaPoly().is_zero()
+    assert AlphaPoly([0, 0]) == AlphaPoly()
     assert AlphaPoly().degree == -1
 
 
@@ -132,7 +132,7 @@ def test_add_associative_and_distributive(p, q, r):
 @given(p=polys, q=polys)
 def test_mul_commutes_and_degree_adds(p, q):
     assert p * q == q * p
-    if not p.is_zero() and not q.is_zero():
+    if p != AlphaPoly() and q != AlphaPoly():
         assert (p * q).degree == p.degree + q.degree
 
 
@@ -159,6 +159,10 @@ def test_parse_rational():
         parse_rational("2/0")
     with pytest.raises(ValueError):
         parse_rational("x")
+    # int() reads any Unicode decimal digit; the parser takes ASCII only
+    for text in ("\u0661/\u0662", "\u0661", "1/\u0662", "\uff17/3"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 def test_format_rational():

@@ -11,7 +11,6 @@ from ncstirling.jets import (
     derivative_by_jets,
     evaluate_expansion,
     expansion_grid,
-    expansion_terms,
     jet_exp,
     jet_ln,
     jet_mul,
@@ -98,13 +97,13 @@ def test_expansion_rejects_non_finite_or_small_x0_and_beta(triangle):
     for x0, beta in ((math.inf, 1.0), (math.nan, 1.0), (2.0, math.nan),
                      (2.0, math.inf), (1.0, 1.0)):
         with pytest.raises(ValueError):
-            evaluate_expansion(x0, Fraction(1, 2), beta, 3,
+            evaluate_expansion(x0, Fraction(1, 2), beta,
                                row_of(triangle, 3, Fraction(1, 2)))
 
 
 def test_jets_cross_check_expansion_at_fractional_exponents(triangle):
     jet_value = derivative_by_jets(math.e, 0.5, 1.5, 3)
-    expansion = evaluate_expansion(math.e, Fraction(1, 2), 1.5, 3,
+    expansion = evaluate_expansion(math.e, Fraction(1, 2), 1.5,
                                    row_of(triangle, 3, Fraction(1, 2)))
     assert jet_value == pytest.approx(expansion, rel=1e-8)
 
@@ -113,37 +112,38 @@ def test_expansion_order_zero(triangle):
     beta = 1.5
     expected = 2.0 ** -0.5 * math.log(2.0) ** beta
     row = row_of(triangle, 0, Fraction(1, 2))
-    assert evaluate_expansion(2.0, Fraction(1, 2), beta, 0, row) == pytest.approx(
+    assert evaluate_expansion(2.0, Fraction(1, 2), beta, row) == pytest.approx(
         expected, rel=1e-14
     )
 
 
 def test_expansion_first_derivative_of_log(triangle):
-    assert evaluate_expansion(2.0, 0, 1.0, 1, row_of(triangle, 1, 0)) == pytest.approx(
+    assert evaluate_expansion(2.0, 0, 1.0, row_of(triangle, 1, 0)) == pytest.approx(
         0.5, rel=1e-14)
 
 
 def test_expansion_only_constant_log_power_survives(triangle):
     # beta = 0 keeps only the i = 0 term: s(2,0,1) * x^-3 = 2/8
-    assert evaluate_expansion(2.0, 1, 0.0, 2, row_of(triangle, 2, 1)) == 0.25
+    assert evaluate_expansion(2.0, 1, 0.0, row_of(triangle, 2, 1)) == 0.25
 
 
-def test_expansion_terms_drop_zero_weights(triangle):
-    # integer beta = 2: only i <= 2 can survive, and each log exponent is beta - i
-    terms = expansion_terms(6, Fraction(1, 2), 2.0, row_of(triangle, 6, Fraction(1, 2)))
-    assert [t.index for t in terms] == [0, 1, 2]
-    assert [t.log_exponent for t in terms] == [2.0, 1.0, 0.0]
-    # i = 1: s(6,1,1/2) * (2)_1; weight (beta)_1 = 2
-    assert terms[1].coefficient == float(triangle.evaluate(6, 1, Fraction(1, 2))) * 2.0
-    # fractional beta keeps every term
-    assert len(expansion_terms(4, 0, 2.5, row_of(triangle, 4, 0))) == 5
+def test_expansion_skips_zero_weight_terms_before_rounding(triangle):
+    # integer beta = 2: the terms i > 2 have weight (2)_i = 0, so their row
+    # values are never converted to float; 10**400 would overflow if they were
+    alpha, x0 = Fraction(1, 2), 2.0
+    row = row_of(triangle, 6, alpha)
+    huge = row[:3] + [Fraction(10 ** 400)] * 4
+    assert evaluate_expansion(x0, alpha, 2.0, huge) == evaluate_expansion(x0, alpha, 2.0, row)
+    # fractional beta keeps every term, so the same row must reach float()
+    with pytest.raises(OverflowError):
+        evaluate_expansion(x0, alpha, 2.5, huge)
 
 
 def test_integer_beta_terms_above_beta_vanish(triangle):
     # with beta = 2 the falling factorial kills every term with i > 2,
     # so truncating the sum there changes nothing, bit for bit
     n, alpha, beta, x0 = 6, Fraction(1, 2), 2.0, 2.0
-    full = evaluate_expansion(x0, alpha, beta, n, row_of(triangle, n, alpha))
+    full = evaluate_expansion(x0, alpha, beta, row_of(triangle, n, alpha))
     power = x0 ** float(-alpha - n)
     truncated = 0.0
     for i in range(3):
@@ -187,22 +187,22 @@ def test_exp_ln_round_trip(jet):
 
 def test_verify_order_zero_residual_vanishes(triangle):
     report = verify_derivative_expansion(row_of(triangle, 0, Fraction(1, 2)), 2.0,
-                                         Fraction(1, 2), 1.5, 0)
+                                         Fraction(1, 2), 1.5)
     assert report.rel_residual <= 1e-12
     assert report.passed
 
 
 def test_verify_spot_points(triangle):
-    assert verify_derivative_expansion(row_of(triangle, 4, 2), 2.0, 2, 2.0, 4,
+    assert verify_derivative_expansion(row_of(triangle, 4, 2), 2.0, 2, 2.0,
                                        rel_tol=1e-8).passed
-    assert verify_derivative_expansion(row_of(triangle, 3, -1), math.e, -1, 1.0, 3,
+    assert verify_derivative_expansion(row_of(triangle, 3, -1), math.e, -1, 1.0,
                                        rel_tol=1e-8).passed
 
 
 def test_identically_zero_derivatives_give_zero_residual(triangle):
     # x^2 differentiated three times is identically zero; both sides must
     # agree exactly, not merely to rounding
-    report = verify_derivative_expansion(row_of(triangle, 3, -2), 1.5, -2, 0.0, 3)
+    report = verify_derivative_expansion(row_of(triangle, 3, -2), 1.5, -2, 0.0)
     assert report.jet_value == 0.0
     assert report.expansion_value == 0.0
     assert report.rel_residual == 0.0

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ncstirling.exact import AlphaPoly, falling_factorial_poly
+from ncstirling.exact import AlphaPoly, falling_factorial, falling_factorial_poly
 from ncstirling.noncentral import (
     NoncentralTriangle,
     build_by_explicit,
@@ -137,6 +137,28 @@ def test_recurrence_small_values():
     assert s_n1_recurrence(3, 0) == 2
     with pytest.raises(ValueError):
         s_n1_recurrence(0, 1)
+
+
+def scalar_k1_column(n_max, alpha):
+    """[s(1,1,a), ..., s(n_max,1,a)] by the scalar k=1 recurrence
+
+        s(1,1,a) = 1,   s(m,1,a) = (-a - m + 1) s(m-1,1,a) + (-a)(-a-1)...(-a-m+2),
+
+    which s_n1_recurrence computed before it read the value off evaluate_row."""
+    a = Fraction(alpha)
+    column = [Fraction(1)]
+    for m in range(2, n_max + 1):
+        column.append((-a - m + 1) * column[-1] + falling_factorial(-a, m - 1))
+    return column
+
+
+def test_recurrence_matches_scalar_k1_recurrence():
+    rng = random.Random(11)
+    alphas = [Fraction(rng.randint(-60, 60), rng.randint(1, 25)) for _ in range(12)]
+    alphas += [Fraction(-a) for a in range(1, 9)]
+    for alpha in alphas:
+        for n, expected in enumerate(scalar_k1_column(40, alpha), start=1):
+            assert s_n1_recurrence(n, alpha) == expected, (n, alpha)
 
 
 def test_column_one_triple_agreement(by_recurrence):
