@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -106,18 +106,6 @@ class AlphaPoly:
 
     def __repr__(self) -> str:
         return "AlphaPoly(%r)" % (list(self._coeffs),)
-
-    def coefficient_strings(self) -> list:
-        """Coefficients as decimal strings, low-to-high (JSON-safe at any size)."""
-        return [str(c) for c in self._coeffs]
-
-    @classmethod
-    def from_coefficient_strings(cls, strings: Sequence[str]) -> "AlphaPoly":
-        """Inverse of coefficient_strings; rejects any list it does not emit."""
-        coeffs = [parse_canonical_int(s) for s in strings]
-        if coeffs and coeffs[-1] == 0:
-            raise ValueError("trailing zero coefficient in %r" % (strings,))
-        return cls(coeffs)
 
 
 def falling_factorial_poly(k: int) -> AlphaPoly:

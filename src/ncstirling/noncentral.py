@@ -34,17 +34,19 @@ from .stirling import StirlingTable, check_index
 
 
 class NoncentralTriangle:
-    """Immutable triangle of AlphaPoly entries indexed (n, k), 0 <= k <= n <= n_max."""
+    """Immutable triangle indexed (n, k), 0 <= k <= n <= n_max. rows[n][k] is
+    the tuple of integer coefficients of s(n, k, alpha), low to high, with no
+    trailing zero."""
 
-    __slots__ = ("n_max", "_rows")
+    __slots__ = ("n_max", "rows")
 
     def __init__(self, rows) -> None:
-        self._rows = tuple(tuple(row) for row in rows)
-        self.n_max = len(self._rows) - 1
+        self.rows = tuple(tuple(row) for row in rows)
+        self.n_max = len(self.rows) - 1
 
     def entry(self, n: int, k: int) -> AlphaPoly:
         check_index(n, k, self.n_max)
-        return self._rows[n][k]
+        return AlphaPoly(self.rows[n][k])
 
     def evaluate(self, n: int, k: int, alpha: RationalLike) -> Fraction:
         """s(n, k, alpha) at a concrete rational alpha, exactly."""
@@ -53,26 +55,25 @@ class NoncentralTriangle:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NoncentralTriangle):
             return NotImplemented
-        return self._rows == other._rows
+        return self.rows == other.rows
 
     def __repr__(self) -> str:
         return "NoncentralTriangle(n_max=%d)" % self.n_max
 
 
 def build_by_recurrence(n_max: int) -> NoncentralTriangle:
-    """Build the triangle row by row from the recurrence, seeded at 1."""
+    """Build the triangle row by row from the recurrence, seeded at 1. With
+    p = s(n, i) and q = s(n, i-1) (zero-padded at i = 0), coefficient j of
+    s(n+1, i) = (-alpha - n) p + q is q[j] - n p[j] - p[j-1]."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    rows = [(AlphaPoly.one(),)]
+    rows = [((1,),)]
     for n in range(n_max):
         prev = rows[-1]
-        shift = AlphaPoly((-n, -1))  # the factor (-alpha - n)
-        row = []
-        for i in range(n + 2):
-            acc = shift * prev[i] if i <= n else AlphaPoly()
-            if i >= 1:
-                acc = acc + prev[i - 1]
-            row.append(acc)
+        row = tuple([
+            tuple([c - n * a - b for a, b, c in zip(p + (0,), (0,) + p, q)])
+            for p, q in zip(prev + ((),), ((0,) * (n + 2),) + prev)
+        ])
         rows.append(row)
     return NoncentralTriangle(rows)
 
@@ -97,21 +98,23 @@ def evaluate_row(n: int, alpha: RationalLike) -> List[Fraction]:
 
 
 def build_by_explicit(n_max: int) -> NoncentralTriangle:
-    """Assemble each entry from the explicit sum over classical Stirling numbers."""
+    """Assemble each entry from the explicit sum over classical Stirling numbers.
+    Only its k = n - i term reaches degree n - i, so no coefficient is trimmed."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     table = StirlingTable(n_max)
-    ff = [falling_factorial_poly(k) for k in range(n_max + 1)]
+    ff = [falling_factorial_poly(k).coefficients for k in range(n_max + 1)]
     rows = []
     for n in range(n_max + 1):
         row = []
         for i in range(n + 1):
-            acc = AlphaPoly()
+            acc = [0] * (n - i + 1)
             for k in range(n - i + 1):
                 scalar = math.comb(n, k) * table.signed(n - k, i)
                 if scalar:
-                    acc = acc + scalar * ff[k]
-            row.append(acc)
+                    for j, c in enumerate(ff[k]):
+                        acc[j] += scalar * c
+            row.append(tuple(acc))
         rows.append(row)
     return NoncentralTriangle(rows)
 
@@ -153,40 +156,44 @@ def s_n1_recurrence(n: int, alpha: RationalLike) -> Fraction:
 
 def triangle_to_json(triangle: NoncentralTriangle) -> str:
     """Canonical JSON for a triangle; numbers are decimal strings so
-    arbitrary-precision coefficients survive. Deterministic byte-for-byte."""
-    entries = []
-    for n in range(triangle.n_max + 1):
-        for k in range(n + 1):
-            entries.append(
-                {
-                    "n": str(n),
-                    "k": str(k),
-                    "coeffs": triangle.entry(n, k).coefficient_strings(),
-                }
-            )
-    doc = {"n_max": str(triangle.n_max), "entries": entries}
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    arbitrary-precision coefficients survive. Deterministic byte-for-byte:
+    compact separators, keys in the order n_max, entries and n, k, coeffs.
+    Written directly, since decimal digits and '-' need no JSON escaping."""
+    entries = [
+        '{"n":"%d","k":"%d","coeffs":[%s]}' % (n, k, ",".join(['"%d"' % c for c in coeffs]))
+        for n, row in enumerate(triangle.rows)
+        for k, coeffs in enumerate(row)
+    ]
+    return '{"n_max":"%d","entries":[%s]}\n' % (triangle.n_max, ",".join(entries))
 
 
 def triangle_from_json(text: str) -> NoncentralTriangle:
     """Inverse of triangle_to_json, accepting only the documents it emits:
     numbers must be canonical decimal strings, coefficient lists must have no
     trailing zero, and the whole text must re-emit byte for byte (which
-    rejects extra keys, reordered keys or entries, and added whitespace)."""
+    rejects extra keys, reordered keys or entries, and added whitespace, and
+    checks each entry's n and k). The entry count is checked before any
+    coefficient is parsed, so a short document with a huge n_max fails at once."""
     doc = json.loads(text)
-    n_max = parse_canonical_int(doc["n_max"])
+    entries = doc.get("entries") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError("not a triangle document: need an object with an entries list")
+    n_max = parse_canonical_int(doc.get("n_max"))
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    rows = [[AlphaPoly()] * (n + 1) for n in range(n_max + 1)]
-    for item in doc["entries"]:
-        n, k = parse_canonical_int(item["n"]), parse_canonical_int(item["k"])
-        if not 0 <= k <= n <= n_max:
-            raise ValueError("entry (%d, %d) outside triangle" % (n, k))
-        if not isinstance(item["coeffs"], list):
-            raise ValueError("coeffs of entry (%d, %d) is not a list" % (n, k))
-        rows[n][k] = AlphaPoly.from_coefficient_strings(item["coeffs"])
-    # re-emission also catches missing, duplicated or out-of-order entries
-    triangle = NoncentralTriangle(rows)
+    if len(entries) != (n_max + 1) * (n_max + 2) // 2:
+        raise ValueError("%d entries for n_max=%d" % (len(entries), n_max))
+    flat = []
+    for item in entries:
+        strings = item.get("coeffs") if isinstance(item, dict) else None
+        if not isinstance(strings, list):
+            raise ValueError("entry %d has no coeffs list" % len(flat))
+        coeffs = tuple([parse_canonical_int(s) for s in strings])
+        if coeffs and coeffs[-1] == 0:
+            raise ValueError("trailing zero coefficient in %r" % (strings,))
+        flat.append(coeffs)
+    triangle = NoncentralTriangle(flat[n * (n + 1) // 2:(n + 1) * (n + 2) // 2]
+                                  for n in range(n_max + 1))
     if triangle_to_json(triangle) != text:
         raise ValueError("document is not in canonical form")
     return triangle
@@ -197,6 +204,6 @@ def corrupt_entry(triangle: NoncentralTriangle, n: int, k: int) -> NoncentralTri
     raised by 1. Verification test hook only: the result must fail the
     structural checks."""
     check_index(n, k, triangle.n_max)
-    rows = [list(row) for row in triangle._rows]
-    rows[n][k] = rows[n][k] + AlphaPoly.one()
+    rows = [list(row) for row in triangle.rows]
+    rows[n][k] = (triangle.entry(n, k) + AlphaPoly.one()).coefficients
     return NoncentralTriangle(rows)

@@ -52,6 +52,29 @@ def test_triangle_csv(capsys):
     assert "2,1,1,-1 -2" in lines
 
 
+# sha256 of `triangle` stdout, pinned before the triangle was stored as
+# integer coefficient tuples; both constructions print the same bytes.
+GOLDEN_TRIANGLE = {
+    ("0", "json"): "10f0c3c09454ac2b70eb06d78bf3db3a13fbd02019ba3f2e3e28b48ede507b1e",
+    ("0", "csv"): "bb859280a641400e0774a185d9e91834beadf664c4327f704be62bcff53025e2",
+    ("1", "json"): "caa5d6778ae131dedbc7e61c087afbbb4b044b6170825c66c1ca083a58af312d",
+    ("1", "csv"): "0412d0288a221f9710a5cc986922a2d44378872ff15eaf086152217a3fe9f51e",
+    ("20", "json"): "72108f1b879f4c70a917fbe47b7bded0ff7cf6c4a0853f0457fd3e1abd955280",
+    ("20", "csv"): "140bd48a856fd0afb61eeb44be07cf3c752bb57a95952b67f9657ea74f6d6336",
+    ("64", "json"): "7c6ee43a71c5678cf2e1a6cbcc4e93caff735c72b52df5db98f0b18d10121a8d",
+    ("64", "csv"): "7c26b2bb49948dc67e485a6aec831d1b1bbb925aa9cca20cccfbcd4a54ed91e6",
+}
+
+
+@pytest.mark.parametrize("construction", ["recurrence", "explicit"])
+@pytest.mark.parametrize("n_max, fmt", sorted(GOLDEN_TRIANGLE))
+def test_triangle_matches_golden_digests(capsys, construction, n_max, fmt):
+    assert run_cli("triangle", "--n-max", n_max, "--construction", construction,
+                   "--format", fmt) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_TRIANGLE[n_max, fmt]
+
+
 def test_eval_hand_values(capsys):
     assert run_cli("eval", "--n", "2", "--k", "1", "--alpha", "1") == 0
     assert capsys.readouterr().out.strip() == "-3"

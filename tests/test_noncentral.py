@@ -2,11 +2,13 @@
 forms, the k=1 column formulas, and serialization."""
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ncstirling.cli import triangle_to_csv
 from ncstirling.exact import AlphaPoly, falling_factorial, falling_factorial_poly
 from ncstirling.noncentral import (
     NoncentralTriangle,
@@ -81,6 +83,26 @@ def test_degree_and_leading_sign(by_recurrence):
             assert entry.degree == n - k
             lead = entry.leading_coefficient
             assert (lead > 0) == ((n - k) % 2 == 0)
+
+
+@pytest.mark.parametrize("build", [build_by_recurrence, build_by_explicit])
+def test_rows_store_exact_length_coefficient_tuples(build):
+    triangle = build(40)
+    for n, row in enumerate(triangle.rows):
+        assert len(row) == n + 1
+        for k, coeffs in enumerate(row):
+            assert type(coeffs) is tuple and len(coeffs) == n - k + 1, (n, k)
+            assert all(type(c) is int for c in coeffs) and coeffs[-1] != 0, (n, k)
+
+
+def test_triangle_path_creates_no_alphapoly(by_explicit, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("AlphaPoly created on the triangle path")
+
+    monkeypatch.setattr(AlphaPoly, "__init__", refuse)
+    triangle = build_by_recurrence(N_MAX)
+    assert triangle_from_json(triangle_to_json(triangle)) == by_explicit
+    assert triangle_to_csv(triangle).startswith("n,k,degree,coeffs\n0,0,0,1\n")
 
 
 def test_evaluate(by_recurrence):
@@ -179,6 +201,15 @@ def test_json_round_trip(by_recurrence):
     assert '{"n":"2","k":"1","coeffs":["-1","-2"]}' in text
 
 
+def test_json_round_trip_large_coefficients():
+    triangle = NoncentralTriangle([[(10 ** 50, -3, 0, 7)]])
+    text = triangle_to_json(triangle)
+    assert '"coeffs":["%d","-3","0","7"]' % 10 ** 50 in text
+    parsed = triangle_from_json(text)
+    assert parsed == triangle
+    assert parsed.entry(0, 0) == AlphaPoly([10 ** 50, -3, 0, 7])
+
+
 def test_json_rejects_bad_documents():
     with pytest.raises(ValueError):
         triangle_from_json('{"n_max":"1","entries":[{"n":"0","k":"0","coeffs":["1"]}]}')
@@ -186,6 +217,34 @@ def test_json_rejects_bad_documents():
         triangle_from_json(
             '{"n_max":"0","entries":[{"n":"1","k":"0","coeffs":["1"]}]}'
         )
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    '"x"',
+    '{"n_max":"0"}',
+    '{"entries":[{"n":"0","k":"0","coeffs":["1"]}]}',
+    '{"n_max":"0","entries":{}}',
+    '{"n_max":"0","entries":"x"}',
+    '{"n_max":"0","entries":[{"n":"0","k":"0"}]}',
+    '{"n_max":"0","entries":["x"]}',
+    '{"n_max":"0","entries":[{"n":"0","k":"0","coeffs":{}}]}',
+], ids=["array", "string", "no-entries", "no-n_max", "entries-object", "entries-string",
+        "no-coeffs", "entry-string", "coeffs-object"])
+def test_json_rejects_malformed_shapes_with_value_error(text):
+    with pytest.raises(ValueError):
+        triangle_from_json(text)
+
+
+def test_json_checks_entry_count_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            triangle_from_json('{"n_max":"500","entries":[]}')
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 CANONICAL_ONE = ('{"n_max":"1","entries":[{"n":"0","k":"0","coeffs":["1"]},'
@@ -217,8 +276,9 @@ def test_json_canonical_fixture_parses():
 @st.composite
 def triangles(draw):
     n_max = draw(st.integers(0, 4))
-    coeffs = st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=5)
-    rows = [[AlphaPoly(draw(coeffs)) for _ in range(n + 1)] for n in range(n_max + 1)]
+    coeffs = st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=5).filter(
+        lambda cs: not cs or cs[-1] != 0).map(tuple)
+    rows = [[draw(coeffs) for _ in range(n + 1)] for n in range(n_max + 1)]
     return NoncentralTriangle(rows)
 
 
