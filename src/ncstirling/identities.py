@@ -41,7 +41,7 @@ class IdentityReport:
 
     identity: str
     n: int
-    alpha: Optional[Fraction]
+    alpha: Fraction
     lhs: Fraction
     rhs: Fraction
     holds: bool
@@ -58,19 +58,6 @@ class StructuralCheck:
     detail: str = ""
 
 
-def _report(identity: str, n: int, alpha: Optional[RationalLike],
-            lhs: RationalLike, rhs: RationalLike) -> IdentityReport:
-    lhs_f, rhs_f = Fraction(lhs), Fraction(rhs)
-    return IdentityReport(
-        identity=identity,
-        n=n,
-        alpha=None if alpha is None else Fraction(alpha),
-        lhs=lhs_f,
-        rhs=rhs_f,
-        holds=lhs_f == rhs_f,
-    )
-
-
 def column_one_polynomial(table: StirlingTable, n: int) -> AlphaPoly:
     """The k=1 column as a polynomial assembled from classical Stirling numbers:
     coefficient of alpha^k is (k+1) * s(n, k+1) * (-1)^k."""
@@ -84,140 +71,6 @@ def column_one_polynomial(table: StirlingTable, n: int) -> AlphaPoly:
     return AlphaPoly(coeffs)
 
 
-def check_binomial_stirling_identity(table: StirlingTable, n: int,
-                                     alpha: RationalLike) -> List[IdentityReport]:
-    """Master identity: for every real alpha,
-
-        n! * sum_{k=0}^{n-1} (-1)^k C(-alpha, k)/(n-k)
-            == sum_{k=0}^{n-1} (k+1) |s(n, k+1)| alpha^k,
-
-    whose right side is (-1)^(n-1) s(n, 1, alpha), read off the column-one
-    polynomial.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    a = Fraction(alpha)
-    lhs = math.factorial(n) * alternating_binomial_sum(a, n)
-    rhs = (-1) ** (n - 1) * column_one_polynomial(table, n)(a)
-    return [_report("binomial_stirling_sum", n, a, lhs, rhs)]
-
-
-def check_factorial_identity(table: StirlingTable, n: int) -> List[IdentityReport]:
-    """At alpha = -1 the master identity collapses to
-    (-1)^n (n-2)! == sum_k (k+1) s(n, k+1) with signed Stirling numbers,
-    which is the column-one polynomial at -1."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    lhs = (-1) ** n * math.factorial(n - 2)
-    rhs = column_one_polynomial(table, n)(-1)
-    return [_report("factorial_from_stirling", n, Fraction(-1), lhs, rhs)]
-
-
-def check_harmonic_sum(table: StirlingTable, n: int) -> List[IdentityReport]:
-    """At alpha = 1: n! * H_n == sum_k (k+1) |s(n, k+1)|, which is
-    (-1)^(n-1) times the column-one polynomial at 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    lhs = math.factorial(n) * harmonic(n)
-    rhs = (-1) ** (n - 1) * column_one_polynomial(table, n)(1)
-    return [_report("harmonic_sum", n, Fraction(1), lhs, rhs)]
-
-
-def q_closed_form(n: int, alpha_pos: int) -> Fraction:
-    """Closed form of s(n, 1, -alpha_pos) for n >= alpha_pos + 1:
-    (-1)^(n - alpha_pos - 1) * alpha_pos! * (n - alpha_pos - 1)!."""
-    if alpha_pos < 1:
-        raise ValueError("alpha_pos must be positive")
-    if n < alpha_pos + 1:
-        raise ValueError("requires n >= alpha_pos + 1")
-    sign = -1 if (n - alpha_pos - 1) % 2 else 1
-    return Fraction(sign * math.factorial(alpha_pos) * math.factorial(n - alpha_pos - 1))
-
-
-def check_negative_alpha_closed_form(table: StirlingTable, n: int,
-                                     alpha_pos: int) -> List[IdentityReport]:
-    """For positive integers a = alpha_pos and n >= a + 1, check both
-
-        n! * sum_{k=0}^{a} (-1)^(a-k) C(a,k)/(n-k) == a! (n-a-1)!
-        (a+1) * sum_{k=0}^{a} (-1)^(a-k) C(a,k)/(n-k) == 1 / C(n, a+1).
-    """
-    a = alpha_pos
-    if a < 1:
-        raise ValueError("alpha_pos must be positive")
-    if n < a + 1:
-        raise ValueError("requires n >= alpha_pos + 1")
-    total = (-1) ** a * alternating_binomial_sum(-a, n)
-    point = Fraction(-a)
-    reports = [
-        _report("neg_alpha_factorial_form", n, point,
-                math.factorial(n) * total,
-                math.factorial(a) * math.factorial(n - a - 1)),
-        _report("neg_alpha_reciprocal_form", n, point,
-                (a + 1) * total,
-                Fraction(1, math.comb(n, a + 1))),
-    ]
-    return reports
-
-
-def h_closed_form(n: int, alpha_pos: int) -> Fraction:
-    """Closed form of s(n, 1, -alpha_pos) for 1 <= n <= alpha_pos:
-    (H_a - H_{a-n}) * a! / (a-n)! with a = alpha_pos."""
-    a = alpha_pos
-    if a < 1:
-        raise ValueError("alpha_pos must be positive")
-    if not 1 <= n <= a:
-        raise ValueError("requires 1 <= n <= alpha_pos")
-    return (harmonic(a) - harmonic(a - n)) * Fraction(math.factorial(a), math.factorial(a - n))
-
-
-def check_harmonic_difference(table: StirlingTable, n: int,
-                              alpha_pos: int) -> List[IdentityReport]:
-    """For a positive integer a = alpha_pos and 1 <= n <= a, compare
-    H_a - H_{a-n} against the alternating binomial sum form and against the
-    signed-Stirling ratio form: the column-one polynomial at -a over the
-    classical row polynomial at a."""
-    a = alpha_pos
-    if a < 1:
-        raise ValueError("alpha_pos must be positive")
-    if not 1 <= n <= a:
-        raise ValueError("requires 1 <= n <= alpha_pos")
-    direct = harmonic(a) - harmonic(a - n)
-    outer = -1 if (n + 1) % 2 else 1
-    sum_form = Fraction(outer, math.comb(a, n)) * alternating_binomial_sum(-a, n)
-    # The denominator sum_k s(n,k) a^k is the falling factorial a!/(a-n)!,
-    # positive for 1 <= n <= a.
-    numerator = column_one_polynomial(table, n)(-a)
-    denominator = AlphaPoly(table.row(n))(a)
-    ratio_form = Fraction(numerator, denominator)
-    point = Fraction(-a)
-    return [
-        _report("harmonic_diff_sum_form", n, point, direct, sum_form),
-        _report("harmonic_diff_ratio_form", n, point, direct, ratio_form),
-    ]
-
-
-def check_hn_formulas(table: StirlingTable, n: int) -> List[IdentityReport]:
-    """Both harmonic-number expressions at alpha = n:
-
-        H_n == (-1)^(n+1) sum_{k=0}^{n-1} (-1)^k C(n,k)/(n-k)
-        H_n == (1/n!) sum_{k=0}^{n-1} (k+1) s(n,k+1) n^k   (signed numbers),
-
-    where the power sum is the column-one polynomial at -n.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    hn = harmonic(n)
-    total = alternating_binomial_sum(-n, n)
-    binomial_form = -total if (n + 1) % 2 else total
-    power_sum = column_one_polynomial(table, n)(-n)
-    stirling_form = Fraction(power_sum, math.factorial(n))
-    point = Fraction(n)
-    return [
-        _report("hn_binomial_form", n, point, hn, binomial_form),
-        _report("hn_stirling_form", n, point, hn, stirling_form),
-    ]
-
-
 def random_rationals(count: int, rng: random.Random) -> List[Fraction]:
     """Seeded sample of rationals with numerator in [-50, 50], denominator in [1, 20]."""
     lo_n, hi_n = RANDOM_NUMERATOR_RANGE
@@ -228,48 +81,91 @@ def random_rationals(count: int, rng: random.Random) -> List[Fraction]:
     ]
 
 
-def run_suite(table: StirlingTable, triangle: NoncentralTriangle, n_max: int,
+def run_suite(table: StirlingTable, triangle: NoncentralTriangle,
               seed: int = 0) -> List[IdentityReport]:
-    """Run the whole exact identity suite up to n_max and return every report.
+    """Check the paper's identities exactly for n = 1..N, N = triangle.n_max,
+    and return one report (identity, n, alpha, lhs, rhs) per point, in this
+    order. P_n(a) = sum_k (k+1) s(n,k+1) (-a)^k is the column-one polynomial
+    (s(n, 1, a) assembled from classical numbers), S(a, n) =
+    sum_{k<n} (-1)^k C(-a, k)/(n-k) the alternating binomial sum, H_n the
+    harmonic number and s(n, 1, a) the triangle's value.
 
-    The random alpha sample is drawn from ``random.Random(seed)`` so a run is
-    reproducible from (n_max, seed) alone.
+    For every n, at a = -N..N and 30 random rationals, then at the points
+    reported as alpha = -1, 1, n and n:
+      binomial_stirling_sum      n! S(a, n) == (-1)^(n-1) P_n(a)
+                                 (= sum_k (k+1) |s(n,k+1)| a^k)
+      factorial_from_stirling    (-1)^n (n-2)! == P_n(-1), n >= 2
+      harmonic_sum               n! H_n == (-1)^(n-1) P_n(1)
+      hn_binomial_form           H_n == (-1)^(n+1) S(-n, n)
+      hn_stirling_form           H_n == P_n(-n) / n!
+    At a = -b for 1 <= b <= 8 and n > b:
+      neg_alpha_factorial_form   n! (-1)^b S(-b, n) == b! (n-b-1)!
+      neg_alpha_reciprocal_form  (b+1) (-1)^b S(-b, n) == 1 / C(n, b+1)
+      column1_neg_alpha_value    s(n, 1, -b) == (-1)^(n-b-1) b! (n-b-1)!
+    At a = -b for 1 <= n <= b <= 10:
+      harmonic_diff_sum_form     H_b - H_(b-n) == (-1)^(n+1) S(-b, n) / C(b, n)
+      harmonic_diff_ratio_form   H_b - H_(b-n) == P_n(-b) / sum_k s(n,k) b^k
+      column1_harmonic_value     s(n, 1, -b) == (H_b - H_(b-n)) b! / (b-n)!
+    At 20 more random rationals a:
+      column1_sum_formula        s(n, 1, a) == s_n1_sum_formula(n, a)
+      column1_recurrence         s(n, 1, a) == s_n1_recurrence(n, a)
+
+    The random rationals are drawn from ``random.Random(seed)``, so a run is
+    reproducible from (N, seed) alone.
     """
-    if n_max > min(table.n_max, triangle.n_max):
-        raise ValueError("table/triangle too small for n_max=%d" % n_max)
+    n_max = triangle.n_max
     rng = random.Random(seed)
     master_alphas = [Fraction(a) for a in range(-n_max, n_max + 1)]
     master_alphas += random_rationals(MASTER_RANDOM_POINTS, rng)
     column_alphas = random_rationals(COLUMN_RANDOM_POINTS, rng)
-
+    column = {n: column_one_polynomial(table, n) for n in range(1, n_max + 1)}
     reports: List[IdentityReport] = []
+
+    def add(identity: str, n: int, alpha: RationalLike,
+            lhs: RationalLike, rhs: RationalLike) -> None:
+        lhs, rhs = Fraction(lhs), Fraction(rhs)
+        reports.append(IdentityReport(identity, n, Fraction(alpha), lhs, rhs, lhs == rhs))
+
     for n in range(1, n_max + 1):
+        p = column[n]
+        sign = (-1) ** (n - 1)
+        n_fact = math.factorial(n)
         for alpha in master_alphas:
-            reports += check_binomial_stirling_identity(table, n, alpha)
+            add("binomial_stirling_sum", n, alpha,
+                n_fact * alternating_binomial_sum(alpha, n), sign * p(alpha))
         if n >= 2:
-            reports += check_factorial_identity(table, n)
-        reports += check_harmonic_sum(table, n)
-        reports += check_hn_formulas(table, n)
+            add("factorial_from_stirling", n, -1, (-1) ** n * math.factorial(n - 2), p(-1))
+        hn = harmonic(n)
+        add("harmonic_sum", n, 1, n_fact * hn, sign * p(1))
+        add("hn_binomial_form", n, n, hn, sign * alternating_binomial_sum(-n, n))
+        add("hn_stirling_form", n, n, hn, Fraction(p(-n), n_fact))
 
-    for a in range(1, min(8, n_max - 1) + 1):
-        for n in range(a + 1, n_max + 1):
-            reports += check_negative_alpha_closed_form(table, n, a)
-            reports.append(_report("column1_neg_alpha_value", n, Fraction(-a),
-                                   triangle.evaluate(n, 1, -a), q_closed_form(n, a)))
+    for b in range(1, min(8, n_max - 1) + 1):
+        for n in range(b + 1, n_max + 1):
+            total = (-1) ** b * alternating_binomial_sum(-b, n)
+            closed = math.factorial(b) * math.factorial(n - b - 1)
+            add("neg_alpha_factorial_form", n, -b, math.factorial(n) * total, closed)
+            add("neg_alpha_reciprocal_form", n, -b, (b + 1) * total,
+                Fraction(1, math.comb(n, b + 1)))
+            add("column1_neg_alpha_value", n, -b, triangle.evaluate(n, 1, -b),
+                (-1) ** (n - b - 1) * closed)
 
-    for a in range(1, min(10, n_max) + 1):
-        for n in range(1, a + 1):
-            reports += check_harmonic_difference(table, n, a)
-            reports.append(_report("column1_harmonic_value", n, Fraction(-a),
-                                   triangle.evaluate(n, 1, -a), h_closed_form(n, a)))
+    for b in range(1, min(10, n_max) + 1):
+        for n in range(1, b + 1):
+            direct = harmonic(b) - harmonic(b - n)
+            add("harmonic_diff_sum_form", n, -b, direct,
+                Fraction((-1) ** (n + 1), math.comb(b, n)) * alternating_binomial_sum(-b, n))
+            # sum_k s(n,k) b^k is the falling factorial b!/(b-n)!, positive here
+            add("harmonic_diff_ratio_form", n, -b, direct,
+                Fraction(column[n](-b), AlphaPoly(table.row(n))(b)))
+            add("column1_harmonic_value", n, -b, triangle.evaluate(n, 1, -b),
+                direct * Fraction(math.factorial(b), math.factorial(b - n)))
 
     for alpha in column_alphas:
         for n in range(1, n_max + 1):
             value = triangle.evaluate(n, 1, alpha)
-            reports.append(_report("column1_sum_formula", n, alpha,
-                                   value, s_n1_sum_formula(n, alpha)))
-            reports.append(_report("column1_recurrence", n, alpha,
-                                   value, s_n1_recurrence(n, alpha)))
+            add("column1_sum_formula", n, alpha, value, s_n1_sum_formula(n, alpha))
+            add("column1_recurrence", n, alpha, value, s_n1_recurrence(n, alpha))
     return reports
 
 
@@ -321,7 +217,7 @@ def reports_to_json_records(reports: List[IdentityReport]) -> List[dict]:
         {
             "identity": r.identity,
             "n": str(r.n),
-            "alpha": None if r.alpha is None else format_rational(r.alpha),
+            "alpha": format_rational(r.alpha),
             "lhs": format_rational(r.lhs),
             "rhs": format_rational(r.rhs),
             "holds": r.holds,

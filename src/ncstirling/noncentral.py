@@ -9,7 +9,9 @@ Two independent constructions are provided and must agree exactly:
   s(n+1, n+1, a) = s(n, n, a), seeded by s(0, 0, a) = 1;
 
 * the explicit binomial sum over classical Stirling numbers
-      s(n, i, a) = sum_k C(n, k) (-a)(-a-1)...(-a-k+1) s(n-k, i).
+      s(n, i, a) = sum_k C(n, k) (-a)(-a-1)...(-a-k+1) s(n-k, i),
+  whose falling factorial (-a)(-a-1)...(-a-k+1) = sum_j s(k, j) (-a)^j is
+  expanded with classical numbers too.
 
 Specializing alpha = 0 recovers the classical signed numbers. A second use of
 the recurrence runs it at one rational alpha in integer arithmetic and gives a
@@ -27,7 +29,6 @@ from .exact import (
     RationalLike,
     binomial_rational,  # noqa: F401  unused; perfbench/tracing.py patches this name
     falling_factorial,  # noqa: F401  unused; perfbench/tracing.py patches this name
-    falling_factorial_poly,
     parse_canonical_int,
 )
 from .stirling import StirlingTable, check_index
@@ -98,12 +99,14 @@ def evaluate_row(n: int, alpha: RationalLike) -> List[Fraction]:
 
 
 def build_by_explicit(n_max: int) -> NoncentralTriangle:
-    """Assemble each entry from the explicit sum over classical Stirling numbers.
-    Only its k = n - i term reaches degree n - i, so no coefficient is trimmed."""
+    """Assemble each entry from the explicit sum over classical Stirling numbers,
+    with ff[k][j] = (-1)^j s(k, j) the coefficient of alpha^j in
+    (-alpha)(-alpha-1)...(-alpha-k+1). Only the k = n - i term reaches degree
+    n - i, so no coefficient is trimmed."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     table = StirlingTable(n_max)
-    ff = [falling_factorial_poly(k).coefficients for k in range(n_max + 1)]
+    ff = [[-c if j % 2 else c for j, c in enumerate(table.row(k))] for k in range(n_max + 1)]
     rows = []
     for n in range(n_max + 1):
         row = []

@@ -15,15 +15,7 @@ import pytest
 
 from ncstirling.cli import main
 from ncstirling.exact import AlphaPoly, falling_factorial_poly
-from ncstirling.identities import (
-    check_binomial_stirling_identity,
-    check_factorial_identity,
-    check_harmonic_difference,
-    check_harmonic_sum,
-    check_hn_formulas,
-    check_negative_alpha_closed_form,
-    random_rationals,
-)
+from ncstirling.identities import random_rationals, run_suite
 from ncstirling.jets import expansion_grid
 from ncstirling.noncentral import (
     build_by_explicit,
@@ -78,35 +70,44 @@ def test_03_boundaries_and_specialization_to_20():
     _passed("3 boundary and specialization n<=20")
 
 
+def _suite_families():
+    reports = run_suite(StirlingTable(15), build_by_recurrence(15), seed=SEED)
+    families = {}
+    for report in reports:
+        families.setdefault(report.identity, []).append(report)
+    return families
+
+
 def test_04_master_identity_grid():
-    table = StirlingTable(15)
+    records = _suite_families()["binomial_stirling_sum"]
     alphas = [Fraction(a) for a in range(-15, 16)]
     alphas += random_rationals(30, random.Random(SEED))
-    for n in range(1, 16):
-        for alpha in alphas:
-            (report,) = check_binomial_stirling_identity(table, n, alpha)
-            assert report.holds, report
+    assert [(r.n, r.alpha) for r in records] == [
+        (n, alpha) for n in range(1, 16) for alpha in alphas]
+    for report in records:
+        assert report.holds, report
     _passed("4 master identity, ints -15..15 plus 30 random rationals")
 
 
 def test_05_specialized_identity_families():
-    table = StirlingTable(15)
-    for n in range(2, 16):
-        (report,) = check_factorial_identity(table, n)
-        assert report.holds, report
-    for n in range(1, 16):
-        (report,) = check_harmonic_sum(table, n)
-        assert report.holds, report
-    for a in range(1, 9):
-        for n in range(a + 1, 16):
-            for report in check_negative_alpha_closed_form(table, n, a):
-                assert report.holds, report
-    for a in range(1, 11):
-        for n in range(1, a + 1):
-            for report in check_harmonic_difference(table, n, a):
-                assert report.holds, report
-    for n in range(1, 16):
-        for report in check_hn_formulas(table, n):
+    families = _suite_families()
+    # one report per n = 2..15 or n = 1..15, per (a, n) with 1 <= a <= 8 and
+    # a < n <= 15 (84), and per (a, n) with 1 <= n <= a <= 10 (55)
+    counts = {
+        "factorial_from_stirling": 14,
+        "harmonic_sum": 15,
+        "hn_binomial_form": 15,
+        "hn_stirling_form": 15,
+        "neg_alpha_factorial_form": 84,
+        "neg_alpha_reciprocal_form": 84,
+        "column1_neg_alpha_value": 84,
+        "harmonic_diff_sum_form": 55,
+        "harmonic_diff_ratio_form": 55,
+        "column1_harmonic_value": 55,
+    }
+    for identity, count in counts.items():
+        assert len(families[identity]) == count, identity
+        for report in families[identity]:
             assert report.holds, report
     _passed("5 specialized identity families")
 

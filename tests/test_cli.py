@@ -297,7 +297,9 @@ GOLDEN_VERIFY_JSON = {
     "identities": "6452d5bc4b82e504330014f1fea51382a061cb1ce34b562c51c6a3a5f2bf1158",
 }
 # The edges: the empty identity suite (n = 0), the smallest one (n = 1), a
-# grid cut short by n_max (n = 5) and the corruption hook (exit 1).
+# grid cut short by n_max (n = 5), the corruption hook (exit 1) at k >= 2,
+# which only the structural checks see, an odd n_max (n = 9), and the hook
+# at k = 1, which also fails identity records.
 GOLDEN_VERIFY_EDGES = [
     (("--n-max", "0"), 0,
      "6d8db475b4281c79cbd85e19bdd10f7bda39cc9fed22a44e8ff691f8fdc87457",
@@ -315,6 +317,14 @@ GOLDEN_VERIFY_EDGES = [
      "c135f4b4614365107bdad704bae8ab3a6023fa563500641d47b4c87f197a3ba3",
      {"structural": "850655b36f68fd7b925333ae7568dc420ce60fb26a816f94f28a10960dce7f2d",
       "identities": "3dbb3c8376039668072491e403349f27555922a5a1952e40ac81618514f891a1"}),
+    (("--n-max", "9"), 0,
+     "6a7a9493f5b801603f42b353f868ff62396c30293665d7001961435befd38bd1",
+     {"structural": "dd001f6ff30a60e3a1ea525317576f4b3e97533418507aa6961ca1ee05deb918",
+      "identities": "261e7341800f5a158ffc0ed0607160b17057eafc1be20b7b0d6ac6e3d7d5058d"}),
+    (("--n-max", "10", "--corrupt", "7,1"), 1,
+     "ed11543d61f25d184bb0b5c6dc8a020bc760fae2095b9ef2f66241013efb6ff6",
+     {"structural": "cb70e4bbd6e17b06258686061f2244b04fdb6aca17ffbcba08f3242589d15fa3",
+      "identities": "ec048d03e61fcee337b988c48cd10582ca161a047ca8fb090824ef0a3f109cc5"}),
 ]
 
 

@@ -6,15 +6,7 @@ import pytest
 
 from ncstirling.exact import AlphaPoly
 from ncstirling.identities import (
-    check_binomial_stirling_identity,
-    check_factorial_identity,
-    check_harmonic_difference,
-    check_harmonic_sum,
-    check_hn_formulas,
-    check_negative_alpha_closed_form,
     column_one_polynomial,
-    h_closed_form,
-    q_closed_form,
     random_rationals,
     run_suite,
     structural_checks,
@@ -35,9 +27,20 @@ def triangle():
     return build_by_recurrence(N_MAX)
 
 
-def _single(reports):
-    assert len(reports) == 1
-    return reports[0]
+@pytest.fixture(scope="module")
+def suite(table, triangle):
+    return run_suite(table, triangle)
+
+
+def _lookup(reports, identity, n, alpha):
+    """The report of one identity at (n, alpha); a point the random sample
+    repeats gives equal reports, which count once."""
+    (report,) = {r for r in reports if (r.identity, r.n, r.alpha) == (identity, n, alpha)}
+    return report
+
+
+def _points(reports, identity):
+    return {(r.n, r.alpha) for r in reports if r.identity == identity}
 
 
 def test_column_one_polynomial_small(table):
@@ -51,118 +54,130 @@ def test_column_one_polynomial_matches_triangle(table, triangle):
         assert column_one_polynomial(table, n) == triangle.entry(n, 1)
 
 
-def test_master_identity_hand_values(table):
-    r = _single(check_binomial_stirling_identity(table, 2, 1))
+def test_master_identity_hand_values(suite):
+    r = _lookup(suite, "binomial_stirling_sum", 2, 1)
     assert (r.lhs, r.rhs, r.holds) == (3, 3, True)
-    r = _single(check_binomial_stirling_identity(table, 1, 0))
+    r = _lookup(suite, "binomial_stirling_sum", 1, 0)
     assert (r.lhs, r.rhs, r.holds) == (1, 1, True)  # 0^0 = 1 convention
-    r = _single(check_binomial_stirling_identity(table, 3, 1))
+    r = _lookup(suite, "binomial_stirling_sum", 3, 1)
     assert (r.lhs, r.rhs, r.holds) == (11, 11, True)
 
 
-def test_master_identity_rhs_is_the_unsigned_power_sum(table):
+def test_master_identity_rhs_is_the_unsigned_power_sum(table, triangle):
     # the paper writes the right side as sum_k (k+1) |s(n,k+1)| a^k
-    for alpha in random_rationals(50, random.Random(2009)):
-        for n in range(1, N_MAX + 1):
-            expected = sum((k + 1) * abs(table.signed(n, k + 1)) * alpha ** k
-                           for k in range(n))
-            assert _single(check_binomial_stirling_identity(table, n, alpha)).rhs == expected
+    for seed in (0, 1, 2009):
+        records = [r for r in run_suite(table, triangle, seed=seed)
+                   if r.identity == "binomial_stirling_sum"]
+        assert len(records) == N_MAX * (2 * N_MAX + 1 + 30)
+        for r in records:
+            expected = sum((k + 1) * abs(table.signed(r.n, k + 1)) * r.alpha ** k
+                           for k in range(r.n))
+            assert r.rhs == expected
 
 
-def test_master_identity_sweep(table):
+def test_master_identity_sweep(table, triangle):
     alphas = [Fraction(a) for a in range(-N_MAX, N_MAX + 1)]
     alphas += random_rationals(30, random.Random(123))
-    for n in range(1, N_MAX + 1):
-        for alpha in alphas:
-            assert _single(check_binomial_stirling_identity(table, n, alpha)).holds
+    records = [r for r in run_suite(table, triangle, seed=123)
+               if r.identity == "binomial_stirling_sum"]
+    assert {(r.n, r.alpha) for r in records} == {
+        (n, alpha) for n in range(1, N_MAX + 1) for alpha in alphas}
+    assert all(r.holds for r in records)
 
 
-def test_factorial_identity(table):
-    assert _single(check_factorial_identity(table, 2)).lhs == 1
-    assert _single(check_factorial_identity(table, 3)).lhs == -1
-    r = _single(check_factorial_identity(table, 4))
+def test_factorial_identity(suite):
+    assert _lookup(suite, "factorial_from_stirling", 2, -1).lhs == 1
+    assert _lookup(suite, "factorial_from_stirling", 3, -1).lhs == -1
+    r = _lookup(suite, "factorial_from_stirling", 4, -1)
     assert (r.lhs, r.rhs) == (2, 2)
     for n in range(2, 16):
-        assert _single(check_factorial_identity(table, n)).holds
-    with pytest.raises(ValueError):
-        check_factorial_identity(table, 1)
+        assert _lookup(suite, "factorial_from_stirling", n, -1).holds
+    # (n-2)! needs n >= 2
+    assert _points(suite, "factorial_from_stirling") == {(n, -1) for n in range(2, N_MAX + 1)}
 
 
-def test_harmonic_sum_identity(table):
-    assert _single(check_harmonic_sum(table, 1)).holds
-    r = _single(check_harmonic_sum(table, 3))
+def test_harmonic_sum_identity(suite):
+    assert _lookup(suite, "harmonic_sum", 1, 1).holds
+    r = _lookup(suite, "harmonic_sum", 3, 1)
     assert (r.lhs, r.rhs) == (11, 11)
-    r = _single(check_harmonic_sum(table, 4))
+    r = _lookup(suite, "harmonic_sum", 4, 1)
     assert (r.lhs, r.rhs) == (50, 50)
     for n in range(1, 16):
-        assert _single(check_harmonic_sum(table, n)).holds
+        assert _lookup(suite, "harmonic_sum", n, 1).holds
 
 
-def test_negative_alpha_closed_form_hand_values(table):
-    factorial_form, reciprocal_form = check_negative_alpha_closed_form(table, 2, 1)
+def test_negative_alpha_closed_form_hand_values(suite):
+    factorial_form = _lookup(suite, "neg_alpha_factorial_form", 2, -1)
+    reciprocal_form = _lookup(suite, "neg_alpha_reciprocal_form", 2, -1)
     assert (factorial_form.lhs, factorial_form.rhs) == (1, 1)
     assert (reciprocal_form.lhs, reciprocal_form.rhs) == (1, 1)
-    factorial_form, _ = check_negative_alpha_closed_form(table, 3, 2)
+    factorial_form = _lookup(suite, "neg_alpha_factorial_form", 3, -2)
     assert (factorial_form.lhs, factorial_form.rhs) == (2, 2)
 
 
-def test_negative_alpha_closed_form_sweep(table, triangle):
+def test_negative_alpha_closed_form_sweep(suite, triangle):
     for a in range(1, 9):
         for n in range(a + 1, 16):
-            for report in check_negative_alpha_closed_form(table, n, a):
-                assert report.holds
+            assert _lookup(suite, "neg_alpha_factorial_form", n, -a).holds
+            assert _lookup(suite, "neg_alpha_reciprocal_form", n, -a).holds
             # the closed form also gives the k=1 column value itself
-            assert triangle.evaluate(n, 1, -a) == q_closed_form(n, a)
-            assert s_n1_recurrence(n, Fraction(-a)) == q_closed_form(n, a)
-    with pytest.raises(ValueError):
-        check_negative_alpha_closed_form(table, 2, 2)
-    with pytest.raises(ValueError):
-        q_closed_form(3, 0)
+            value = _lookup(suite, "column1_neg_alpha_value", n, -a)
+            assert value.lhs == triangle.evaluate(n, 1, -a) and value.holds
+            assert s_n1_recurrence(n, Fraction(-a)) == value.rhs
+    # the closed forms need a positive and n >= a + 1
+    expected = {(n, -a) for a in range(1, 9) for n in range(a + 1, N_MAX + 1)}
+    for identity in ("neg_alpha_factorial_form", "neg_alpha_reciprocal_form",
+                     "column1_neg_alpha_value"):
+        assert _points(suite, identity) == expected
 
 
-def test_harmonic_difference_hand_values(table):
-    sum_form, ratio_form = check_harmonic_difference(table, 1, 2)
+def test_harmonic_difference_hand_values(suite):
+    sum_form = _lookup(suite, "harmonic_diff_sum_form", 1, -2)
     assert sum_form.lhs == Fraction(1, 2) and sum_form.holds
-    sum_form, ratio_form = check_harmonic_difference(table, 2, 2)
+    sum_form = _lookup(suite, "harmonic_diff_sum_form", 2, -2)
+    ratio_form = _lookup(suite, "harmonic_diff_ratio_form", 2, -2)
     assert sum_form.lhs == Fraction(3, 2) and sum_form.holds and ratio_form.holds
-    _, ratio_form = check_harmonic_difference(table, 2, 3)
+    ratio_form = _lookup(suite, "harmonic_diff_ratio_form", 2, -3)
     assert ratio_form.rhs == Fraction(5, 6)
     assert ratio_form.lhs == harmonic(3) - harmonic(1)
 
 
-def test_harmonic_difference_sweep(table, triangle):
+def test_harmonic_difference_sweep(suite, triangle):
     for a in range(1, 11):
         for n in range(1, a + 1):
-            for report in check_harmonic_difference(table, n, a):
-                assert report.holds
-            assert triangle.evaluate(n, 1, -a) == h_closed_form(n, a)
-            assert s_n1_recurrence(n, Fraction(-a)) == h_closed_form(n, a)
-    with pytest.raises(ValueError):
-        check_harmonic_difference(table, 3, 2)
+            assert _lookup(suite, "harmonic_diff_sum_form", n, -a).holds
+            assert _lookup(suite, "harmonic_diff_ratio_form", n, -a).holds
+            value = _lookup(suite, "column1_harmonic_value", n, -a)
+            assert value.lhs == triangle.evaluate(n, 1, -a) and value.holds
+            assert s_n1_recurrence(n, Fraction(-a)) == value.rhs
+    # the harmonic difference H_a - H_(a-n) needs 1 <= n <= a
+    expected = {(n, -a) for a in range(1, 11) for n in range(1, a + 1)}
+    for identity in ("harmonic_diff_sum_form", "harmonic_diff_ratio_form",
+                     "column1_harmonic_value"):
+        assert _points(suite, identity) == expected
 
 
-def test_hn_formulas_hand_values(table):
-    binomial_form, stirling_form = check_hn_formulas(table, 1)
-    assert binomial_form.rhs == 1 and stirling_form.rhs == 1
-    binomial_form, stirling_form = check_hn_formulas(table, 2)
-    assert binomial_form.rhs == Fraction(3, 2)
-    assert stirling_form.rhs == Fraction(3, 2)
-    _, stirling_form = check_hn_formulas(table, 3)
-    assert stirling_form.rhs == Fraction(11, 6)
+def test_hn_formulas_hand_values(suite):
+    assert _lookup(suite, "hn_binomial_form", 1, 1).rhs == 1
+    assert _lookup(suite, "hn_stirling_form", 1, 1).rhs == 1
+    assert _lookup(suite, "hn_binomial_form", 2, 2).rhs == Fraction(3, 2)
+    assert _lookup(suite, "hn_stirling_form", 2, 2).rhs == Fraction(3, 2)
+    assert _lookup(suite, "hn_stirling_form", 3, 3).rhs == Fraction(11, 6)
 
 
-def test_hn_formulas_sweep(table):
+def test_hn_formulas_sweep(suite):
     for n in range(1, 16):
-        for report in check_hn_formulas(table, n):
+        for identity in ("hn_binomial_form", "hn_stirling_form"):
+            report = _lookup(suite, identity, n, n)
             assert report.holds
             assert report.lhs == harmonic(n)
 
 
-def test_q_and_h_closed_forms():
-    assert q_closed_form(2, 1) == 1
-    assert q_closed_form(4, 2) == -2  # (-1)^(4-2-1) * 2! * 1!
-    assert h_closed_form(1, 1) == 1
-    assert h_closed_form(2, 2) == 3
+def test_q_and_h_closed_forms(suite):
+    assert _lookup(suite, "column1_neg_alpha_value", 2, -1).rhs == 1
+    assert _lookup(suite, "column1_neg_alpha_value", 4, -2).rhs == -2  # (-1)^(4-2-1) * 2! * 1!
+    assert _lookup(suite, "column1_harmonic_value", 1, -1).rhs == 1
+    assert _lookup(suite, "column1_harmonic_value", 2, -2).rhs == 3
 
 
 def test_random_rationals_ranges_and_determinism():
@@ -174,22 +189,23 @@ def test_random_rationals_ranges_and_determinism():
         assert value.denominator <= 20
 
 
-def test_run_suite_all_hold(table, triangle):
-    reports = run_suite(table, triangle, 10)
+def test_run_suite_all_hold(table):
+    triangle = build_by_recurrence(10)
+    reports = run_suite(table, triangle)
     assert reports
     assert all(r.holds for r in reports)
     assert all(r.holds == (r.lhs == r.rhs) for r in reports)
     # deterministic for a fixed seed
-    assert run_suite(table, triangle, 10) == reports
+    assert run_suite(table, triangle) == reports
     labels = {r.identity for r in reports}
     assert "binomial_stirling_sum" in labels
     assert "column1_sum_formula" in labels
     assert "harmonic_diff_ratio_form" in labels
 
 
-def test_run_suite_detects_corruption(table, triangle):
-    bad = corrupt_entry(triangle, 5, 1)
-    reports = run_suite(table, bad, 10)
+def test_run_suite_detects_corruption(table):
+    bad = corrupt_entry(build_by_recurrence(10), 5, 1)
+    reports = run_suite(table, bad)
     assert any(not r.holds for r in reports)
 
 

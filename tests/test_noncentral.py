@@ -101,6 +101,7 @@ def test_triangle_path_creates_no_alphapoly(by_explicit, monkeypatch):
 
     monkeypatch.setattr(AlphaPoly, "__init__", refuse)
     triangle = build_by_recurrence(N_MAX)
+    assert build_by_explicit(N_MAX) == triangle
     assert triangle_from_json(triangle_to_json(triangle)) == by_explicit
     assert triangle_to_csv(triangle).startswith("n,k,degree,coeffs\n0,0,0,1\n")
 
