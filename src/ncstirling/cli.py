@@ -61,8 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every exact check up to --n-max; nonzero exit on any failure",
     )
     ver.add_argument("--n-max", type=int, default=20,
-                     help="largest row N (default 20); time grows about as N^2.5: "
-                          "0.5 s, 19 MB at N=32; 2.4 s, 29 MB at N=64 (with --with-oracle)")
+                     help="largest row N (default 20); with --with-oracle 0.2 s, 19 MB "
+                          "at N=32; 0.45 s, 29 MB at N=64; 3 s, 100 MB at N=128; time "
+                          "grows about as N^3 past N=64")
     ver.add_argument("--with-oracle", action="store_true",
                      help="also run the numerical derivative-expansion grid")
     ver.add_argument("--tol", type=float, default=1e-6,

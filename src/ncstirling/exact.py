@@ -93,9 +93,20 @@ class AlphaPoly:
     __rmul__ = __mul__
 
     def __call__(self, x: RationalLike) -> RationalLike:
-        """Evaluate at x by Horner's rule. Exact for int/Fraction arguments."""
+        """Evaluate at x by Horner's rule on ints, exactly. An int x gives an
+        int. At a Fraction x = p/q the scaled value sum_k c_k p^k q^(d-k), d the
+        degree, is one integer Horner pass, and one Fraction is built from it
+        and q^d at the end."""
+        cs = self._coeffs
+        if isinstance(x, Fraction) and cs:
+            p, q = x.numerator, x.denominator
+            acc, scale = cs[-1], 1
+            for c in cs[-2::-1]:
+                scale *= q
+                acc = acc * p + c * scale
+            return Fraction(acc, scale)
         acc = 0
-        for c in reversed(self._coeffs):
+        for c in reversed(cs):
             acc = acc * x + c
         return acc
 

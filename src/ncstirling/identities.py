@@ -108,7 +108,7 @@ def run_suite(table: StirlingTable, triangle: NoncentralTriangle,
       column1_harmonic_value     s(n, 1, -b) == (H_b - H_(b-n)) b! / (b-n)!
     At 20 more random rationals a:
       column1_sum_formula        s(n, 1, a) == s_n1_sum_formula(n, a)
-      column1_recurrence         s(n, 1, a) == s_n1_recurrence(n, a)
+      column1_recurrence         s(n, 1, a) == s_n1_recurrence(N, a)[n]
 
     The random rationals are drawn from ``random.Random(seed)``, so a run is
     reproducible from (N, seed) alone.
@@ -162,10 +162,11 @@ def run_suite(table: StirlingTable, triangle: NoncentralTriangle,
                 direct * Fraction(math.factorial(b), math.factorial(b - n)))
 
     for alpha in column_alphas:
+        recurrence = s_n1_recurrence(n_max, alpha)
         for n in range(1, n_max + 1):
             value = triangle.evaluate(n, 1, alpha)
             add("column1_sum_formula", n, alpha, value, s_n1_sum_formula(n, alpha))
-            add("column1_recurrence", n, alpha, value, s_n1_recurrence(n, alpha))
+            add("column1_recurrence", n, alpha, value, recurrence[n])
     return reports
 
 

@@ -127,9 +127,16 @@ def derivative_by_jets(x0: float, alpha: float, beta: float, n: int) -> float:
         raise ValueError("n must be nonnegative")
     if n > MAX_DERIVATIVE_ORDER:
         raise ValueError("derivative order capped at %d, got %d" % (MAX_DERIVATIVE_ORDER, n))
-    x = jet_seed(float(x0), n)
-    f = jet_mul(jet_pow_real(x, -float(alpha)), jet_pow_real(jet_ln(x), float(beta)))
-    return math.factorial(n) * f[n]
+    return math.factorial(n) * _function_jet(x0, alpha, beta, n)[n]
+
+
+def _function_jet(x0: float, alpha: float, beta: float, order: int) -> Jet:
+    """Jet of x^(-alpha) * ln^beta(x) at x0. Coefficient k of every jet
+    operation is computed from coefficients <= k only, in the same order at
+    any truncation order, so coefficient n of this jet is bit-for-bit the one
+    a jet of order n gives."""
+    x = jet_seed(float(x0), order)
+    return jet_mul(jet_pow_real(x, -float(alpha)), jet_pow_real(jet_ln(x), float(beta)))
 
 
 def evaluate_expansion(x0: float, alpha: RationalLike, beta: float,
@@ -176,13 +183,19 @@ def verify_derivative_expansion(row: Sequence[Fraction], x0: float,
     n = len(row) - 1, with the expansion taken over row[i] = s(n, i, alpha);
     passes iff <= rel_tol."""
     a = Fraction(alpha)
+    jet_value = derivative_by_jets(x0, float(a), beta, len(row) - 1)
+    return _residual_report(row, x0, a, beta, jet_value, rel_tol)
+
+
+def _residual_report(row: Sequence[Fraction], x0: float, alpha: Fraction,
+                     beta: float, jet_value: float, rel_tol: float) -> ResidualReport:
+    """Compare a jet derivative of order len(row) - 1 with the expansion."""
     n = len(row) - 1
-    jet_value = derivative_by_jets(x0, float(a), beta, n)
-    expansion_value = evaluate_expansion(x0, a, beta, row)
+    expansion_value = evaluate_expansion(x0, alpha, beta, row)
     rel = abs(jet_value - expansion_value) / max(abs(jet_value), RESIDUAL_FLOOR)
     return ResidualReport(
         n=n,
-        alpha=a,
+        alpha=alpha,
         beta=float(beta),
         x0=float(x0),
         jet_value=jet_value,
@@ -195,17 +208,22 @@ def verify_derivative_expansion(row: Sequence[Fraction], x0: float,
 def expansion_grid(triangle: NoncentralTriangle,
                    rel_tol: float = 1e-6) -> List[ResidualReport]:
     """Run the validation grid: every n up to min(GRID_MAX_ORDER, triangle.n_max)
-    against GRID_ALPHAS x GRID_BETAS x GRID_X0S. Grid points are independent
-    pure computations; each (n, alpha) row is read from the triangle once."""
+    against GRID_ALPHAS x GRID_BETAS x GRID_X0S. Each (alpha, beta, x0) family
+    builds one jet of the top order and reads every n's derivative off it
+    (the same floats as verify_derivative_expansion); each (n, alpha) row is
+    read from the triangle once."""
+    order = min(GRID_MAX_ORDER, triangle.n_max)
+    jets = {(alpha, beta, x0): _function_jet(x0, float(alpha), beta, order)
+            for alpha in GRID_ALPHAS for beta in GRID_BETAS for x0 in GRID_X0S}
     reports = []
-    for n in range(min(GRID_MAX_ORDER, triangle.n_max) + 1):
+    for n in range(order + 1):
+        scale = math.factorial(n)
         for alpha in GRID_ALPHAS:
             row = [triangle.evaluate(n, i, alpha) for i in range(n + 1)]
             for beta in GRID_BETAS:
                 for x0 in GRID_X0S:
-                    reports.append(
-                        verify_derivative_expansion(row, x0, alpha, beta, rel_tol)
-                    )
+                    jet_value = scale * jets[alpha, beta, x0][n]
+                    reports.append(_residual_report(row, x0, alpha, beta, jet_value, rel_tol))
     return reports
 
 

@@ -15,7 +15,8 @@ Two independent constructions are provided and must agree exactly:
 
 Specializing alpha = 0 recovers the classical signed numbers. A second use of
 the recurrence runs it at one rational alpha in integer arithmetic and gives a
-whole row of values (evaluate_row); the k=1 column is read off that row.
+whole row of values (evaluate_row), or the k=1 column of every row in one pass
+(s_n1_recurrence).
 """
 from __future__ import annotations
 
@@ -125,17 +126,29 @@ def build_by_explicit(n_max: int) -> NoncentralTriangle:
 def alternating_binomial_sum(alpha: RationalLike, n: int) -> Fraction:
     """S(alpha, n) = sum_{k=0}^{n-1} (-1)^k C(-alpha, k) / (n - k), exact.
 
-    The signed term t_k = (-1)^k C(-alpha, k) is carried from k to k+1 by
-    t_{k+1} = t_k (k + alpha) / (k + 1), one multiply and one divide per term.
-    At a negative integer alpha = -a every term with k > a is zero.
+    Since (-1)^k C(-a, k) = a(a+1)...(a+k-1)/k!, the sum times n! has integer
+    coefficients: n! S(a, n) = sum_k C(n, k) (n-k-1)! a(a+1)...(a+k-1). At
+    a = p/q, with R_k = p(p+q)...(p+(k-1)q), the scaled sum
+
+        N = sum_{k<n} C(n, k) (n-k-1)! R_k q^(n-1-k)
+
+    is run on ints by Horner's rule in the factors p + kq, and S(a, n) is the
+    one Fraction N / (n! q^(n-1)). At a negative integer a = -b, R_k is 0 for
+    k > b, so the sum stops at k = b.
     """
+    if n < 1:
+        return Fraction(0)
     a = Fraction(alpha)
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(n):
-        total += term / (n - k)
-        term = term * (k + a) / (k + 1)
-    return total
+    p, q = a.numerator, a.denominator
+    top = min(n - 1, -p) if q == 1 and p <= 0 else n - 1
+    acc, scale = 0, q ** (n - 1 - top)
+    weight = math.comb(n, top) * math.factorial(n - 1 - top)
+    for k in range(top, -1, -1):
+        acc = acc * (p + k * q) + weight * scale
+        scale *= q
+        # C(n, k-1) (n-k)! = C(n, k) (n-k-1)! k (n-k) / (n-k+1), exactly
+        weight = weight * k * (n - k) // (n - k + 1)
+    return Fraction(acc, math.factorial(n) * q ** (n - 1))
 
 
 def s_n1_sum_formula(n: int, alpha: RationalLike) -> Fraction:
@@ -150,11 +163,26 @@ def s_n1_sum_formula(n: int, alpha: RationalLike) -> Fraction:
     return value if n % 2 else -value
 
 
-def s_n1_recurrence(n: int, alpha: RationalLike) -> Fraction:
-    """s(n, 1, alpha) read off the exact row at alpha (evaluate_row)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return evaluate_row(n, alpha)[1]
+def s_n1_recurrence(n: int, alpha: RationalLike) -> List[Fraction]:
+    """[s(0, 1, alpha), ..., s(n, 1, alpha)]: the k <= 1 columns of the
+    recurrence run once at alpha = p/q, on the scaled integers of evaluate_row,
+
+        c(m+1, 0) = -(p + m q) c(m, 0),  c(m+1, 1) = c(m, 0) - (p + m q) c(m, 1),
+
+    with s(m, 1, alpha) = c(m, 1) / q^(m-1): O(n) integer steps for the whole
+    column, independent of any triangle."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    a = Fraction(alpha)
+    p, q = a.numerator, a.denominator
+    low, high, scale = 1, 0, 1
+    column = [Fraction(0)]
+    for m in range(n):
+        shift = p + m * q
+        low, high = -shift * low, low - shift * high
+        column.append(Fraction(high, scale))
+        scale *= q
+    return column
 
 
 def triangle_to_json(triangle: NoncentralTriangle) -> str:

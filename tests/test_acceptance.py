@@ -118,7 +118,7 @@ def test_06_column_one_triple_agreement():
         for n in range(1, 16):
             value = triangle.evaluate(n, 1, alpha)
             assert value == s_n1_sum_formula(n, alpha), (n, alpha)
-            assert value == s_n1_recurrence(n, alpha), (n, alpha)
+            assert value == s_n1_recurrence(n, alpha)[n], (n, alpha)
     _passed("6 column-1 triple agreement")
 
 

@@ -328,8 +328,24 @@ GOLDEN_VERIFY_EDGES = [
 ]
 
 
-def _assert_verify_digests(capsys, tmp_path, argv, status, csv_digest, json_digests):
-    base = ("verify", *argv, "--with-oracle", "--seed", "0")
+# The benchmark's top size, at seed 1, pinned before the identity sides were
+# evaluated on scaled integers: --n-max 32 passes, and the hook at (20, 1)
+# fails (exit 1).
+GOLDEN_VERIFY_TOP = [
+    (("--n-max", "32"), 0,
+     "8f1711d2526124c2ba63fb77e22712671aa8303beb612bc1b4d4f5529ceead14",
+     {"structural": "055321fcc97cea68a334d1fa77ec6befb4f6310256fbd25e3ad12a3434e1ab91",
+      "identities": "9fcfb09089b0163f57640fd2f53409d8df44dddb319b90fee584c7434df646ab"}),
+    (("--n-max", "25", "--corrupt", "20,1"), 1,
+     "4b02f61977e44580fde549c77b384bf6f9e7ae441f936aea1ffd493dfa7af67a",
+     {"structural": "06b32bca4e4474d2e7d235bab79aea371263a7a5b16b469f7c8bf0b7d994bc3a",
+      "identities": "9cea4938226a0756d5c57fb74c14ece2fa2784e53ccc5168713d839596a219ad"}),
+]
+
+
+def _assert_verify_digests(capsys, tmp_path, argv, status, csv_digest, json_digests,
+                           seed="0"):
+    base = ("verify", *argv, "--with-oracle", "--seed", seed)
     csv_path, json_path = tmp_path / "report.csv", tmp_path / "report.json"
     assert run_cli(*base, "--format", "csv", "--out", str(csv_path)) == status
     assert run_cli(*base, "--format", "json", "--out", str(json_path)) == status
@@ -350,6 +366,13 @@ def test_verify_exact_reports_match_golden_digests(capsys, tmp_path):
 def test_verify_edge_reports_match_golden_digests(capsys, tmp_path, argv, status,
                                                   csv_digest, json_digests):
     _assert_verify_digests(capsys, tmp_path, argv, status, csv_digest, json_digests)
+
+
+@pytest.mark.parametrize("argv, status, csv_digest, json_digests", GOLDEN_VERIFY_TOP)
+def test_verify_top_size_reports_match_golden_digests(capsys, tmp_path, argv, status,
+                                                      csv_digest, json_digests):
+    _assert_verify_digests(capsys, tmp_path, argv, status, csv_digest, json_digests,
+                           seed="1")
 
 
 # sha256 of `eval` stdout, pinned before `eval` stopped building the

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ncstirling.exact import (
     AlphaPoly,
@@ -140,6 +140,34 @@ def test_mul_commutes_and_degree_adds(p, q):
 def test_eval_is_ring_homomorphism(p, q, x):
     assert (p * q)(x) == p(x) * q(x)
     assert (p + q)(x) == p(x) + q(x)
+
+
+def fraction_horner(coeffs, x):
+    """Horner's rule on Fractions, one reduction per step: the reference for
+    the integer Horner pass."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@given(p=st.builds(AlphaPoly, st.lists(st.integers(-10**6, 10**6), max_size=14)),
+       x=st.one_of(st.builds(Fraction, st.integers(-60, 60), st.integers(1, 25)),
+                   st.integers(-60, 60)))
+@example(p=AlphaPoly(), x=Fraction(3, 5))
+@example(p=AlphaPoly(), x=7)
+@example(p=AlphaPoly([-9]), x=Fraction(-4, 7))
+@example(p=AlphaPoly([0, 5, -3]), x=Fraction(6))
+@example(p=AlphaPoly([1, -2, 0, 4]), x=-3)
+def test_integer_horner_matches_fraction_horner(p, x):
+    value = p(x)
+    assert value == fraction_horner(p.coefficients, Fraction(x))
+    if isinstance(x, int):
+        assert type(value) is int
+    elif p.coefficients:
+        assert type(value) is Fraction
+        assert value.denominator > 0
+        assert math.gcd(value.numerator, value.denominator) == 1
 
 
 @given(x=rationals)

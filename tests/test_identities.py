@@ -123,7 +123,7 @@ def test_negative_alpha_closed_form_sweep(suite, triangle):
             # the closed form also gives the k=1 column value itself
             value = _lookup(suite, "column1_neg_alpha_value", n, -a)
             assert value.lhs == triangle.evaluate(n, 1, -a) and value.holds
-            assert s_n1_recurrence(n, Fraction(-a)) == value.rhs
+            assert s_n1_recurrence(n, Fraction(-a))[n] == value.rhs
     # the closed forms need a positive and n >= a + 1
     expected = {(n, -a) for a in range(1, 9) for n in range(a + 1, N_MAX + 1)}
     for identity in ("neg_alpha_factorial_form", "neg_alpha_reciprocal_form",
@@ -149,7 +149,7 @@ def test_harmonic_difference_sweep(suite, triangle):
             assert _lookup(suite, "harmonic_diff_ratio_form", n, -a).holds
             value = _lookup(suite, "column1_harmonic_value", n, -a)
             assert value.lhs == triangle.evaluate(n, 1, -a) and value.holds
-            assert s_n1_recurrence(n, Fraction(-a)) == value.rhs
+            assert s_n1_recurrence(n, Fraction(-a))[n] == value.rhs
     # the harmonic difference H_a - H_(a-n) needs 1 <= n <= a
     expected = {(n, -a) for a in range(1, 11) for n in range(1, a + 1)}
     for identity in ("harmonic_diff_sum_form", "harmonic_diff_ratio_form",

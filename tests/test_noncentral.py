@@ -6,12 +6,13 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ncstirling.cli import triangle_to_csv
 from ncstirling.exact import AlphaPoly, falling_factorial, falling_factorial_poly
 from ncstirling.noncentral import (
     NoncentralTriangle,
+    alternating_binomial_sum,
     build_by_explicit,
     build_by_recurrence,
     corrupt_entry,
@@ -154,12 +155,47 @@ def test_sum_formula_small_values():
         s_n1_sum_formula(0, 1)
 
 
+def fraction_binomial_sum(alpha, n):
+    """S(alpha, n) by the Fraction term recurrence t_{k+1} = t_k (k + a)/(k + 1),
+    t_0 = 1: the reference for the scaled-integer sum."""
+    a = Fraction(alpha)
+    total, term = Fraction(0), Fraction(1)
+    for k in range(n):
+        total += term / (n - k)
+        term = term * (k + a) / (k + 1)
+    return total
+
+
+@given(n=st.integers(0, 40), p=st.integers(-60, 60), q=st.integers(1, 25))
+@example(n=0, p=-3, q=1)
+@example(n=1, p=0, q=1)
+@example(n=40, p=0, q=1)
+@example(n=40, p=-1, q=1)
+@example(n=40, p=-39, q=1)
+@example(n=40, p=-40, q=1)
+@example(n=12, p=-60, q=1)
+@example(n=40, p=-60, q=25)
+@example(n=40, p=60, q=25)
+def test_binomial_sum_matches_fraction_term_recurrence(n, p, q):
+    value = alternating_binomial_sum(Fraction(p, q), n)
+    assert type(value) is Fraction
+    assert value == fraction_binomial_sum(Fraction(p, q), n)
+
+
+def test_binomial_sum_at_nonpositive_integers():
+    # at alpha = -b the sum stops at k = b; b = 0 leaves only the k = 0 term 1/n
+    for b in range(41):
+        for n in range(41):
+            assert alternating_binomial_sum(-b, n) == fraction_binomial_sum(-b, n), (b, n)
+
+
 def test_recurrence_small_values():
-    assert s_n1_recurrence(1, Fraction(-4, 3)) == 1
-    assert s_n1_recurrence(2, Fraction(1, 2)) == -2
-    assert s_n1_recurrence(3, 0) == 2
+    assert s_n1_recurrence(1, Fraction(-4, 3))[1] == 1
+    assert s_n1_recurrence(2, Fraction(1, 2))[2] == -2
+    assert s_n1_recurrence(3, 0) == [0, 1, -1, 2]
+    assert s_n1_recurrence(0, 1) == [0]
     with pytest.raises(ValueError):
-        s_n1_recurrence(0, 1)
+        s_n1_recurrence(-1, 1)
 
 
 def scalar_k1_column(n_max, alpha):
@@ -180,8 +216,7 @@ def test_recurrence_matches_scalar_k1_recurrence():
     alphas = [Fraction(rng.randint(-60, 60), rng.randint(1, 25)) for _ in range(12)]
     alphas += [Fraction(-a) for a in range(1, 9)]
     for alpha in alphas:
-        for n, expected in enumerate(scalar_k1_column(40, alpha), start=1):
-            assert s_n1_recurrence(n, alpha) == expected, (n, alpha)
+        assert s_n1_recurrence(40, alpha) == [0] + scalar_k1_column(40, alpha), alpha
 
 
 def test_column_one_triple_agreement(by_recurrence):
@@ -191,7 +226,7 @@ def test_column_one_triple_agreement(by_recurrence):
         for n in range(1, N_MAX + 1):
             triangle_value = by_recurrence.evaluate(n, 1, alpha)
             assert triangle_value == s_n1_sum_formula(n, alpha)
-            assert triangle_value == s_n1_recurrence(n, alpha)
+            assert triangle_value == s_n1_recurrence(n, alpha)[n]
 
 
 def test_json_round_trip(by_recurrence):
