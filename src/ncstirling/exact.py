@@ -1,6 +1,8 @@
-"""Exact arithmetic substrate: dense integer polynomials in one indeterminate,
-exact rationals, and binomial coefficients with rational arguments (integer
-binomials are ``math.comb``).
+"""Exact arithmetic substrate: integer polynomials in one indeterminate as
+coefficient tuples, evaluated by horner; AlphaPoly, the product type of the
+independent oracles and the public polynomial view; exact rationals; and
+binomial coefficients with rational arguments (integer binomials are
+``math.comb``).
 
 Python ints are arbitrary precision and ``fractions.Fraction`` is always
 reduced with a positive denominator, so those two stdlib types carry the
@@ -20,8 +22,29 @@ RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 _CANONICAL_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 
+def horner(coeffs: tuple, x: RationalLike) -> RationalLike:
+    """Evaluate the integer polynomial with coefficients coeffs (low to high) at
+    x by Horner's rule on ints, exactly. An int x gives an int. At a Fraction
+    x = p/q and nonempty coeffs the scaled value sum_k c_k p^k q^(d-k), d the
+    degree, is one integer Horner pass, and one Fraction is built from it and
+    q^d at the end."""
+    if isinstance(x, Fraction) and coeffs:
+        p, q = x.numerator, x.denominator
+        acc, scale = coeffs[-1], 1
+        for c in coeffs[-2::-1]:
+            scale *= q
+            acc = acc * p + c * scale
+        return Fraction(acc, scale)
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class AlphaPoly:
-    """Dense polynomial in alpha with integer coefficients.
+    """Dense polynomial in alpha with integer coefficients: the product type of
+    the two independent oracles (falling_factorial_poly and
+    stirling_expansion_oracle) and the public view NoncentralTriangle.entry.
 
     Coefficients are stored low-to-high; trailing zeros are trimmed on
     construction, so the zero polynomial stores no coefficients at all and
@@ -41,29 +64,9 @@ class AlphaPoly:
             cs.pop()
         self._coeffs = tuple(cs)
 
-    @classmethod
-    def one(cls) -> "AlphaPoly":
-        return cls((1,))
-
     @property
     def coefficients(self) -> tuple:
         return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
-
-    def coefficient(self, power: int) -> int:
-        if power < 0:
-            raise IndexError("negative power")
-        if power >= len(self._coeffs):
-            return 0
-        return self._coeffs[power]
-
-    @property
-    def leading_coefficient(self) -> int:
-        return self._coeffs[-1] if self._coeffs else 0
 
     def __add__(self, other: "AlphaPoly") -> "AlphaPoly":
         if not isinstance(other, AlphaPoly):
@@ -77,38 +80,22 @@ class AlphaPoly:
         return AlphaPoly(out)
 
     def __mul__(self, other):
-        if isinstance(other, AlphaPoly):
-            a, b = self._coeffs, other._coeffs
-            if not a or not b:
-                return AlphaPoly()
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-            return AlphaPoly(out)
-        if isinstance(other, int) and not isinstance(other, bool):
-            return AlphaPoly(tuple(other * c for c in self._coeffs))
-        return NotImplemented
+        if not isinstance(other, AlphaPoly):
+            return NotImplemented
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
+            return AlphaPoly()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+        return AlphaPoly(out)
 
     __rmul__ = __mul__
 
     def __call__(self, x: RationalLike) -> RationalLike:
-        """Evaluate at x by Horner's rule on ints, exactly. An int x gives an
-        int. At a Fraction x = p/q the scaled value sum_k c_k p^k q^(d-k), d the
-        degree, is one integer Horner pass, and one Fraction is built from it
-        and q^d at the end."""
-        cs = self._coeffs
-        if isinstance(x, Fraction) and cs:
-            p, q = x.numerator, x.denominator
-            acc, scale = cs[-1], 1
-            for c in cs[-2::-1]:
-                scale *= q
-                acc = acc * p + c * scale
-            return Fraction(acc, scale)
-        acc = 0
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
+        """Evaluate at x exactly; see horner."""
+        return horner(self._coeffs, x)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlphaPoly):
@@ -126,7 +113,7 @@ def falling_factorial_poly(k: int) -> AlphaPoly:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    poly = AlphaPoly.one()
+    poly = AlphaPoly((1,))
     for j in range(k):
         poly = poly * AlphaPoly((-j, -1))
     return poly
@@ -171,8 +158,8 @@ def parse_canonical_int(text: str) -> int:
 
 
 def format_rational(value: RationalLike) -> str:
-    """Render a rational as "p" or "p/q", reduced, denominator positive."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
+    """Render an int or a Fraction as "p" or "p/q"; both are already reduced
+    with a positive denominator."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    return "%d/%d" % (value.numerator, value.denominator)

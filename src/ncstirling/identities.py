@@ -20,6 +20,7 @@ from .exact import (
     binomial_rational,  # noqa: F401  unused; perfbench/tracing.py patches this name
     falling_factorial_poly,
     format_rational,
+    horner,
 )
 from .noncentral import (
     NoncentralTriangle,
@@ -58,9 +59,10 @@ class StructuralCheck:
     detail: str = ""
 
 
-def column_one_polynomial(table: StirlingTable, n: int) -> AlphaPoly:
-    """The k=1 column as a polynomial assembled from classical Stirling numbers:
-    coefficient of alpha^k is (k+1) * s(n, k+1) * (-1)^k."""
+def column_one_polynomial(table: StirlingTable, n: int) -> tuple:
+    """The k=1 column assembled from classical Stirling numbers, as the tuple of
+    its integer coefficients, low to high: the coefficient of alpha^k is
+    (k+1) * s(n, k+1) * (-1)^k. The top one, +-n, is never zero."""
     if n < 1:
         raise ValueError("n must be positive")
     sign = 1
@@ -68,7 +70,7 @@ def column_one_polynomial(table: StirlingTable, n: int) -> AlphaPoly:
     for k in range(n):
         coeffs.append(sign * (k + 1) * table.signed(n, k + 1))
         sign = -sign
-    return AlphaPoly(coeffs)
+    return tuple(coeffs)
 
 
 def random_rationals(count: int, rng: random.Random) -> List[Fraction]:
@@ -132,13 +134,14 @@ def run_suite(table: StirlingTable, triangle: NoncentralTriangle,
         n_fact = math.factorial(n)
         for alpha in master_alphas:
             add("binomial_stirling_sum", n, alpha,
-                n_fact * alternating_binomial_sum(alpha, n), sign * p(alpha))
+                n_fact * alternating_binomial_sum(alpha, n), sign * horner(p, alpha))
         if n >= 2:
-            add("factorial_from_stirling", n, -1, (-1) ** n * math.factorial(n - 2), p(-1))
+            add("factorial_from_stirling", n, -1, (-1) ** n * math.factorial(n - 2),
+                horner(p, -1))
         hn = harmonic(n)
-        add("harmonic_sum", n, 1, n_fact * hn, sign * p(1))
+        add("harmonic_sum", n, 1, n_fact * hn, sign * horner(p, 1))
         add("hn_binomial_form", n, n, hn, sign * alternating_binomial_sum(-n, n))
-        add("hn_stirling_form", n, n, hn, Fraction(p(-n), n_fact))
+        add("hn_stirling_form", n, n, hn, Fraction(horner(p, -n), n_fact))
 
     for b in range(1, min(8, n_max - 1) + 1):
         for n in range(b + 1, n_max + 1):
@@ -157,7 +160,7 @@ def run_suite(table: StirlingTable, triangle: NoncentralTriangle,
                 Fraction((-1) ** (n + 1), math.comb(b, n)) * alternating_binomial_sum(-b, n))
             # sum_k s(n,k) b^k is the falling factorial b!/(b-n)!, positive here
             add("harmonic_diff_ratio_form", n, -b, direct,
-                Fraction(column[n](-b), AlphaPoly(table.row(n))(b)))
+                Fraction(horner(column[n], -b), horner(table.row(n), b)))
             add("column1_harmonic_value", n, -b, triangle.evaluate(n, 1, -b),
                 direct * Fraction(math.factorial(b), math.factorial(b - n)))
 
@@ -184,31 +187,33 @@ def structural_checks(by_recurrence: NoncentralTriangle,
         detail = "" if ok else "expected %r, got %r" % (expected, actual)
         checks.append(StructuralCheck(name, n, k, ok, detail))
 
+    def add_poly(name, n, k, expected, actual):
+        if expected == actual:
+            add(name, n, k, True)
+        else:
+            add(name, n, k, False, AlphaPoly(expected), AlphaPoly(actual))
+
+    # An entry's coefficient tuple c has constant term c[0], degree len(c) - 1
+    # and leading coefficient c[-1]; the empty tuple is the zero polynomial.
     for n in range(n_max + 1):
+        rec_row = by_recurrence.rows[n]
         for k in range(n + 1):
-            rec = by_recurrence.entry(n, k)
-            exp = by_explicit.entry(n, k)
-            add("construction_agreement", n, k, rec == exp, exp, rec)
-            add("specialization_at_zero", n, k,
-                rec.coefficient(0) == table.signed(n, k),
-                table.signed(n, k), rec.coefficient(0))
-            add("degree", n, k, rec.degree == n - k, n - k, rec.degree)
-            lead_ok = rec.leading_coefficient > 0 if (n - k) % 2 == 0 else rec.leading_coefficient < 0
-            add("leading_sign", n, k, lead_ok,
-                "sign %d" % ((-1) ** (n - k)), rec.leading_coefficient)
-        ff = falling_factorial_poly(n)
-        add("boundary_falling_factorial", n, 0,
-            by_recurrence.entry(n, 0) == ff, ff, by_recurrence.entry(n, 0))
-        add("boundary_diagonal", n, n,
-            by_recurrence.entry(n, n) == AlphaPoly.one(),
-            AlphaPoly.one(), by_recurrence.entry(n, n))
+            rec = rec_row[k]
+            add_poly("construction_agreement", n, k, by_explicit.rows[n][k], rec)
+            constant, lead = (rec[0], rec[-1]) if rec else (0, 0)
+            add("specialization_at_zero", n, k, constant == table.signed(n, k),
+                table.signed(n, k), constant)
+            add("degree", n, k, len(rec) - 1 == n - k, n - k, len(rec) - 1)
+            lead_ok = lead > 0 if (n - k) % 2 == 0 else lead < 0
+            add("leading_sign", n, k, lead_ok, "sign %d" % ((-1) ** (n - k)), lead)
+        add_poly("boundary_falling_factorial", n, 0,
+                 falling_factorial_poly(n).coefficients, rec_row[0])
+        add_poly("boundary_diagonal", n, n, (1,), rec_row[n])
         oracle = tuple(stirling_expansion_oracle(n))
         add("classical_expansion_oracle", n, None,
             table.row(n) == oracle, oracle, table.row(n))
         if n >= 1:
-            col = column_one_polynomial(table, n)
-            add("column_one_polynomial", n, 1,
-                by_recurrence.entry(n, 1) == col, col, by_recurrence.entry(n, 1))
+            add_poly("column_one_polynomial", n, 1, column_one_polynomial(table, n), rec_row[1])
     return checks
 
 

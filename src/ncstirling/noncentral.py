@@ -30,6 +30,7 @@ from .exact import (
     RationalLike,
     binomial_rational,  # noqa: F401  unused; perfbench/tracing.py patches this name
     falling_factorial,  # noqa: F401  unused; perfbench/tracing.py patches this name
+    horner,
     parse_canonical_int,
 )
 from .stirling import StirlingTable, check_index
@@ -38,7 +39,8 @@ from .stirling import StirlingTable, check_index
 class NoncentralTriangle:
     """Immutable triangle indexed (n, k), 0 <= k <= n <= n_max. rows[n][k] is
     the tuple of integer coefficients of s(n, k, alpha), low to high, with no
-    trailing zero."""
+    trailing zero; the package computes with these tuples, and entry(n, k) is
+    the public AlphaPoly view of one of them."""
 
     __slots__ = ("n_max", "rows")
 
@@ -52,7 +54,8 @@ class NoncentralTriangle:
 
     def evaluate(self, n: int, k: int, alpha: RationalLike) -> Fraction:
         """s(n, k, alpha) at a concrete rational alpha, exactly."""
-        return Fraction(self.entry(n, k)(Fraction(alpha)))
+        check_index(n, k, self.n_max)
+        return Fraction(horner(self.rows[n][k], Fraction(alpha)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NoncentralTriangle):
@@ -236,5 +239,6 @@ def corrupt_entry(triangle: NoncentralTriangle, n: int, k: int) -> NoncentralTri
     structural checks."""
     check_index(n, k, triangle.n_max)
     rows = [list(row) for row in triangle.rows]
-    rows[n][k] = (triangle.entry(n, k) + AlphaPoly.one()).coefficients
+    c = triangle.rows[n][k] or (0,)
+    rows[n][k] = (c[0] + 1,) + c[1:]
     return NoncentralTriangle(rows)

@@ -58,11 +58,10 @@ def stirling_expansion_oracle(n: int) -> list:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    poly = AlphaPoly.one()
+    poly = AlphaPoly((1,))
     for j in range(n):
         poly = poly * AlphaPoly((-j, 1))
-    coeffs = list(poly.coefficients)
-    return coeffs + [0] * (n + 1 - len(coeffs))
+    return list(poly.coefficients)
 
 
 def harmonic(n: int) -> Fraction:

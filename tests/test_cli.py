@@ -8,7 +8,8 @@ import pytest
 
 from ncstirling import cli
 from ncstirling.cli import main
-from ncstirling.noncentral import triangle_from_json, triangle_to_json
+from ncstirling.exact import AlphaPoly
+from ncstirling.noncentral import NoncentralTriangle, triangle_from_json, triangle_to_json
 
 
 def run_cli(*argv):
@@ -275,6 +276,50 @@ def test_verify_seed_changes_sample_but_not_outcome(capsys, tmp_path):
     assert all(r["holds"] for r in doc_a["identities"] + doc_b["identities"])
 
 
+@pytest.mark.parametrize("corrupt, status", [((), 0), (("--corrupt", "7,1"), 1)])
+def test_verify_never_calls_entry(capsys, monkeypatch, corrupt, status):
+    # the checks read the stored coefficient tuples; entry() is a public view only
+    def refuse(self, n, k):
+        raise AssertionError("verify called NoncentralTriangle.entry")
+
+    monkeypatch.setattr(NoncentralTriangle, "entry", refuse)
+    assert run_cli("verify", "--n-max", "12", "--with-oracle", *corrupt) == status
+    capsys.readouterr()
+
+
+POLYNOMIAL_CHECKS = {"construction_agreement", "boundary_falling_factorial",
+                     "boundary_diagonal", "column_one_polynomial"}
+
+
+@pytest.mark.parametrize("corrupt", [(), ("--corrupt", "7,1"), ("--corrupt", "12,0"),
+                                     ("--corrupt", "12,12")])
+def test_verify_builds_alphapoly_only_in_the_oracles(capsys, tmp_path, monkeypatch, corrupt):
+    # AlphaPoly objects come from the products of the two independent oracles,
+    # plus the expected and actual detail of each failing polynomial check
+    oracles = {"falling_factorial_poly", "stirling_expansion_oracle"}
+    outside = []
+    init = AlphaPoly.__init__
+
+    def traced(self, coeffs=()):
+        frame = sys._getframe(1)
+        names = []
+        while frame is not None:
+            names.append(frame.f_code.co_name)
+            frame = frame.f_back
+        if not oracles.intersection(names):
+            outside.append(names[0])
+        init(self, coeffs)
+
+    monkeypatch.setattr(AlphaPoly, "__init__", traced)
+    path = tmp_path / "report.json"
+    run_cli("verify", "--n-max", "12", "--with-oracle", "--out", str(path), *corrupt)
+    capsys.readouterr()
+    failing = [r for r in json.loads(path.read_text())["structural"]
+               if not r["ok"] and r["check"] in POLYNOMIAL_CHECKS]
+    assert bool(failing) == bool(corrupt)
+    assert outside == ["add_poly"] * (2 * len(failing))
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "ncstirling", "eval", "--n", "2", "--k", "1",
@@ -298,8 +343,9 @@ GOLDEN_VERIFY_JSON = {
 }
 # The edges: the empty identity suite (n = 0), the smallest one (n = 1), a
 # grid cut short by n_max (n = 5), the corruption hook (exit 1) at k >= 2,
-# which only the structural checks see, an odd n_max (n = 9), and the hook
-# at k = 1, which also fails identity records.
+# which only the structural checks see, an odd n_max (n = 9), the hook at
+# k = 1, which also fails identity records, and the hook at k = 0 and at
+# k = n, which fail boundary_falling_factorial and boundary_diagonal.
 GOLDEN_VERIFY_EDGES = [
     (("--n-max", "0"), 0,
      "6d8db475b4281c79cbd85e19bdd10f7bda39cc9fed22a44e8ff691f8fdc87457",
@@ -325,6 +371,14 @@ GOLDEN_VERIFY_EDGES = [
      "ed11543d61f25d184bb0b5c6dc8a020bc760fae2095b9ef2f66241013efb6ff6",
      {"structural": "cb70e4bbd6e17b06258686061f2244b04fdb6aca17ffbcba08f3242589d15fa3",
       "identities": "ec048d03e61fcee337b988c48cd10582ca161a047ca8fb090824ef0a3f109cc5"}),
+    (("--n-max", "12", "--corrupt", "12,0"), 1,
+     "06c8f6272823a9627e4b491d84160dd3133f512a5ebce6923ad0bce235332f46",
+     {"structural": "d23b83d185ffcc32767b9d7480e39361209fd3828c0f64b2972a4743a3f7ac6f",
+      "identities": "3dbb3c8376039668072491e403349f27555922a5a1952e40ac81618514f891a1"}),
+    (("--n-max", "12", "--corrupt", "12,12"), 1,
+     "28d8b4d0e250a33b3477c56f3e1b78fa276ae03acea2a9bb39e5fe9c274caaad",
+     {"structural": "83deb5f95d14c523f149735547c2b16acd1ce56f28447d3c99504c587b4ebe6b",
+      "identities": "3dbb3c8376039668072491e403349f27555922a5a1952e40ac81618514f891a1"}),
 ]
 
 

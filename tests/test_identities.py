@@ -4,14 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from ncstirling.exact import AlphaPoly
 from ncstirling.identities import (
     column_one_polynomial,
     random_rationals,
     run_suite,
     structural_checks,
 )
-from ncstirling.noncentral import build_by_explicit, build_by_recurrence, corrupt_entry, s_n1_recurrence
+from ncstirling.noncentral import (
+    build_by_explicit,
+    build_by_recurrence,
+    corrupt_entry,
+    s_n1_recurrence,
+    triangle_from_json,
+)
 from ncstirling.stirling import StirlingTable, harmonic
 
 N_MAX = 20
@@ -44,14 +49,14 @@ def _points(reports, identity):
 
 
 def test_column_one_polynomial_small(table):
-    assert column_one_polynomial(table, 1) == AlphaPoly([1])
-    assert column_one_polynomial(table, 2) == AlphaPoly([-1, -2])
-    assert column_one_polynomial(table, 3) == AlphaPoly([2, 6, 3])
+    assert column_one_polynomial(table, 1) == (1,)
+    assert column_one_polynomial(table, 2) == (-1, -2)
+    assert column_one_polynomial(table, 3) == (2, 6, 3)
 
 
 def test_column_one_polynomial_matches_triangle(table, triangle):
     for n in range(1, N_MAX + 1):
-        assert column_one_polynomial(table, n) == triangle.entry(n, 1)
+        assert column_one_polynomial(table, n) == triangle.rows[n][1]
 
 
 def test_master_identity_hand_values(suite):
@@ -207,6 +212,23 @@ def test_run_suite_detects_corruption(table):
     bad = corrupt_entry(build_by_recurrence(10), 5, 1)
     reports = run_suite(table, bad)
     assert any(not r.holds for r in reports)
+
+
+def test_structural_checks_read_empty_coefficients_as_zero():
+    # a canonical document may hold "coeffs":[], the zero polynomial: constant
+    # term 0, degree -1, leading coefficient 0
+    doc = ('{"n_max":"1","entries":[{"n":"0","k":"0","coeffs":[]},'
+           '{"n":"1","k":"0","coeffs":["0","-1"]},{"n":"1","k":"1","coeffs":["1"]}]}\n')
+    checks = structural_checks(triangle_from_json(doc), build_by_explicit(1), StirlingTable(1))
+    failing = [(c.check, c.n, c.k, c.detail) for c in checks if not c.ok]
+    assert failing == [
+        ("construction_agreement", 0, 0, "expected AlphaPoly([1]), got AlphaPoly([])"),
+        ("specialization_at_zero", 0, 0, "expected 1, got 0"),
+        ("degree", 0, 0, "expected 0, got -1"),
+        ("leading_sign", 0, 0, "expected 'sign 1', got 0"),
+        ("boundary_falling_factorial", 0, 0, "expected AlphaPoly([1]), got AlphaPoly([])"),
+        ("boundary_diagonal", 0, 0, "expected AlphaPoly([1]), got AlphaPoly([])"),
+    ]
 
 
 def test_structural_checks_clean_and_corrupted(table, triangle):

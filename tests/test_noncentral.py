@@ -80,9 +80,9 @@ def test_specializes_to_classical_at_zero(by_recurrence):
 def test_degree_and_leading_sign(by_recurrence):
     for n in range(N_MAX + 1):
         for k in range(n + 1):
-            entry = by_recurrence.entry(n, k)
-            assert entry.degree == n - k
-            lead = entry.leading_coefficient
+            coeffs = by_recurrence.rows[n][k]
+            assert len(coeffs) - 1 == n - k
+            lead = coeffs[-1]
             assert (lead > 0) == ((n - k) % 2 == 0)
 
 
