@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .exact import (
     AlphaPoly,
@@ -36,8 +35,7 @@ MASTER_RANDOM_POINTS = 30
 COLUMN_RANDOM_POINTS = 20
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of one exact identity check at a parameter point (n, alpha)."""
 
     identity: str
@@ -48,8 +46,7 @@ class IdentityReport:
     holds: bool
 
 
-@dataclass(frozen=True)
-class StructuralCheck:
+class StructuralCheck(NamedTuple):
     """Outcome of one exact structural check on triangle entry (n, k)."""
 
     check: str

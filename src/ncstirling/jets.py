@@ -10,9 +10,8 @@ float rounding, so derivatives up to moderate order come out almost exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 from .exact import RationalLike, falling_factorial, format_rational
 from .noncentral import NoncentralTriangle
@@ -162,8 +161,7 @@ def evaluate_expansion(x0: float, alpha: RationalLike, beta: float,
     return total
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """One comparison of the jet derivative against the expansion value."""
 
     n: int

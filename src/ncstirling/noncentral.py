@@ -39,14 +39,19 @@ from .stirling import StirlingTable, check_index
 class NoncentralTriangle:
     """Immutable triangle indexed (n, k), 0 <= k <= n <= n_max. rows[n][k] is
     the tuple of integer coefficients of s(n, k, alpha), low to high, with no
-    trailing zero; the package computes with these tuples, and entry(n, k) is
-    the public AlphaPoly view of one of them."""
+    trailing zero (the constructor raises ValueError on one; the empty tuple
+    is the zero polynomial); the package computes with these tuples, and
+    entry(n, k) is the public AlphaPoly view of one of them."""
 
     __slots__ = ("n_max", "rows")
 
     def __init__(self, rows) -> None:
         self.rows = tuple(tuple(row) for row in rows)
         self.n_max = len(self.rows) - 1
+        for n, row in enumerate(self.rows):
+            for k, coeffs in enumerate(row):
+                if coeffs and coeffs[-1] == 0:
+                    raise ValueError("trailing zero coefficient in entry (%d, %d)" % (n, k))
 
     def entry(self, n: int, k: int) -> AlphaPoly:
         check_index(n, k, self.n_max)
@@ -204,10 +209,11 @@ def triangle_to_json(triangle: NoncentralTriangle) -> str:
 def triangle_from_json(text: str) -> NoncentralTriangle:
     """Inverse of triangle_to_json, accepting only the documents it emits:
     numbers must be canonical decimal strings, coefficient lists must have no
-    trailing zero, and the whole text must re-emit byte for byte (which
-    rejects extra keys, reordered keys or entries, and added whitespace, and
-    checks each entry's n and k). The entry count is checked before any
-    coefficient is parsed, so a short document with a huge n_max fails at once."""
+    trailing zero (NoncentralTriangle rejects one before re-emission), and the
+    whole text must re-emit byte for byte (which rejects extra keys, reordered
+    keys or entries, and added whitespace, and checks each entry's n and k).
+    The entry count is checked before any coefficient is parsed, so a short
+    document with a huge n_max fails at once."""
     doc = json.loads(text)
     entries = doc.get("entries") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
@@ -222,10 +228,7 @@ def triangle_from_json(text: str) -> NoncentralTriangle:
         strings = item.get("coeffs") if isinstance(item, dict) else None
         if not isinstance(strings, list):
             raise ValueError("entry %d has no coeffs list" % len(flat))
-        coeffs = tuple([parse_canonical_int(s) for s in strings])
-        if coeffs and coeffs[-1] == 0:
-            raise ValueError("trailing zero coefficient in %r" % (strings,))
-        flat.append(coeffs)
+        flat.append(tuple([parse_canonical_int(s) for s in strings]))
     triangle = NoncentralTriangle(flat[n * (n + 1) // 2:(n + 1) * (n + 2) // 2]
                                   for n in range(n_max + 1))
     if triangle_to_json(triangle) != text:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import AlphaPoly
+from .exact import falling_factorial_poly
 
 
 def check_index(n: int, k: int, n_max: int) -> None:
@@ -19,8 +19,9 @@ class StirlingTable:
     """Triangle of signed first-kind Stirling numbers s(n, k), 0 <= k <= n <= n_max.
 
     Built once with the two-term recurrence
-    s(n, k) = s(n-1, k-1) - (n-1) * s(n-1, k); immutable afterwards, so
-    concurrent reads are safe.
+    s(n, k) = s(n-1, k-1) - (n-1) * s(n-1, k), as one shift: row n is the
+    previous row shifted up one place minus (n-1) times it, each zero-padded
+    to n+1 entries. Immutable afterwards, so concurrent reads are safe.
     """
 
     __slots__ = ("n_max", "_rows")
@@ -32,12 +33,7 @@ class StirlingTable:
         rows = [(1,)]
         for n in range(1, n_max + 1):
             prev = rows[-1]
-            row = []
-            for k in range(n + 1):
-                above_left = prev[k - 1] if 1 <= k else 0
-                above = prev[k] if k <= n - 1 else 0
-                row.append(above_left - (n - 1) * above)
-            rows.append(tuple(row))
+            rows.append(tuple([a - (n - 1) * b for a, b in zip((0,) + prev, prev + (0,))]))
         self._rows = tuple(rows)
 
     def signed(self, n: int, k: int) -> int:
@@ -52,16 +48,14 @@ class StirlingTable:
 def stirling_expansion_oracle(n: int) -> list:
     """Coefficients of x(x-1)...(x-n+1) as a polynomial in x, low-to-high.
 
-    Independent construction of row n of the signed triangle: the falling
-    factorial is expanded with the generic polynomial product rather than
-    the table recurrence.
+    Independent construction of row n of the signed triangle: it is the
+    product (-a)(-a-1)...(-a-n+1) of falling_factorial_poly, expanded with the
+    generic polynomial product rather than the table recurrence, read at
+    a = -x, so the coefficient of x^j is (-1)^j times that of a^j.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    poly = AlphaPoly((1,))
-    for j in range(n):
-        poly = poly * AlphaPoly((-j, 1))
-    return list(poly.coefficients)
+    return [-c if j % 2 else c for j, c in enumerate(falling_factorial_poly(n).coefficients)]
 
 
 def harmonic(n: int) -> Fraction:

@@ -1,14 +1,19 @@
 """Tests for the command-line interface."""
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ncstirling import cli
 from ncstirling.cli import main
 from ncstirling.exact import AlphaPoly
+from ncstirling.identities import IdentityReport, StructuralCheck
+from ncstirling.jets import ResidualReport
 from ncstirling.noncentral import NoncentralTriangle, triangle_from_json, triangle_to_json
 
 
@@ -329,6 +334,63 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-3"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site hooks out; the package is found on PYTHONPATH, as inherited
+    # with the source directory in front
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import ncstirling.cli, sys; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+# One hand-built record of each report type and its repr, which is the text
+# a FAIL line prints; the StructuralCheck takes its default detail.
+REPORT_RECORDS = [
+    (lambda: StructuralCheck("degree", 3, None, True),
+     "StructuralCheck(check='degree', n=3, k=None, ok=True, detail='')"),
+    (lambda: IdentityReport("harmonic_sum", 2, Fraction(1), Fraction(3), Fraction(7, 2), False),
+     "IdentityReport(identity='harmonic_sum', n=2, alpha=Fraction(1, 1), "
+     "lhs=Fraction(3, 1), rhs=Fraction(7, 2), holds=False)"),
+    (lambda: ResidualReport(4, Fraction(-1, 2), 0.5, 2.0, 1.25, 1.5, 0.2, True),
+     "ResidualReport(n=4, alpha=Fraction(-1, 2), beta=0.5, x0=2.0, jet_value=1.25, "
+     "expansion_value=1.5, rel_residual=0.2, passed=True)"),
+]
+
+# sha256 of the stdout of `verify --n-max 12 --with-oracle --seed 0 --corrupt
+# 7,1`, pinned while the report records were still dataclasses. Its 25 FAIL
+# lines are the reprs of StructuralCheck and IdentityReport records. The grid
+# line prints a float residual, so like GOLDEN_EVAL this assumes a libm that
+# rounds log and pow alike.
+GOLDEN_VERIFY_FAIL_STDOUT = "e8a4e3e527ef4b0ebb4eb91f3bb54bfd0a065cea422915e5ddc9c3cb0d345ebb"
+
+
+def test_verify_fail_lines_match_golden_digest(capsys):
+    assert run_cli("verify", "--n-max", "12", "--with-oracle", "--seed", "0",
+                   "--corrupt", "7,1") == 1
+    out = capsys.readouterr().out
+    assert sum(line.startswith("FAIL ") for line in out.splitlines()) == 25
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_FAIL_STDOUT
+    for build, text in REPORT_RECORDS:
+        assert repr(build()) == text
+
+
+@pytest.mark.parametrize("build", [build for build, _ in REPORT_RECORDS])
+def test_report_records_are_immutable_values(build):
+    record, twin = build(), build()
+    with pytest.raises(AttributeError):
+        record.n = 0
+    assert record is not twin
+    assert record == twin
+    assert hash(record) == hash(twin)
 
 
 # sha256 of the exact parts of `verify --with-oracle --seed 0` reports: the

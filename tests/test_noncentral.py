@@ -357,6 +357,14 @@ def test_json_rejects_non_canonical_coefficients(coeffs):
         triangle_from_json(json.dumps(doc))
 
 
+def test_constructor_rejects_a_trailing_zero_coefficient():
+    with pytest.raises(ValueError, match=r"trailing zero coefficient in entry \(0, 0\)"):
+        NoncentralTriangle([[(1, 0)]])
+    with pytest.raises(ValueError, match=r"entry \(1, 0\)"):
+        NoncentralTriangle([[(1,)], [(0, -1, 0), (1,)]])
+    assert NoncentralTriangle([[()]]).rows == (((),),)
+
+
 def test_corrupt_entry_changes_exactly_one(by_recurrence):
     bad = corrupt_entry(by_recurrence, 4, 2)
     differing = [
