@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the polynomial triangle")
     tri.add_argument("--n-max", type=int, default=64,
                      help="largest row N (default 64); time and memory grow about as "
-                          "N^4 log N: 0.1 s, 25 MB at N=64; 0.5 s, 315 MB at N=160")
+                          "N^4 log N: 0.12 s, 23.5 MB at N=64; 0.6 s, 314 MB at N=160")
     tri.add_argument("--construction", choices=("recurrence", "explicit"),
                      default="recurrence", help="which construction to run")
     tri.add_argument("--format", choices=("json", "csv"), default="json")
@@ -61,9 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every exact check up to --n-max; nonzero exit on any failure",
     )
     ver.add_argument("--n-max", type=int, default=20,
-                     help="largest row N (default 20); with --with-oracle 0.2 s, 19 MB "
-                          "at N=32; 0.45 s, 29 MB at N=64; 3 s, 100 MB at N=128; time "
-                          "grows about as N^3 past N=64")
+                     help="largest row N (default 20); with --with-oracle 0.18 s, 18 MB "
+                          "at N=32; 0.41 s, 27 MB at N=64; 3.6 s, 96 MB at N=128; past "
+                          "N=64 the O(N^4) explicit construction takes about half the time")
     ver.add_argument("--with-oracle", action="store_true",
                      help="also run the numerical derivative-expansion grid")
     ver.add_argument("--tol", type=float, default=1e-6,

@@ -17,7 +17,6 @@ from .exact import (
     AlphaPoly,
     RationalLike,
     binomial_rational,  # noqa: F401  unused; perfbench/tracing.py patches this name
-    falling_factorial_poly,
     format_rational,
     horner,
 )
@@ -56,20 +55,6 @@ class StructuralCheck(NamedTuple):
     detail: str = ""
 
 
-def column_one_polynomial(table: StirlingTable, n: int) -> tuple:
-    """The k=1 column assembled from classical Stirling numbers, as the tuple of
-    its integer coefficients, low to high: the coefficient of alpha^k is
-    (k+1) * s(n, k+1) * (-1)^k. The top one, +-n, is never zero."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    sign = 1
-    coeffs = []
-    for k in range(n):
-        coeffs.append(sign * (k + 1) * table.signed(n, k + 1))
-        sign = -sign
-    return tuple(coeffs)
-
-
 def random_rationals(count: int, rng: random.Random) -> List[Fraction]:
     """Seeded sample of rationals with numerator in [-50, 50], denominator in [1, 20]."""
     lo_n, hi_n = RANDOM_NUMERATOR_RANGE
@@ -84,8 +69,8 @@ def run_suite(table: StirlingTable, triangle: NoncentralTriangle,
               seed: int = 0) -> List[IdentityReport]:
     """Check the paper's identities exactly for n = 1..N, N = triangle.n_max,
     and return one report (identity, n, alpha, lhs, rhs) per point, in this
-    order. P_n(a) = sum_k (k+1) s(n,k+1) (-a)^k is the column-one polynomial
-    (s(n, 1, a) assembled from classical numbers), S(a, n) =
+    order. P_n(a) = sum_k (k+1) s(n,k+1) (-a)^k is table.noncentral(n, 1),
+    the closed form at k=1 (s(n, 1, a) from classical numbers), S(a, n) =
     sum_{k<n} (-1)^k C(-a, k)/(n-k) the alternating binomial sum, H_n the
     harmonic number and s(n, 1, a) the triangle's value.
 
@@ -117,7 +102,7 @@ def run_suite(table: StirlingTable, triangle: NoncentralTriangle,
     master_alphas = [Fraction(a) for a in range(-n_max, n_max + 1)]
     master_alphas += random_rationals(MASTER_RANDOM_POINTS, rng)
     column_alphas = random_rationals(COLUMN_RANDOM_POINTS, rng)
-    column = {n: column_one_polynomial(table, n) for n in range(1, n_max + 1)}
+    column = {n: table.noncentral(n, 1) for n in range(1, n_max + 1)}
     reports: List[IdentityReport] = []
 
     def add(identity: str, n: int, alpha: RationalLike,
@@ -174,9 +159,10 @@ def structural_checks(by_recurrence: NoncentralTriangle,
                       by_explicit: NoncentralTriangle,
                       table: StirlingTable) -> List[StructuralCheck]:
     """Exact structural checks over every entry of the two triangles:
-    construction agreement, boundary closed forms, specialization at alpha=0,
-    degree and leading-sign pattern, the k=1 column polynomial, and the
-    classical rows against the falling-factorial expansion."""
+    construction agreement, specialization at alpha=0, degree and leading-sign
+    pattern, the k=0 and k=1 columns against the classical closed form
+    table.noncentral, the diagonal s(n, n, alpha) = 1, and the classical rows
+    against the falling-factorial expansion."""
     n_max = min(by_recurrence.n_max, by_explicit.n_max, table.n_max)
     checks: List[StructuralCheck] = []
 
@@ -203,14 +189,13 @@ def structural_checks(by_recurrence: NoncentralTriangle,
             add("degree", n, k, len(rec) - 1 == n - k, n - k, len(rec) - 1)
             lead_ok = lead > 0 if (n - k) % 2 == 0 else lead < 0
             add("leading_sign", n, k, lead_ok, "sign %d" % ((-1) ** (n - k)), lead)
-        add_poly("boundary_falling_factorial", n, 0,
-                 falling_factorial_poly(n).coefficients, rec_row[0])
+        add_poly("boundary_falling_factorial", n, 0, table.noncentral(n, 0), rec_row[0])
         add_poly("boundary_diagonal", n, n, (1,), rec_row[n])
         oracle = tuple(stirling_expansion_oracle(n))
         add("classical_expansion_oracle", n, None,
             table.row(n) == oracle, oracle, table.row(n))
         if n >= 1:
-            add_poly("column_one_polynomial", n, 1, column_one_polynomial(table, n), rec_row[1])
+            add_poly("column_one_polynomial", n, 1, table.noncentral(n, 1), rec_row[1])
     return checks
 
 

@@ -109,13 +109,14 @@ def evaluate_row(n: int, alpha: RationalLike) -> List[Fraction]:
 
 def build_by_explicit(n_max: int) -> NoncentralTriangle:
     """Assemble each entry from the explicit sum over classical Stirling numbers,
-    with ff[k][j] = (-1)^j s(k, j) the coefficient of alpha^j in
-    (-alpha)(-alpha-1)...(-alpha-k+1). Only the k = n - i term reaches degree
-    n - i, so no coefficient is trimmed."""
+    with ff[k] = table.noncentral(k, 0), whose coefficient of alpha^j is
+    (-1)^j s(k, j), the expansion of (-alpha)(-alpha-1)...(-alpha-k+1) in
+    classical numbers. Only the k = n - i term reaches degree n - i, so no
+    coefficient is trimmed."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     table = StirlingTable(n_max)
-    ff = [[-c if j % 2 else c for j, c in enumerate(table.row(k))] for k in range(n_max + 1)]
+    ff = [table.noncentral(k, 0) for k in range(n_max + 1)]
     rows = []
     for n in range(n_max + 1):
         row = []

@@ -1,7 +1,9 @@
-"""Classical signed Stirling numbers of the first kind, plus exact harmonic
-numbers. The unsigned |s(n, k)| = (-1)^(n-k) s(n, k) is not stored."""
+"""Classical signed Stirling numbers of the first kind, the non-central
+numbers read off them by a closed form, and exact harmonic numbers. The
+unsigned |s(n, k)| = (-1)^(n-k) s(n, k) is not stored."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exact import falling_factorial_poly
@@ -43,6 +45,14 @@ class StirlingTable:
     def row(self, n: int) -> tuple:
         check_index(n, 0, self.n_max)
         return self._rows[n]
+
+    def noncentral(self, n: int, k: int) -> tuple:
+        """Integer coefficients of s(n, k, alpha), low to high, by Koutras's
+        closed form [alpha^m] s(n, k, alpha) = (-1)^m C(k+m, k) s(n, k+m). The
+        top one, (-1)^(n-k) C(n, k), is never zero."""
+        check_index(n, k, self.n_max)
+        return tuple([(-1) ** m * math.comb(k + m, k) * s
+                       for m, s in enumerate(self._rows[n][k:])])
 
 
 def stirling_expansion_oracle(n: int) -> list:

@@ -365,20 +365,28 @@ REPORT_RECORDS = [
      "expansion_value=1.5, rel_residual=0.2, passed=True)"),
 ]
 
-# sha256 of the stdout of `verify --n-max 12 --with-oracle --seed 0 --corrupt
-# 7,1`, pinned while the report records were still dataclasses. Its 25 FAIL
-# lines are the reprs of StructuralCheck and IdentityReport records. The grid
-# line prints a float residual, so like GOLDEN_EVAL this assumes a libm that
-# rounds log and pow alike.
-GOLDEN_VERIFY_FAIL_STDOUT = "e8a4e3e527ef4b0ebb4eb91f3bb54bfd0a065cea422915e5ddc9c3cb0d345ebb"
+# sha256 and FAIL-line count of the stdout of `verify --n-max 12 --with-oracle
+# --seed 0 --corrupt N,K`. The FAIL lines are the reprs of StructuralCheck and
+# IdentityReport records; 7,1 was pinned while the records were still
+# dataclasses, and 12,0 and 12,12 (the boundary checks' details) while the k=0
+# boundary was still compared with falling_factorial_poly. The grid line
+# prints a float residual, so like GOLDEN_EVAL this assumes a libm that rounds
+# log and pow alike.
+GOLDEN_VERIFY_FAIL_STDOUT = [
+    ("7,1", 25, "e8a4e3e527ef4b0ebb4eb91f3bb54bfd0a065cea422915e5ddc9c3cb0d345ebb"),
+    ("12,0", 3, "74e53db2b10a2ed0c2345e6679e9353b97f14d3b036c6d6335cf8e86dd19b4dc"),
+    ("12,12", 3, "c97571bd50021b963cbf3d0b6c30324ccda3dec21859398a207f1277e9bd127d"),
+]
 
 
-def test_verify_fail_lines_match_golden_digest(capsys):
+@pytest.mark.parametrize("corrupt, fail_lines, digest", GOLDEN_VERIFY_FAIL_STDOUT,
+                         ids=[corrupt for corrupt, _, _ in GOLDEN_VERIFY_FAIL_STDOUT])
+def test_verify_fail_lines_match_golden_digest(capsys, corrupt, fail_lines, digest):
     assert run_cli("verify", "--n-max", "12", "--with-oracle", "--seed", "0",
-                   "--corrupt", "7,1") == 1
+                   "--corrupt", corrupt) == 1
     out = capsys.readouterr().out
-    assert sum(line.startswith("FAIL ") for line in out.splitlines()) == 25
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_FAIL_STDOUT
+    assert sum(line.startswith("FAIL ") for line in out.splitlines()) == fail_lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
     for build, text in REPORT_RECORDS:
         assert repr(build()) == text
 

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from ncstirling.identities import (
-    column_one_polynomial,
     random_rationals,
     run_suite,
     structural_checks,
 )
 from ncstirling.noncentral import (
+    NoncentralTriangle,
     build_by_explicit,
     build_by_recurrence,
     corrupt_entry,
@@ -49,14 +49,14 @@ def _points(reports, identity):
 
 
 def test_column_one_polynomial_small(table):
-    assert column_one_polynomial(table, 1) == (1,)
-    assert column_one_polynomial(table, 2) == (-1, -2)
-    assert column_one_polynomial(table, 3) == (2, 6, 3)
+    assert table.noncentral(1, 1) == (1,)
+    assert table.noncentral(2, 1) == (-1, -2)
+    assert table.noncentral(3, 1) == (2, 6, 3)
 
 
 def test_column_one_polynomial_matches_triangle(table, triangle):
     for n in range(1, N_MAX + 1):
-        assert column_one_polynomial(table, n) == triangle.rows[n][1]
+        assert table.noncentral(n, 1) == triangle.rows[n][1]
 
 
 def test_master_identity_hand_values(suite):
@@ -229,6 +229,32 @@ def test_structural_checks_read_empty_coefficients_as_zero():
         ("boundary_falling_factorial", 0, 0, "expected AlphaPoly([1]), got AlphaPoly([])"),
         ("boundary_diagonal", 0, 0, "expected AlphaPoly([1]), got AlphaPoly([])"),
     ]
+
+
+def _with_coefficient_raised(triangle, n, k, m):
+    """Copy of the triangle with coefficient m of entry (n, k) raised by 1."""
+    rows = [list(row) for row in triangle.rows]
+    c = list(rows[n][k])
+    c[m] += 1
+    rows[n][k] = tuple(c)
+    return NoncentralTriangle(rows)
+
+
+@pytest.mark.parametrize("n, k, check", [(7, 1, "column_one_polynomial"),
+                                         (12, 1, "column_one_polynomial"),
+                                         (7, 0, "boundary_falling_factorial"),
+                                         (12, 0, "boundary_falling_factorial")])
+def test_structural_checks_catch_triangles_wrong_in_the_same_way(table, triangle, n, k, check):
+    # both constructions carry the same wrong middle coefficient, so they agree
+    # and keep the constant term, degree and leading sign; only the closed form
+    # from the classical table sees the fault
+    explicit = build_by_explicit(N_MAX)
+    bad_recurrence = _with_coefficient_raised(triangle, n, k, 2)
+    bad_explicit = _with_coefficient_raised(explicit, n, k, 2)
+    assert bad_recurrence == bad_explicit
+    checks = structural_checks(bad_recurrence, bad_explicit, table)
+    failing = [(c.check, c.n, c.k) for c in checks if not c.ok]
+    assert failing == [(check, n, k)]
 
 
 def test_structural_checks_clean_and_corrupted(table, triangle):

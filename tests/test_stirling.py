@@ -3,7 +3,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from ncstirling.exact import horner
+from ncstirling.noncentral import build_by_explicit, build_by_recurrence, evaluate_row
 from ncstirling.stirling import (
     StirlingTable,
     harmonic,
@@ -83,6 +86,37 @@ def test_out_of_range_rejected(table):
         table.signed(N_MAX + 1, 0)
     with pytest.raises(IndexError):
         table.signed(-1, 0)
+
+
+def test_noncentral_small(table):
+    assert table.noncentral(0, 0) == (1,)
+    assert table.noncentral(3, 0) == (0, -2, -3, -1)  # (-a)(-a-1)(-a-2)
+    assert table.noncentral(3, 1) == (2, 6, 3)
+    assert table.noncentral(4, 2) == (11, 18, 6)
+    assert table.noncentral(5, 5) == (1,)
+
+
+def test_noncentral_matches_both_constructions():
+    n_max = 64
+    table = StirlingTable(n_max)
+    rows = [tuple(table.noncentral(n, k) for k in range(n + 1)) for n in range(n_max + 1)]
+    assert tuple(rows) == build_by_recurrence(n_max).rows
+    assert tuple(rows) == build_by_explicit(n_max).rows
+
+
+@given(n=st.integers(0, N_MAX), p=st.integers(-60, 60), q=st.integers(1, 25))
+def test_noncentral_evaluates_to_the_recurrence_row(table, n, p, q):
+    # evaluate_row runs the recurrence at one rational alpha; the closed form
+    # builds the polynomials from the classical table alone
+    alpha = Fraction(p, q)
+    assert [horner(table.noncentral(n, k), alpha) for k in range(n + 1)] == evaluate_row(n, alpha)
+
+
+@pytest.mark.parametrize("n, k", [(2, 3), (N_MAX + 1, 0), (N_MAX + 1, N_MAX + 1),
+                                  (-1, 0), (3, -1)])
+def test_noncentral_out_of_range_rejected(table, n, k):
+    with pytest.raises(IndexError):
+        table.noncentral(n, k)
 
 
 def test_harmonic_values():
