@@ -10,6 +10,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 
 from .exact import RATIONAL_RE, format_rational, parse_rational
@@ -21,11 +22,18 @@ from .noncentral import (
     build_by_recurrence,
     corrupt_entry,
     evaluate_row,
-    triangle_to_json,
+    explicit_rows,
+    recurrence_rows,
+    triangle_json_chunks,
+    triangle_to_json,  # noqa: F401  unused; perfbench/tracing.py patches this name
 )
 from .stirling import StirlingTable, check_index
 
 MAX_FAILURES_PRINTED = 25
+# The largest `triangle --n-max`: row n holds about n^2/2 coefficients of at most
+# log2((n+1)!) bits, within a budget of 64 MiB up to n = 520; (521)! has 1,191 digits,
+# under the default int-to-str limit (4,300) that "%d" would otherwise hit midway.
+TRIANGLE_N_MAX = 520
 
 
 def _rational_argument(text: str):
@@ -48,8 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     tri = sub.add_parser("triangle", allow_abbrev=False,
                          help="emit the polynomial triangle")
     tri.add_argument("--n-max", type=int, default=64,
-                     help="largest row N (default 64); time and memory grow about as "
-                          "N^4 log N: 0.12 s, 23.5 MB at N=64; 0.6 s, 314 MB at N=160")
+                     help="largest row N (default 64, at most %d); written row by row, so "
+                          "memory grows as one row, about N^3 log N bits, and time as N^4 log N: "
+                          "0.09 s, 15 MiB at N=64; 0.8 s, 24 MiB at N=160; 4.0 s, 51 MiB at "
+                          "N=256" % TRIANGLE_N_MAX)
     tri.add_argument("--construction", choices=("recurrence", "explicit"),
                      default="recurrence", help="which construction to run")
     tri.add_argument("--format", choices=("json", "csv"), default="json")
@@ -88,42 +98,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path) -> bool:
+def _emit(chunks, out_path) -> bool:
+    """Write each chunk as it is made, to out_path or, when that is None, to stdout."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
         return True
     try:
         with open(out_path, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as exc:
         print("cannot write %s: %s" % (out_path, exc), file=sys.stderr)
         return False
     return True
 
 
+def triangle_csv_chunks(rows):
+    """CSV triangle dump, one chunk per row: n,k,degree,coeffs, coefficients low to high."""
+    yield "n,k,degree,coeffs\n"
+    for n, row in enumerate(rows):
+        yield "".join(["%d,%d,%d,%s\n" % (n, k, len(coeffs) - 1, " ".join(map(str, coeffs)))
+                       for k, coeffs in enumerate(row)])
+
+
 def triangle_to_csv(triangle: NoncentralTriangle) -> str:
-    """CSV triangle dump: one row per (n, k), coefficients space-separated low-to-high."""
-    out = io.StringIO()
-    out.write("n,k,degree,coeffs\n")
-    for n, row in enumerate(triangle.rows):
-        for k, coeffs in enumerate(row):
-            out.write("%d,%d,%d,%s\n" % (n, k, len(coeffs) - 1, " ".join(map(str, coeffs))))
-    return out.getvalue()
+    return "".join(triangle_csv_chunks(triangle.rows))
 
 
 def cmd_triangle(args) -> int:
-    if args.n_max < 0:
-        print("--n-max must be nonnegative", file=sys.stderr)
+    if not 0 <= args.n_max <= TRIANGLE_N_MAX:
+        print("ncstirling: triangle: --n-max must be in 0..%d" % TRIANGLE_N_MAX, file=sys.stderr)
         return 2
-    if args.construction == "explicit":
-        triangle = build_by_explicit(args.n_max)
-    else:
-        triangle = build_by_recurrence(args.n_max)
-    if args.format == "json":
-        text = triangle_to_json(triangle)
-    else:
-        text = triangle_to_csv(triangle)
-    return 0 if _emit(text, args.out) else 1
+    rows = (explicit_rows if args.construction == "explicit" else recurrence_rows)(args.n_max)
+    chunks = (triangle_json_chunks(args.n_max, rows) if args.format == "json"
+              else triangle_csv_chunks(rows))
+    try:
+        return 0 if _emit(chunks, args.out) else 1
+    except BrokenPipeError:  # the reader left early; the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("ncstirling: triangle: stdout closed before the end", file=sys.stderr)
+        return 1
 
 
 def _structural_json_records(checks) -> list:
@@ -211,7 +225,7 @@ def cmd_verify(args) -> int:
             text = json.dumps(doc, separators=(",", ":")) + "\n"
         else:
             text = _verify_csv(checks, identity_reports, oracle_reports)
-        if not _emit(text, args.out):
+        if not _emit([text], args.out):
             return 1
 
     print("VERIFY: %s" % ("FAIL" if failing else "PASS"))

@@ -1,7 +1,8 @@
 """Non-central Stirling numbers of the first kind s(n, k, alpha) as
 integer-coefficient polynomials in alpha.
 
-Two independent constructions are provided and must agree exactly:
+Two independent constructions, each a generator of rows (recurrence_rows,
+explicit_rows), are provided and must agree exactly:
 
 * the triangle recurrence
       s(n+1, i, a) = (-a - n) s(n, i, a) + s(n, i-1, a)
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import List
+from typing import Iterator, List
 
 from .exact import (
     AlphaPoly,
@@ -71,21 +72,24 @@ class NoncentralTriangle:
         return "NoncentralTriangle(n_max=%d)" % self.n_max
 
 
-def build_by_recurrence(n_max: int) -> NoncentralTriangle:
-    """Build the triangle row by row from the recurrence, seeded at 1. With
-    p = s(n, i) and q = s(n, i-1) (zero-padded at i = 0), coefficient j of
-    s(n+1, i) = (-alpha - n) p + q is q[j] - n p[j] - p[j-1]."""
+def recurrence_rows(n_max: int) -> Iterator[tuple]:
+    """Rows 0..n_max by the recurrence, seeded at 1, each made from the one before.
+    With p = s(n, i) and q = s(n, i-1) (zero-padded at i = 0), coefficient j
+    of s(n+1, i) = (-alpha - n) p + q is q[j] - n p[j] - p[j-1]."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    rows = [((1,),)]
+    row = ((1,),)
+    yield row
     for n in range(n_max):
-        prev = rows[-1]
         row = tuple([
             tuple([c - n * a - b for a, b, c in zip(p + (0,), (0,) + p, q)])
-            for p, q in zip(prev + ((),), ((0,) * (n + 2),) + prev)
+            for p, q in zip(row + ((),), ((0,) * (n + 2),) + row)
         ])
-        rows.append(row)
-    return NoncentralTriangle(rows)
+        yield row
+
+
+def build_by_recurrence(n_max: int) -> NoncentralTriangle:
+    return NoncentralTriangle(recurrence_rows(n_max))
 
 
 def evaluate_row(n: int, alpha: RationalLike) -> List[Fraction]:
@@ -107,17 +111,15 @@ def evaluate_row(n: int, alpha: RationalLike) -> List[Fraction]:
     return [Fraction(value, q ** (n - i)) for i, value in enumerate(c)]
 
 
-def build_by_explicit(n_max: int) -> NoncentralTriangle:
-    """Assemble each entry from the explicit sum over classical Stirling numbers,
-    with ff[k] = table.noncentral(k, 0), whose coefficient of alpha^j is
-    (-1)^j s(k, j), the expansion of (-alpha)(-alpha-1)...(-alpha-k+1) in
-    classical numbers. Only the k = n - i term reaches degree n - i, so no
-    coefficient is trimmed."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+def explicit_rows(n_max: int) -> Iterator[tuple]:
+    """Rows 0..n_max of the triangle, each entry assembled from the explicit
+    sum over classical Stirling numbers, with ff[k] = table.noncentral(k, 0),
+    whose coefficient of alpha^j is (-1)^j s(k, j), the expansion of
+    (-alpha)(-alpha-1)...(-alpha-k+1) in classical numbers. Only the k = n - i
+    term reaches degree n - i, so no coefficient is trimmed. StirlingTable
+    rejects a negative n_max."""
     table = StirlingTable(n_max)
     ff = [table.noncentral(k, 0) for k in range(n_max + 1)]
-    rows = []
     for n in range(n_max + 1):
         row = []
         for i in range(n + 1):
@@ -128,8 +130,11 @@ def build_by_explicit(n_max: int) -> NoncentralTriangle:
                     for j, c in enumerate(ff[k]):
                         acc[j] += scalar * c
             row.append(tuple(acc))
-        rows.append(row)
-    return NoncentralTriangle(rows)
+        yield tuple(row)
+
+
+def build_by_explicit(n_max: int) -> NoncentralTriangle:
+    return NoncentralTriangle(explicit_rows(n_max))
 
 
 def alternating_binomial_sum(alpha: RationalLike, n: int) -> Fraction:
@@ -194,17 +199,23 @@ def s_n1_recurrence(n: int, alpha: RationalLike) -> List[Fraction]:
     return column
 
 
+def triangle_json_chunks(n_max: int, rows) -> Iterator[str]:
+    """Canonical JSON for a triangle, one chunk per row between an opening and
+    a closing chunk. Numbers are decimal strings so arbitrary-precision
+    coefficients survive; compact separators, keys in the order n_max, entries
+    and n, k, coeffs, written directly: digits and '-' need no JSON escaping."""
+    yield '{"n_max":"%d","entries":[' % n_max
+    for n, row in enumerate(rows):
+        yield ("," if n else "") + ",".join([
+            '{"n":"%d","k":"%d","coeffs":[%s]}' % (n, k, ",".join(['"%d"' % c for c in coeffs]))
+            for k, coeffs in enumerate(row)
+        ])
+    yield "]}\n"
+
+
 def triangle_to_json(triangle: NoncentralTriangle) -> str:
-    """Canonical JSON for a triangle; numbers are decimal strings so
-    arbitrary-precision coefficients survive. Deterministic byte-for-byte:
-    compact separators, keys in the order n_max, entries and n, k, coeffs.
-    Written directly, since decimal digits and '-' need no JSON escaping."""
-    entries = [
-        '{"n":"%d","k":"%d","coeffs":[%s]}' % (n, k, ",".join(['"%d"' % c for c in coeffs]))
-        for n, row in enumerate(triangle.rows)
-        for k, coeffs in enumerate(row)
-    ]
-    return '{"n_max":"%d","entries":[%s]}\n' % (triangle.n_max, ",".join(entries))
+    """The whole of triangle_json_chunks as one string."""
+    return "".join(triangle_json_chunks(triangle.n_max, triangle.rows))
 
 
 def triangle_from_json(text: str) -> NoncentralTriangle:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -59,7 +60,9 @@ def test_triangle_csv(capsys):
 
 
 # sha256 of `triangle` stdout, pinned before the triangle was stored as
-# integer coefficient tuples; both constructions print the same bytes.
+# integer coefficient tuples; both constructions print the same bytes. N=160
+# was pinned before the triangle was streamed, and is run by the recurrence
+# only: the O(N^4) explicit construction is pinned up to N=64.
 GOLDEN_TRIANGLE = {
     ("0", "json"): "10f0c3c09454ac2b70eb06d78bf3db3a13fbd02019ba3f2e3e28b48ede507b1e",
     ("0", "csv"): "bb859280a641400e0774a185d9e91834beadf664c4327f704be62bcff53025e2",
@@ -69,16 +72,108 @@ GOLDEN_TRIANGLE = {
     ("20", "csv"): "140bd48a856fd0afb61eeb44be07cf3c752bb57a95952b67f9657ea74f6d6336",
     ("64", "json"): "7c6ee43a71c5678cf2e1a6cbcc4e93caff735c72b52df5db98f0b18d10121a8d",
     ("64", "csv"): "7c26b2bb49948dc67e485a6aec831d1b1bbb925aa9cca20cccfbcd4a54ed91e6",
+    ("160", "json"): "99f92955543e778545215a6ad8d5209907258edd173e48d0d166780b3892cfc1",
+    ("160", "csv"): "8b85beb75349cddda609032bb2bd5217f2dd36abcdb17665463ffcd8e8507f43",
 }
+GOLDEN_TRIANGLE_RUNS = [(n_max, fmt, construction)
+                        for construction in ("recurrence", "explicit")
+                        for n_max, fmt in sorted(GOLDEN_TRIANGLE)
+                        if construction == "recurrence" or int(n_max) <= 64]
 
 
-@pytest.mark.parametrize("construction", ["recurrence", "explicit"])
-@pytest.mark.parametrize("n_max, fmt", sorted(GOLDEN_TRIANGLE))
+@pytest.mark.parametrize("n_max, fmt, construction", GOLDEN_TRIANGLE_RUNS)
 def test_triangle_matches_golden_digests(capsys, construction, n_max, fmt):
     assert run_cli("triangle", "--n-max", n_max, "--construction", construction,
                    "--format", fmt) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == GOLDEN_TRIANGLE[n_max, fmt]
+
+
+def _src_env():
+    """The environment with the package's source directory in front of PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _refuse_rows(monkeypatch):
+    def refuse(n_max):  # a generator, like the real ones: it fails when a row is asked for
+        raise AssertionError("a triangle row was built")
+        yield
+
+    monkeypatch.setattr(cli, "recurrence_rows", refuse)
+    monkeypatch.setattr(cli, "explicit_rows", refuse)
+
+
+def test_triangle_bound_follows_from_the_row_budget():
+    def row_mib(n):  # about n^2/2 coefficients of log2((n+1)!) bits each
+        return n * n / 2 * math.lgamma(n + 2) / math.log(2) / 8 / 2 ** 20
+
+    bound = cli.TRIANGLE_N_MAX
+    assert row_mib(bound) <= 64 < row_mib(bound + 1)
+    # (bound+1)! has fewer digits than Python's default int-to-str limit
+    assert math.lgamma(bound + 2) / math.log(10) < 4300
+    assert bound > max([256] + [int(n_max) for n_max, _ in GOLDEN_TRIANGLE])
+
+
+def test_triangle_coefficients_of_row_n_sum_to_n_plus_one_factorial():
+    # (-1)^n prod_j (-x - alpha - j) = prod_j (x + alpha + j), whose coefficients
+    # add up to (n+1)!, so no coefficient of row n exceeds (n+1)!
+    for n, row in enumerate(cli.recurrence_rows(30)):
+        assert sum(abs(c) for coeffs in row for c in coeffs) == math.factorial(n + 1)
+
+
+@pytest.mark.parametrize("n_max", [str(cli.TRIANGLE_N_MAX + 1), "10000000000", "-1"])
+@pytest.mark.parametrize("construction", ["recurrence", "explicit"])
+def test_triangle_outside_the_bound_exits_2_before_building(capsys, monkeypatch, n_max,
+                                                            construction):
+    _refuse_rows(monkeypatch)
+    assert run_cli("triangle", "--n-max", n_max, "--construction", construction) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ncstirling: triangle: ") and err.count("\n") == 1
+
+
+def test_triangle_at_the_bound_is_accepted(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "recurrence_rows", lambda n_max: calls.append(n_max) or iter(()))
+    assert run_cli("triangle", "--n-max", str(cli.TRIANGLE_N_MAX)) == 0
+    assert calls == [cli.TRIANGLE_N_MAX]
+    assert capsys.readouterr().out == '{"n_max":"%d","entries":[]}\n' % cli.TRIANGLE_N_MAX
+
+
+def test_triangle_unwritable_out_exits_1_before_building(capsys, monkeypatch, tmp_path):
+    _refuse_rows(monkeypatch)
+    assert run_cli("triangle", "--n-max", "8", "--out", str(tmp_path)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cannot write %s: " % tmp_path)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_triangle_streams_in_bounded_memory():
+    # The CLI runs under a small intermediate process that reports its child's
+    # max RSS: a child spawned from pytest itself would report pytest's own
+    # high-water mark. Streamed, N=160 takes about 24 MiB; holding every row
+    # took 85 MiB, and every row plus its JSON strings 314 MiB.
+    code = ("import resource, subprocess, sys; "
+            "subprocess.run([sys.executable, '-m', 'ncstirling', 'triangle', '--n-max', '160'],"
+            " stdout=subprocess.DEVNULL, check=True); "
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 50 * 1024
+
+
+def test_triangle_reader_closing_the_pipe_early():
+    argv = [sys.executable, "-m", "ncstirling", "triangle", "--n-max", "100"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_src_env()) as proc:
+        assert proc.stdout.read(5) == b'{"n_m'
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err.decode() == "ncstirling: triangle: stdout closed before the end\n"
 
 
 def test_eval_hand_values(capsys):
@@ -148,6 +243,7 @@ def test_eval_builds_no_triangle(capsys, monkeypatch):
         raise AssertionError("eval built a triangle")
 
     monkeypatch.setattr(cli, "build_by_recurrence", refuse)
+    monkeypatch.setattr(cli, "recurrence_rows", refuse)
     assert run_cli("eval", "--n", "6", "--k", "2", "--alpha", "7/3") == 0
     assert run_cli("eval", "--n", "6", "--k", "2", "--alpha", "7/3",
                    "--beta", "1.5", "--x0", "2") == 0
@@ -337,16 +433,13 @@ def test_module_entry_point_subprocess():
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # -S keeps site hooks out; the package is found on PYTHONPATH, as inherited
-    # with the source directory in front
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # -S keeps site hooks out; the package is found on PYTHONPATH
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import ncstirling.cli, sys; "
          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

@@ -17,6 +17,8 @@ from ncstirling.noncentral import (
     build_by_recurrence,
     corrupt_entry,
     evaluate_row,
+    explicit_rows,
+    recurrence_rows,
     s_n1_recurrence,
     s_n1_sum_formula,
     triangle_from_json,
@@ -94,6 +96,12 @@ def test_rows_store_exact_length_coefficient_tuples(build):
         for k, coeffs in enumerate(row):
             assert type(coeffs) is tuple and len(coeffs) == n - k + 1, (n, k)
             assert all(type(c) is int for c in coeffs) and coeffs[-1] != 0, (n, k)
+
+
+@pytest.mark.parametrize("rows", [recurrence_rows, explicit_rows])
+def test_row_generators_reject_negative_n_max(rows):
+    with pytest.raises(ValueError):
+        next(rows(-1))
 
 
 def test_triangle_path_creates_no_alphapoly(by_explicit, monkeypatch):
