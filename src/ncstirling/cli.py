@@ -169,10 +169,10 @@ def _verify_csv(checks, identity_reports, oracle_reports) -> str:
 
 def cmd_verify(args) -> int:
     if args.n_max < 0:
-        print("--n-max must be nonnegative", file=sys.stderr)
+        print("ncstirling: verify: --n-max must be nonnegative", file=sys.stderr)
         return 2
     if not (math.isfinite(args.tol) and args.tol > 0):
-        print("--tol must be finite and positive", file=sys.stderr)
+        print("ncstirling: verify: --tol must be finite and positive", file=sys.stderr)
         return 2
     if args.corrupt is not None:
         try:
@@ -180,7 +180,8 @@ def cmd_verify(args) -> int:
             corrupt = int(n_str), int(k_str)
             check_index(*corrupt, args.n_max)
         except (ValueError, IndexError) as exc:
-            print("bad --corrupt argument %r: %s" % (args.corrupt, exc), file=sys.stderr)
+            print("ncstirling: verify: bad --corrupt argument %r: %s" % (args.corrupt, exc),
+                  file=sys.stderr)
             return 2
     table = StirlingTable(args.n_max)
     by_recurrence = build_by_recurrence(args.n_max)

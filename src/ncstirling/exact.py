@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: integer polynomials in one indeterminate as
 coefficient tuples, evaluated by horner; AlphaPoly, the product type of the
-independent oracles and the public polynomial view; exact rationals; and
+classical-row oracle and the public polynomial view; exact rationals; and
 binomial coefficients with rational arguments (integer binomials are
 ``math.comb``).
 
@@ -42,9 +42,9 @@ def horner(coeffs: tuple, x: RationalLike) -> RationalLike:
 
 
 class AlphaPoly:
-    """Dense polynomial in alpha with integer coefficients: the product type of
-    the two independent oracles (falling_factorial_poly and
-    stirling_expansion_oracle) and the public view NoncentralTriangle.entry.
+    """Dense polynomial with integer coefficients: the product type of
+    stirling_expansion_oracle (a running product in x) and the public view
+    NoncentralTriangle.entry (a polynomial in alpha).
 
     Coefficients are stored low-to-high; trailing zeros are trimmed on
     construction, so the zero polynomial stores no coefficients at all and
@@ -104,19 +104,6 @@ class AlphaPoly:
 
     def __repr__(self) -> str:
         return "AlphaPoly(%r)" % (list(self._coeffs),)
-
-
-def falling_factorial_poly(k: int) -> AlphaPoly:
-    """The product (-alpha)(-alpha-1)...(-alpha-k+1) as a polynomial in alpha.
-
-    k=0 gives the empty product 1.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    poly = AlphaPoly((1,))
-    for j in range(k):
-        poly = poly * AlphaPoly((-j, -1))
-    return poly
 
 
 def falling_factorial(x: RationalLike, k: int) -> RationalLike:

@@ -162,8 +162,10 @@ def structural_checks(by_recurrence: NoncentralTriangle,
     construction agreement, specialization at alpha=0, degree and leading-sign
     pattern, the k=0 and k=1 columns against the classical closed form
     table.noncentral, the diagonal s(n, n, alpha) = 1, and the classical rows
-    against the falling-factorial expansion."""
-    n_max = min(by_recurrence.n_max, by_explicit.n_max, table.n_max)
+    against stirling_expansion_oracle; the three must share one n_max."""
+    sizes = by_recurrence.n_max, by_explicit.n_max, table.n_max
+    if len(set(sizes)) > 1:
+        raise ValueError("sizes differ: recurrence %d, explicit %d, table %d" % sizes)
     checks: List[StructuralCheck] = []
 
     def add(name, n, k, ok, expected=None, actual=None):
@@ -178,7 +180,7 @@ def structural_checks(by_recurrence: NoncentralTriangle,
 
     # An entry's coefficient tuple c has constant term c[0], degree len(c) - 1
     # and leading coefficient c[-1]; the empty tuple is the zero polynomial.
-    for n in range(n_max + 1):
+    for n, oracle in enumerate(stirling_expansion_oracle(table.n_max)):
         rec_row = by_recurrence.rows[n]
         for k in range(n + 1):
             rec = rec_row[k]
@@ -191,7 +193,6 @@ def structural_checks(by_recurrence: NoncentralTriangle,
             add("leading_sign", n, k, lead_ok, "sign %d" % ((-1) ** (n - k)), lead)
         add_poly("boundary_falling_factorial", n, 0, table.noncentral(n, 0), rec_row[0])
         add_poly("boundary_diagonal", n, n, (1,), rec_row[n])
-        oracle = tuple(stirling_expansion_oracle(n))
         add("classical_expansion_oracle", n, None,
             table.row(n) == oracle, oracle, table.row(n))
         if n >= 1:

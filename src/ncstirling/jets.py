@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence
 
-from .exact import RationalLike, falling_factorial, format_rational
+from .exact import RationalLike, format_rational
 from .noncentral import NoncentralTriangle
 
 Jet = List[float]
@@ -144,20 +144,20 @@ def evaluate_expansion(x0: float, alpha: RationalLike, beta: float,
 
         sum_{i=0}^{n} s(n, i, alpha) * (beta)_i * x0^(-alpha-n) * ln(x0)^(beta-i)
 
-    with the exact values row[i] = s(n, i, alpha) rounded to float. A term
-    whose falling factorial (beta)_i is zero is skipped before its row value
-    is rounded: that leaves the sum bit-for-bit unchanged and keeps
-    integer-beta cases exact."""
+    with the exact values row[i] = s(n, i, alpha) rounded to float and the
+    weights (beta)_i as one running product. A term whose weight is zero is
+    skipped before its row value is rounded: that leaves the sum bit-for-bit
+    unchanged and keeps integer-beta cases exact."""
     _check_point(x0, beta)
     beta = float(beta)
     n = len(row) - 1
     log_x0 = math.log(x0)
     power = float(x0) ** float(-Fraction(alpha) - n)
-    total = 0.0
+    total, weight = 0.0, 1
     for i, value in enumerate(row):
-        weight = falling_factorial(beta, i)
         if weight != 0.0:
             total += float(value) * weight * power * log_x0 ** (beta - i)
+        weight *= beta - i
     return total
 
 

@@ -1,12 +1,13 @@
-"""Classical signed Stirling numbers of the first kind, the non-central
-numbers read off them by a closed form, and exact harmonic numbers. The
-unsigned |s(n, k)| = (-1)^(n-k) s(n, k) is not stored."""
+"""Classical signed Stirling numbers of the first kind, an oracle for their
+rows, the non-central numbers read off them by a closed form, and exact
+harmonic numbers. The unsigned |s(n, k)| = (-1)^(n-k) s(n, k) is not stored."""
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterator
 
-from .exact import falling_factorial_poly
+from .exact import AlphaPoly
 
 
 def check_index(n: int, k: int, n_max: int) -> None:
@@ -55,17 +56,17 @@ class StirlingTable:
                        for m, s in enumerate(self._rows[n][k:])])
 
 
-def stirling_expansion_oracle(n: int) -> list:
-    """Coefficients of x(x-1)...(x-n+1) as a polynomial in x, low-to-high.
-
-    Independent construction of row n of the signed triangle: it is the
-    product (-a)(-a-1)...(-a-n+1) of falling_factorial_poly, expanded with the
-    generic polynomial product rather than the table recurrence, read at
-    a = -x, so the coefficient of x^j is (-1)^j times that of a^j.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return [-c if j % 2 else c for j, c in enumerate(falling_factorial_poly(n).coefficients)]
+def stirling_expansion_oracle(n_max: int) -> Iterator[tuple]:
+    """Rows 0..n_max of the signed triangle as the coefficients of x(x-1)...(x-n+1),
+    low to high: one running product, row n-1 times (x - n + 1) by the generic
+    AlphaPoly product, independent of the table's recurrence."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    poly = AlphaPoly((1,))
+    yield poly.coefficients
+    for n in range(1, n_max + 1):
+        poly = poly * AlphaPoly((1 - n, 1))
+        yield poly.coefficients
 
 
 def harmonic(n: int) -> Fraction:

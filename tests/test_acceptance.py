@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from ncstirling.cli import main
-from ncstirling.exact import AlphaPoly, falling_factorial_poly
+from ncstirling.exact import AlphaPoly
 from ncstirling.identities import random_rationals, run_suite
 from ncstirling.jets import expansion_grid
 from ncstirling.noncentral import (
@@ -59,10 +59,12 @@ def test_03_boundaries_and_specialization_to_20():
     started = time.monotonic()
     triangle = build_by_recurrence(20)
     table = StirlingTable(20)
-    for n in range(21):
-        assert triangle.entry(n, 0) == falling_factorial_poly(n)
+    for n, oracle in enumerate(stirling_expansion_oracle(20)):
+        # (-a)(-a-1)...(-a-n+1) is x(x-1)...(x-n+1) at x = -a
+        falling = AlphaPoly([-c if j % 2 else c for j, c in enumerate(oracle)])
+        assert triangle.entry(n, 0) == falling
         assert triangle.entry(n, n) == AlphaPoly([1])
-        assert list(table.row(n)) == stirling_expansion_oracle(n)
+        assert table.row(n) == oracle
         for k in range(n + 1):
             assert triangle.entry(n, k)(0) == table.signed(n, k)
     elapsed = time.monotonic() - started

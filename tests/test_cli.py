@@ -361,7 +361,7 @@ def test_verify_corrupt_bad_argument(capsys, monkeypatch):
         assert run_cli("verify", "--n-max", "2", "--corrupt", corrupt) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("bad --corrupt argument %r: " % corrupt)
+        assert captured.err.startswith("ncstirling: verify: bad --corrupt argument %r: " % corrupt)
 
 
 def test_verify_seed_changes_sample_but_not_outcome(capsys, tmp_path):
@@ -395,9 +395,9 @@ POLYNOMIAL_CHECKS = {"construction_agreement", "boundary_falling_factorial",
 @pytest.mark.parametrize("corrupt", [(), ("--corrupt", "7,1"), ("--corrupt", "12,0"),
                                      ("--corrupt", "12,12")])
 def test_verify_builds_alphapoly_only_in_the_oracles(capsys, tmp_path, monkeypatch, corrupt):
-    # AlphaPoly objects come from the products of the two independent oracles,
+    # AlphaPoly objects come from the products of the classical-row oracle,
     # plus the expected and actual detail of each failing polynomial check
-    oracles = {"falling_factorial_poly", "stirling_expansion_oracle"}
+    oracles = {"stirling_expansion_oracle"}
     outside = []
     init = AlphaPoly.__init__
 
@@ -508,7 +508,9 @@ GOLDEN_VERIFY_JSON = {
 # grid cut short by n_max (n = 5), the corruption hook (exit 1) at k >= 2,
 # which only the structural checks see, an odd n_max (n = 9), the hook at
 # k = 1, which also fails identity records, and the hook at k = 0 and at
-# k = n, which fail boundary_falling_factorial and boundary_diagonal.
+# k = n, which fail boundary_falling_factorial and boundary_diagonal; and
+# n = 64 at seed 1, twice the benchmark's top size, pinned while the
+# classical-row oracle became one running product.
 GOLDEN_VERIFY_EDGES = [
     (("--n-max", "0"), 0,
      "6d8db475b4281c79cbd85e19bdd10f7bda39cc9fed22a44e8ff691f8fdc87457",
@@ -542,6 +544,10 @@ GOLDEN_VERIFY_EDGES = [
      "28d8b4d0e250a33b3477c56f3e1b78fa276ae03acea2a9bb39e5fe9c274caaad",
      {"structural": "83deb5f95d14c523f149735547c2b16acd1ce56f28447d3c99504c587b4ebe6b",
       "identities": "3dbb3c8376039668072491e403349f27555922a5a1952e40ac81618514f891a1"}),
+    (("--n-max", "64", "--seed", "1"), 0,
+     "8a6aa41d39a5fe121905e0313a3fc6c5ac17172d35920976b200620e815bf368",
+     {"structural": "bd0b4bd80b6266c19d9afe6ac205962768f74cbc553ee68a2bfef20b8c494bc4",
+      "identities": "37385ca6ecef434bdb77e05ebaf59f4f9447d23dcbf3c4629bd05f26d5f607f8"}),
 ]
 
 
@@ -562,7 +568,7 @@ GOLDEN_VERIFY_TOP = [
 
 def _assert_verify_digests(capsys, tmp_path, argv, status, csv_digest, json_digests,
                            seed="0"):
-    base = ("verify", *argv, "--with-oracle", "--seed", seed)
+    base = ("verify", "--with-oracle", "--seed", seed, *argv)  # a --seed in argv wins
     csv_path, json_path = tmp_path / "report.csv", tmp_path / "report.json"
     assert run_cli(*base, "--format", "csv", "--out", str(csv_path)) == status
     assert run_cli(*base, "--format", "json", "--out", str(json_path)) == status
@@ -595,8 +601,10 @@ def test_verify_top_size_reports_match_golden_digests(capsys, tmp_path, argv, st
 # sha256 of `eval` stdout, pinned before `eval` stopped building the
 # triangle: k = 0, k = n and middle k; integer, negative and fractional
 # alpha; n up to 300; and expansion points from the oracle grid's beta and
-# x0 values. The expansion lines print float reprs, so like the oracle part
-# of the verify report they assume a libm that rounds log and pow alike.
+# x0 values; the last two, pinned before the weights (beta)_i became one
+# running product, weight n = 120 and 150 with a non-integer beta. The
+# expansion lines print float reprs, so like the oracle part of the verify
+# report they assume a libm that rounds log and pow alike.
 GOLDEN_EVAL = [
     (("--n", "0", "--k", "0", "--alpha", "0"),
      "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
@@ -625,6 +633,10 @@ GOLDEN_EVAL = [
      "14af93adb394f1800b22611a146e90d72b90f942d0a272247cc16035e4df4713"),
     (("--n", "64", "--k", "0", "--alpha", "7/3", "--beta", "1", "--x0", "2"),
      "70e044c6b9ffbe2befe47d770d632eaebbd5030a5367b9663661d03dfad150b4"),
+    (("--n", "120", "--k", "40", "--alpha", "7/3", "--beta", "2.5", "--x0", "1.5"),
+     "6417c946ce255b1ab5c190e13cffa4672d5b75ffdd3f767d9e903503c3aad533"),
+    (("--n", "150", "--k", "75", "--alpha=-7", "--beta", "1.5", "--x0", "2"),
+     "4537fa053325f36262d44c1492d1c5c0a290bff2feb531151043a1c64d67a3e5"),
 ]
 
 

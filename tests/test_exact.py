@@ -9,11 +9,19 @@ from ncstirling.exact import (
     AlphaPoly,
     binomial_rational,
     falling_factorial,
-    falling_factorial_poly,
     format_rational,
     horner,
     parse_rational,
 )
+from ncstirling.stirling import stirling_expansion_oracle
+
+
+def falling_factorial_in_alpha(k):
+    """(-alpha)(-alpha-1)...(-alpha-k+1): row k of stirling_expansion_oracle,
+    x(x-1)...(x-k+1), read at x = -alpha."""
+    row = list(stirling_expansion_oracle(k))[k]
+    return AlphaPoly([-c if j % 2 else c for j, c in enumerate(row)])
+
 
 polys = st.builds(AlphaPoly, st.lists(st.integers(-50, 50), max_size=8))
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
@@ -88,7 +96,7 @@ def test_eval_rational_point():
     ],
 )
 def test_falling_factorial_poly(k, expected):
-    assert falling_factorial_poly(k) == expected
+    assert falling_factorial_in_alpha(k) == expected
 
 
 @pytest.mark.parametrize("k", range(8))
@@ -98,7 +106,7 @@ def test_falling_factorial_poly_at_negative_integers(k, m):
     expected = 1
     for j in range(k):
         expected *= m - j
-    assert falling_factorial_poly(k)(-m) == expected
+    assert falling_factorial_in_alpha(k)(-m) == expected
 
 
 def test_binomial_rational_values():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncstirling.exact import AlphaPoly
 from ncstirling.identities import (
     random_rationals,
     run_suite,
@@ -229,6 +230,32 @@ def test_structural_checks_read_empty_coefficients_as_zero():
         ("boundary_falling_factorial", 0, 0, "expected AlphaPoly([1]), got AlphaPoly([])"),
         ("boundary_diagonal", 0, 0, "expected AlphaPoly([1]), got AlphaPoly([])"),
     ]
+
+
+def test_structural_checks_reject_triangles_of_different_sizes():
+    # rows 6..10 of the explicit triangle have no recurrence row to check against
+    with pytest.raises(ValueError, match="recurrence 5, explicit 10, table 10"):
+        structural_checks(build_by_recurrence(5), build_by_explicit(10), StirlingTable(10))
+    with pytest.raises(ValueError, match="recurrence 4, explicit 4, table 6"):
+        structural_checks(build_by_recurrence(4), build_by_explicit(4), StirlingTable(6))
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 12])
+def test_structural_checks_make_one_oracle_product_per_row(monkeypatch, n_max):
+    # the classical rows come from one running product: row n is row n-1
+    # times (x - n + 1), so N products in all, none restarted from 1
+    triangles = build_by_recurrence(n_max), build_by_explicit(n_max), StirlingTable(n_max)
+    products = []
+    mul = AlphaPoly.__mul__
+
+    def counted(self, other):
+        products.append(other.coefficients)
+        return mul(self, other)
+
+    monkeypatch.setattr(AlphaPoly, "__mul__", counted)
+    checks = structural_checks(*triangles)
+    assert all(c.ok for c in checks)
+    assert products == [(1 - n, 1) for n in range(1, n_max + 1)]
 
 
 def _with_coefficient_raised(triangle, n, k, m):

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncstirling.exact import falling_factorial
 from ncstirling.jets import (
@@ -18,7 +18,7 @@ from ncstirling.jets import (
     jet_seed,
     verify_derivative_expansion,
 )
-from ncstirling.noncentral import build_by_recurrence
+from ncstirling.noncentral import build_by_recurrence, evaluate_row
 from ncstirling.stirling import StirlingTable
 
 
@@ -153,6 +153,44 @@ def test_integer_beta_terms_above_beta_vanish(triangle):
     assert full == truncated
     for i in range(3, n + 1):
         assert falling_factorial(beta, i) == 0.0
+
+
+def _expansion_by_falling_factorials(x0, alpha, beta, row):
+    """The expansion with each weight (beta)_i built from 1 by falling_factorial."""
+    n, log_x0, beta = len(row) - 1, math.log(x0), float(beta)
+    power = float(x0) ** float(-Fraction(alpha) - n)
+    total = 0.0
+    for i, value in enumerate(row):
+        weight = falling_factorial(beta, i)
+        if weight != 0.0:
+            total += float(value) * weight * power * log_x0 ** (beta - i)
+    return total
+
+
+def _outcome(evaluate, *args):
+    try:
+        return repr(evaluate(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None)
+@given(n=st.integers(0, 120),
+       alpha=st.builds(Fraction, st.integers(-60, 60), st.integers(1, 7)),
+       beta=st.one_of(st.integers(-8, 130).map(float),
+                      st.integers(-17, 261).map(lambda m: m / 2),
+                      st.floats(-300.0, 300.0),
+                      st.sampled_from([1e308, -1e308, 1e154, 1.7976931348623157e308])),
+       x0=st.sampled_from([1.5, 2.0, math.e, 5.0, 1.000001, 1e6]))
+@example(n=3, alpha=Fraction(1), beta=1e308, x0=2.0)
+@example(n=120, alpha=Fraction(7, 3), beta=2.5, x0=1.5)
+@example(n=150, alpha=Fraction(-7), beta=1.5, x0=2.0)
+def test_expansion_weights_match_per_term_falling_factorials(n, alpha, beta, x0):
+    # the running product (beta)_i runs the same float operations in the same
+    # order as a falling factorial per term, so value or exception is the same
+    row = evaluate_row(n, alpha)
+    assert (_outcome(evaluate_expansion, x0, alpha, beta, row)
+            == _outcome(_expansion_by_falling_factorials, x0, alpha, beta, row))
 
 
 def test_pure_log_powers_match_classical_composition(triangle):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ncstirling.cli import triangle_to_csv
-from ncstirling.exact import AlphaPoly, falling_factorial, falling_factorial_poly
+from ncstirling.exact import AlphaPoly, falling_factorial
 from ncstirling.noncentral import (
     NoncentralTriangle,
     alternating_binomial_sum,
@@ -24,9 +24,15 @@ from ncstirling.noncentral import (
     triangle_from_json,
     triangle_to_json,
 )
-from ncstirling.stirling import StirlingTable
+from ncstirling.stirling import StirlingTable, stirling_expansion_oracle
 
 N_MAX = 12
+
+
+def at_minus_alpha(row):
+    """A row of stirling_expansion_oracle, x(x-1)...(x-n+1), read at x = -alpha:
+    the falling factorial (-alpha)(-alpha-1)...(-alpha-n+1)."""
+    return AlphaPoly([-c if j % 2 else c for j, c in enumerate(row)])
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +58,7 @@ def test_column_entry_two_one(by_recurrence, by_explicit):
 
 def test_entry_three_zero_is_falling_factorial(by_recurrence):
     assert by_recurrence.entry(3, 0) == AlphaPoly([0, -2, -3, -1])
-    assert by_recurrence.entry(3, 0) == falling_factorial_poly(3)
+    assert by_recurrence.entry(3, 0) == at_minus_alpha(list(stirling_expansion_oracle(3))[3])
 
 
 def test_explicit_entry_three_one(by_explicit):
@@ -67,8 +73,8 @@ def test_constructions_agree(by_recurrence, by_explicit):
 
 
 def test_boundaries(by_recurrence):
-    for n in range(N_MAX + 1):
-        assert by_recurrence.entry(n, 0) == falling_factorial_poly(n)
+    for n, oracle in enumerate(stirling_expansion_oracle(N_MAX)):
+        assert by_recurrence.entry(n, 0) == at_minus_alpha(oracle)
         assert by_recurrence.entry(n, n) == AlphaPoly([1])
 
 
