@@ -7,7 +7,7 @@ values survive a round trip; exit status is 0 exactly when every check passed.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import math
 import os
@@ -34,6 +34,11 @@ MAX_FAILURES_PRINTED = 25
 # log2((n+1)!) bits, within a budget of 64 MiB up to n = 520; (521)! has 1,191 digits,
 # under the default int-to-str limit (4,300) that "%d" would otherwise hit midway.
 TRIANGLE_N_MAX = 520
+
+
+class Refusal(Exception):
+    """Refusal(status, message): a value a command cannot serve (status 2) or an --out it
+    cannot write (status 1); main prints the message as one "ncstirling: <command>:" line."""
 
 
 def _rational_argument(text: str):
@@ -98,19 +103,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(chunks, out_path) -> bool:
-    """Write each chunk as it is made, to out_path or, when that is None, to stdout."""
-    if out_path is None:
-        sys.stdout.writelines(chunks)
-        sys.stdout.flush()
-        return True
+def _open_out(path):
+    """Open --out before any work, so that a bad path costs nothing; a null context for None."""
+    if path is None:
+        return contextlib.nullcontext()
     try:
-        with open(out_path, "w") as handle:
-            handle.writelines(chunks)
+        return open(path, "w")
     except OSError as exc:
-        print("cannot write %s: %s" % (out_path, exc), file=sys.stderr)
-        return False
-    return True
+        raise Refusal(1, "cannot write %s: %s" % (path, exc))
+
+
+def _emit(chunks, out) -> None:
+    """Write each chunk as it is made, to stdout when out is None, else to the open --out
+    file, which it then closes so that a failing flush is refused here too."""
+    if out is None:
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        with out:
+            out.writelines(chunks)
+    except OSError as exc:
+        raise Refusal(1, "cannot write %s: %s" % (out.name, exc))
 
 
 def triangle_csv_chunks(rows):
@@ -127,136 +140,116 @@ def triangle_to_csv(triangle: NoncentralTriangle) -> str:
 
 def cmd_triangle(args) -> int:
     if not 0 <= args.n_max <= TRIANGLE_N_MAX:
-        print("ncstirling: triangle: --n-max must be in 0..%d" % TRIANGLE_N_MAX, file=sys.stderr)
-        return 2
-    rows = (explicit_rows if args.construction == "explicit" else recurrence_rows)(args.n_max)
-    chunks = (triangle_json_chunks(args.n_max, rows) if args.format == "json"
-              else triangle_csv_chunks(rows))
-    try:
-        return 0 if _emit(chunks, args.out) else 1
-    except BrokenPipeError:  # the reader left early; the flush at exit must not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("ncstirling: triangle: stdout closed before the end", file=sys.stderr)
-        return 1
+        raise Refusal(2, "--n-max must be in 0..%d" % TRIANGLE_N_MAX)
+    with _open_out(args.out) as out:
+        rows = (explicit_rows if args.construction == "explicit" else recurrence_rows)(args.n_max)
+        chunks = (triangle_json_chunks(args.n_max, rows) if args.format == "json"
+                  else triangle_csv_chunks(rows))
+        _emit(chunks, out)
+    return 0
 
 
 def _structural_json_records(checks) -> list:
-    return [
-        {
-            "check": c.check,
-            "n": str(c.n),
-            "k": None if c.k is None else str(c.k),
-            "ok": c.ok,
-            "detail": c.detail,
-        }
-        for c in checks
-    ]
+    return [{"check": c.check, "n": str(c.n), "k": None if c.k is None else str(c.k),
+             "ok": c.ok, "detail": c.detail} for c in checks]
 
 
-def _verify_csv(checks, identity_reports, oracle_reports) -> str:
-    out = io.StringIO()
-    out.write("identity,n,alpha,holds\n")
+def _verify_csv_chunks(checks, identity_reports, oracle_reports):
+    yield "identity,n,alpha,holds\n"
     for c in checks:
-        out.write("%s,%d,,%s\n" % (c.check, c.n, "true" if c.ok else "false"))
+        yield "%s,%d,,%s\n" % (c.check, c.n, "true" if c.ok else "false")
     for r in identity_reports:
-        out.write("%s,%d,%s,%s\n" % (r.identity, r.n, format_rational(r.alpha),
-                                     "true" if r.holds else "false"))
+        yield "%s,%d,%s,%s\n" % (r.identity, r.n, format_rational(r.alpha),
+                                 "true" if r.holds else "false")
     for r in oracle_reports:
-        out.write("derivative_expansion,%d,%s,%s\n" % (r.n, format_rational(r.alpha),
-                                                       "true" if r.passed else "false"))
-    return out.getvalue()
+        yield "derivative_expansion,%d,%s,%s\n" % (r.n, format_rational(r.alpha),
+                                                   "true" if r.passed else "false")
 
 
 def cmd_verify(args) -> int:
     if args.n_max < 0:
-        print("ncstirling: verify: --n-max must be nonnegative", file=sys.stderr)
-        return 2
+        raise Refusal(2, "--n-max must be nonnegative")
     if not (math.isfinite(args.tol) and args.tol > 0):
-        print("ncstirling: verify: --tol must be finite and positive", file=sys.stderr)
-        return 2
+        raise Refusal(2, "--tol must be finite and positive")
     if args.corrupt is not None:
         try:
-            n_str, k_str = args.corrupt.split(",")
-            corrupt = int(n_str), int(k_str)
-            check_index(*corrupt, args.n_max)
+            corrupt_n, corrupt_k = map(int, args.corrupt.split(","))
+            check_index(corrupt_n, corrupt_k, args.n_max)
         except (ValueError, IndexError) as exc:
-            print("ncstirling: verify: bad --corrupt argument %r: %s" % (args.corrupt, exc),
-                  file=sys.stderr)
-            return 2
-    table = StirlingTable(args.n_max)
-    by_recurrence = build_by_recurrence(args.n_max)
-    by_explicit = build_by_explicit(args.n_max)
-    if args.corrupt is not None:
-        by_recurrence = corrupt_entry(by_recurrence, *corrupt)
-        print("test hook: corrupted entry (%s, %s)" % (n_str.strip(), k_str.strip()))
+            raise Refusal(2, "bad --corrupt argument %r: %s" % (args.corrupt, exc))
+    with _open_out(args.out) as out:
+        table = StirlingTable(args.n_max)
+        by_recurrence = build_by_recurrence(args.n_max)
+        by_explicit = build_by_explicit(args.n_max)
+        if args.corrupt is not None:
+            by_recurrence = corrupt_entry(by_recurrence, corrupt_n, corrupt_k)
+            print("test hook: corrupted entry (%d, %d)" % (corrupt_n, corrupt_k))
 
-    checks = structural_checks(by_recurrence, by_explicit, table)
-    identity_reports = run_suite(table, by_recurrence, seed=args.seed)
-    oracle_reports = []
-    if args.with_oracle:
-        oracle_reports = expansion_grid(by_recurrence, rel_tol=args.tol)
+        checks = structural_checks(by_recurrence, by_explicit, table)
+        identity_reports = run_suite(table, by_recurrence, seed=args.seed)
+        oracle_reports = []
+        if args.with_oracle:
+            oracle_reports = expansion_grid(by_recurrence, rel_tol=args.tol)
 
-    failed_checks = [c for c in checks if not c.ok]
-    failed_identities = [r for r in identity_reports if not r.holds]
-    failed_oracle = [r for r in oracle_reports if not r.passed]
-    failing = failed_checks + failed_identities + failed_oracle
+        failed_checks = [c for c in checks if not c.ok]
+        failed_identities = [r for r in identity_reports if not r.holds]
+        failed_oracle = [r for r in oracle_reports if not r.passed]
+        failing = failed_checks + failed_identities + failed_oracle
 
-    print("structural checks: %d run, %d failing" % (len(checks), len(failed_checks)))
-    print("identity suite:    %d reports, %d failing (seed=%d)"
-          % (len(identity_reports), len(failed_identities), args.seed))
-    if args.with_oracle:
-        worst = max((r.rel_residual for r in oracle_reports), default=0.0)
-        print("expansion grid:    %d points, %d over tol %g, max residual %.3e"
-              % (len(oracle_reports), len(failed_oracle), args.tol, worst))
+        print("structural checks: %d run, %d failing" % (len(checks), len(failed_checks)))
+        print("identity suite:    %d reports, %d failing (seed=%d)"
+              % (len(identity_reports), len(failed_identities), args.seed))
+        if args.with_oracle:
+            worst = max((r.rel_residual for r in oracle_reports), default=0.0)
+            print("expansion grid:    %d points, %d over tol %g, max residual %.3e"
+                  % (len(oracle_reports), len(failed_oracle), args.tol, worst))
 
-    for record in failing[:MAX_FAILURES_PRINTED]:
-        print("FAIL %r" % (record,))
-    if len(failing) > MAX_FAILURES_PRINTED:
-        print("... %d more failing records" % (len(failing) - MAX_FAILURES_PRINTED))
+        for record in failing[:MAX_FAILURES_PRINTED]:
+            print("FAIL %r" % (record,))
+        if len(failing) > MAX_FAILURES_PRINTED:
+            print("... %d more failing records" % (len(failing) - MAX_FAILURES_PRINTED))
 
-    if args.out is not None:
-        if args.format == "json":
-            doc = {
-                "seed": str(args.seed),
-                "n_max": str(args.n_max),
-                "structural": _structural_json_records(checks),
-                "identities": reports_to_json_records(identity_reports),
-                "oracle": residuals_to_json_records(oracle_reports),
-            }
-            text = json.dumps(doc, separators=(",", ":")) + "\n"
-        else:
-            text = _verify_csv(checks, identity_reports, oracle_reports)
-        if not _emit([text], args.out):
-            return 1
+        if out is not None:
+            if args.format == "json":
+                doc = {"seed": str(args.seed), "n_max": str(args.n_max),
+                       "structural": _structural_json_records(checks),
+                       "identities": reports_to_json_records(identity_reports),
+                       "oracle": residuals_to_json_records(oracle_reports)}
+                chunks = [json.dumps(doc, separators=(",", ":")) + "\n"]
+            else:
+                chunks = _verify_csv_chunks(checks, identity_reports, oracle_reports)
+            _emit(chunks, out)
 
     print("VERIFY: %s" % ("FAIL" if failing else "PASS"))
     return 1 if failing else 0
 
 
-def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
+def cmd_eval(args) -> int:
     if args.n < 0 or args.k < 0:
-        parser.error("--n and --k must be nonnegative")
+        raise Refusal(2, "--n and --k must be nonnegative")
     if args.k > args.n:
-        parser.error("--k must not exceed --n")
+        raise Refusal(2, "--k must not exceed --n")
     if (args.beta is None) != (args.x0 is None):
-        parser.error("--beta and --x0 must be given together")
+        raise Refusal(2, "--beta and --x0 must be given together")
     if args.beta is not None:
         if not (math.isfinite(args.beta) and math.isfinite(args.x0)):
-            parser.error("--beta and --x0 must be finite")
+            raise Refusal(2, "--beta and --x0 must be finite")
         if not args.x0 > 1.0:
-            parser.error("--x0 must exceed 1")
+            raise Refusal(2, "--x0 must exceed 1")
     row = evaluate_row(args.n, args.alpha)
     try:
         text = format_rational(row[args.k])
     except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-        print("ncstirling: eval: s(n,k,alpha) cannot be printed: %s" % exc, file=sys.stderr)
-        return 2
+        raise Refusal(2, "s(n,k,alpha) cannot be printed: %s" % exc)
     print(text)
     if args.beta is not None:
         value = evaluate_expansion(args.x0, args.alpha, args.beta, row)
         print("expansion n=%d alpha=%s beta=%r x0=%r -> %r"
               % (args.n, format_rational(args.alpha), args.beta, args.x0, value))
     return 0
+
+
+COMMANDS = {"triangle": cmd_triangle, "verify": cmd_verify, "eval": cmd_eval}
 
 
 def _attach_alpha_values(argv) -> list:
@@ -272,13 +265,19 @@ def _attach_alpha_values(argv) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_alpha_values(sys.argv[1:] if argv is None else argv))
-    if args.command == "triangle":
-        return cmd_triangle(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_eval(args, parser)
+    args = build_parser().parse_args(_attach_alpha_values(sys.argv[1:] if argv is None else argv))
+    try:
+        status = COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except Refusal as exc:
+        status, message = exc.args
+        print("ncstirling: %s: %s" % (args.command, message), file=sys.stderr)
+        return status
+    except BrokenPipeError:  # the reader left early; the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("ncstirling: %s: stdout closed before the end" % args.command, file=sys.stderr)
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -144,9 +144,12 @@ def test_triangle_at_the_bound_is_accepted(capsys, monkeypatch):
 
 def test_triangle_unwritable_out_exits_1_before_building(capsys, monkeypatch, tmp_path):
     _refuse_rows(monkeypatch)
+    with pytest.raises(OSError) as excinfo:  # the error a directory gives as --out
+        open(tmp_path, "w")
     assert run_cli("triangle", "--n-max", "8", "--out", str(tmp_path)) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("cannot write %s: " % tmp_path)
+    assert out == ""
+    assert err == "ncstirling: triangle: cannot write %s: %s\n" % (tmp_path, excinfo.value)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
@@ -223,12 +226,13 @@ def test_abbreviated_options_are_rejected(capsys):
 
 
 def test_eval_usage_errors(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        run_cli("eval", "--n", "2", "--k", "3", "--alpha", "1")
-    assert excinfo.value.code == 2
-    with pytest.raises(SystemExit) as excinfo:
-        run_cli("eval", "--n", "2", "--k", "1", "--alpha", "1", "--beta", "1")
-    assert excinfo.value.code == 2
+    # values eval cannot serve are refused by the command: status 2, one line
+    assert run_cli("eval", "--n", "2", "--k", "3", "--alpha", "1") == 2
+    assert capsys.readouterr() == ("", "ncstirling: eval: --k must not exceed --n\n")
+    assert run_cli("eval", "--n", "2", "--k", "1", "--alpha", "1", "--beta", "1") == 2
+    assert capsys.readouterr() == ("",
+                                   "ncstirling: eval: --beta and --x0 must be given together\n")
+    # what argparse cannot parse stays with argparse: usage text and SystemExit(2)
     with pytest.raises(SystemExit) as excinfo:
         run_cli("eval", "--n", "2", "--k", "1", "--alpha", "1/0")
     assert excinfo.value.code == 2
@@ -273,11 +277,10 @@ def test_eval_value_past_the_digit_limit_exits_2(capsys):
 @pytest.mark.parametrize("beta, x0", [("nan", "2"), ("1", "inf"), ("-inf", "2"),
                                       ("1", "nan"), ("1", "1"), ("1", "0.5")])
 def test_eval_rejects_bad_expansion_point_before_printing(capsys, beta, x0):
-    with pytest.raises(SystemExit) as excinfo:
-        run_cli("eval", "--n", "3", "--k", "1", "--alpha", "1",
-                "--beta=" + beta, "--x0=" + x0)
-    assert excinfo.value.code == 2
-    assert capsys.readouterr().out == ""
+    message = "--x0 must exceed 1" if x0 in ("1", "0.5") else "--beta and --x0 must be finite"
+    assert run_cli("eval", "--n", "3", "--k", "1", "--alpha", "1",
+                   "--beta=" + beta, "--x0=" + x0) == 2
+    assert capsys.readouterr() == ("", "ncstirling: eval: %s\n" % message)
 
 
 def test_verify_small_passes(capsys):
@@ -362,6 +365,76 @@ def test_verify_corrupt_bad_argument(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("ncstirling: verify: bad --corrupt argument %r: " % corrupt)
+
+
+def test_verify_corrupt_echoes_the_parsed_entry(capsys):
+    assert run_cli("verify", "--n-max", "10", "--corrupt", " 07,+1") == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "test hook: corrupted entry (7, 1)"
+    assert "StructuralCheck(check='construction_agreement', n=7, k=1, ok=False" in out
+
+
+# Every value a command refuses, and an --out it cannot write: its status, empty
+# stdout and one "ncstirling: <command>: " line on stderr, before anything is
+# built. "{missing}" stands for a path in a directory that does not exist.
+REFUSALS = [
+    (("triangle", "--n-max", str(cli.TRIANGLE_N_MAX + 1)), 2,
+     "--n-max must be in 0..%d\n" % cli.TRIANGLE_N_MAX),
+    (("triangle", "--n-max", "-1"), 2, "--n-max must be in 0..%d\n" % cli.TRIANGLE_N_MAX),
+    (("triangle", "--out", "{missing}"), 1, "cannot write {missing}: "),
+    (("verify", "--n-max", "-1"), 2, "--n-max must be nonnegative\n"),
+    (("verify", "--tol", "0"), 2, "--tol must be finite and positive\n"),
+    (("verify", "--corrupt", "nope"), 2, "bad --corrupt argument 'nope': "),
+    (("verify", "--out", "{missing}"), 1, "cannot write {missing}: "),
+    (("eval", "--n", "2", "--k", "3", "--alpha", "1"), 2, "--k must not exceed --n\n"),
+    (("eval", "--n", "-1", "--k", "0", "--alpha", "1"), 2, "--n and --k must be nonnegative\n"),
+    (("eval", "--n", "2", "--k", "1", "--alpha", "1", "--beta", "1"), 2,
+     "--beta and --x0 must be given together\n"),
+    (("eval", "--n", "2", "--k", "1", "--alpha", "1", "--beta=nan", "--x0", "2"), 2,
+     "--beta and --x0 must be finite\n"),
+    (("eval", "--n", "2", "--k", "1", "--alpha", "1", "--beta", "1", "--x0", "1"), 2,
+     "--x0 must exceed 1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, status, message", REFUSALS,
+                         ids=[" ".join(argv) for argv, _, _ in REFUSALS])
+def test_every_refusal_is_one_line_before_anything_is_built(capsys, monkeypatch, tmp_path,
+                                                            argv, status, message):
+    def refuse(*args):
+        raise AssertionError("a refused command built something")
+
+    for name in ("StirlingTable", "build_by_recurrence", "build_by_explicit",
+                 "recurrence_rows", "explicit_rows", "evaluate_row"):
+        monkeypatch.setattr(cli, name, refuse)
+    missing = str(tmp_path / "missing" / "r.json")
+    assert run_cli(*[arg.replace("{missing}", missing) for arg in argv]) == status
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ncstirling: %s: %s" % (argv[0], message.replace("{missing}", missing)))
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [("verify", "--n-max", "4"),
+                                  ("eval", "--n", "6", "--k", "2", "--alpha", "7/3")],
+                         ids=["verify", "eval"])
+def test_reader_closing_the_pipe_before_reading(argv):
+    with subprocess.Popen([sys.executable, "-m", "ncstirling", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=_src_env()) as proc:
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err.decode() == "ncstirling: %s: stdout closed before the end\n" % argv[0]
+
+
+def test_main_lets_an_unexpected_exception_through(monkeypatch):
+    # only refusals and a closed stdout are handled; a bug keeps its traceback
+    def broken(n, alpha):
+        raise RuntimeError("not a refusal")
+
+    monkeypatch.setattr(cli, "evaluate_row", broken)
+    with pytest.raises(RuntimeError):
+        run_cli("eval", "--n", "2", "--k", "1", "--alpha", "1")
 
 
 def test_verify_seed_changes_sample_but_not_outcome(capsys, tmp_path):
