@@ -11,11 +11,12 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 
 from .exact import RATIONAL_RE, format_rational, parse_rational
-from .identities import reports_to_json_records, run_suite, structural_checks
-from .jets import evaluate_expansion, expansion_grid, residuals_to_json_records
+from .identities import run_suite, structural_checks
+from .jets import evaluate_expansion, expansion_grid
 from .noncentral import (
     NoncentralTriangle,
     build_by_explicit,
@@ -34,6 +35,9 @@ MAX_FAILURES_PRINTED = 25
 # log2((n+1)!) bits, within a budget of 64 MiB up to n = 520; (521)! has 1,191 digits,
 # under the default int-to-str limit (4,300) that "%d" would otherwise hit midway.
 TRIANGLE_N_MAX = 520
+# verify --corrupt N,K: two integers in ASCII digits (the integer part of RATIONAL_RE); int()
+# alone would also read "1_0" and non-ASCII digits, which --alpha refuses.
+CORRUPT_RE = re.compile(r"\s*([+-]?[0-9]+)\s*,\s*([+-]?[0-9]+)\s*")
 
 
 class Refusal(Exception):
@@ -149,9 +153,23 @@ def cmd_triangle(args) -> int:
     return 0
 
 
+# The JSON records of verify's report: every number is a decimal string.
 def _structural_json_records(checks) -> list:
     return [{"check": c.check, "n": str(c.n), "k": None if c.k is None else str(c.k),
              "ok": c.ok, "detail": c.detail} for c in checks]
+
+
+def reports_to_json_records(reports) -> list:
+    return [{"identity": r.identity, "n": str(r.n), "alpha": format_rational(r.alpha),
+             "lhs": format_rational(r.lhs), "rhs": format_rational(r.rhs), "holds": r.holds}
+            for r in reports]
+
+
+def residuals_to_json_records(reports) -> list:
+    return [{"n": str(r.n), "alpha": format_rational(r.alpha), "beta": repr(r.beta),
+             "x0": repr(r.x0), "jet_value": repr(r.jet_value),
+             "expansion_value": repr(r.expansion_value), "rel_residual": repr(r.rel_residual),
+             "pass": r.passed} for r in reports]
 
 
 def _verify_csv_chunks(checks, identity_reports, oracle_reports):
@@ -173,7 +191,10 @@ def cmd_verify(args) -> int:
         raise Refusal(2, "--tol must be finite and positive")
     if args.corrupt is not None:
         try:
-            corrupt_n, corrupt_k = map(int, args.corrupt.split(","))
+            match = CORRUPT_RE.fullmatch(args.corrupt)
+            if match is None:
+                raise ValueError("expected two integers in ASCII digits")
+            corrupt_n, corrupt_k = map(int, match.groups())
             check_index(corrupt_n, corrupt_k, args.n_max)
         except (ValueError, IndexError) as exc:
             raise Refusal(2, "bad --corrupt argument %r: %s" % (args.corrupt, exc))
@@ -273,9 +294,11 @@ def main(argv=None) -> int:
         status, message = exc.args
         print("ncstirling: %s: %s" % (args.command, message), file=sys.stderr)
         return status
-    except BrokenPipeError:  # the reader left early; the flush at exit must not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("ncstirling: %s: stdout closed before the end" % args.command, file=sys.stderr)
+    except OSError as exc:  # from stdout, since --out errors are Refusals
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush passes
+        reason = ("stdout closed before the end" if isinstance(exc, BrokenPipeError)
+                  else "cannot write stdout: %s" % exc)
+        print("ncstirling: %s: %s" % (args.command, reason), file=sys.stderr)
         return 1
     return status
 

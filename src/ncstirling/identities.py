@@ -17,7 +17,7 @@ from .exact import (
     AlphaPoly,
     RationalLike,
     binomial_rational,  # noqa: F401  unused; perfbench/tracing.py patches this name
-    format_rational,
+    format_rational,  # noqa: F401  unused; perfbench/tracing.py patches this name
     horner,
 )
 from .noncentral import (
@@ -199,17 +199,3 @@ def structural_checks(by_recurrence: NoncentralTriangle,
             add_poly("column_one_polynomial", n, 1, table.noncentral(n, 1), rec_row[1])
     return checks
 
-
-def reports_to_json_records(reports: List[IdentityReport]) -> List[dict]:
-    """IdentityReports as JSON-ready dicts; all numbers are decimal strings."""
-    return [
-        {
-            "identity": r.identity,
-            "n": str(r.n),
-            "alpha": format_rational(r.alpha),
-            "lhs": format_rational(r.lhs),
-            "rhs": format_rational(r.rhs),
-            "holds": r.holds,
-        }
-        for r in reports
-    ]

@@ -13,7 +13,8 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence
 
-from .exact import RationalLike, format_rational
+from .exact import RationalLike
+from .exact import format_rational  # noqa: F401  unused; perfbench/tracing.py patches this name
 from .noncentral import NoncentralTriangle
 
 Jet = List[float]
@@ -174,42 +175,14 @@ class ResidualReport(NamedTuple):
     passed: bool
 
 
-def verify_derivative_expansion(row: Sequence[Fraction], x0: float,
-                                alpha: RationalLike, beta: float,
-                                rel_tol: float = 1e-6) -> ResidualReport:
-    """Relative residual |jet - expansion| / max(|jet|, 1e-300) at order
-    n = len(row) - 1, with the expansion taken over row[i] = s(n, i, alpha);
-    passes iff <= rel_tol."""
-    a = Fraction(alpha)
-    jet_value = derivative_by_jets(x0, float(a), beta, len(row) - 1)
-    return _residual_report(row, x0, a, beta, jet_value, rel_tol)
-
-
-def _residual_report(row: Sequence[Fraction], x0: float, alpha: Fraction,
-                     beta: float, jet_value: float, rel_tol: float) -> ResidualReport:
-    """Compare a jet derivative of order len(row) - 1 with the expansion."""
-    n = len(row) - 1
-    expansion_value = evaluate_expansion(x0, alpha, beta, row)
-    rel = abs(jet_value - expansion_value) / max(abs(jet_value), RESIDUAL_FLOOR)
-    return ResidualReport(
-        n=n,
-        alpha=alpha,
-        beta=float(beta),
-        x0=float(x0),
-        jet_value=jet_value,
-        expansion_value=expansion_value,
-        rel_residual=rel,
-        passed=rel <= rel_tol,
-    )
-
-
 def expansion_grid(triangle: NoncentralTriangle,
                    rel_tol: float = 1e-6) -> List[ResidualReport]:
     """Run the validation grid: every n up to min(GRID_MAX_ORDER, triangle.n_max)
     against GRID_ALPHAS x GRID_BETAS x GRID_X0S. Each (alpha, beta, x0) family
     builds one jet of the top order and reads every n's derivative off it
-    (the same floats as verify_derivative_expansion); each (n, alpha) row is
-    read from the triangle once."""
+    (the same floats as derivative_by_jets); each (n, alpha) row is read from
+    the triangle once. A point passes iff its relative residual
+    |jet - expansion| / max(|jet|, 1e-300) is at most rel_tol."""
     order = min(GRID_MAX_ORDER, triangle.n_max)
     jets = {(alpha, beta, x0): _function_jet(x0, float(alpha), beta, order)
             for alpha in GRID_ALPHAS for beta in GRID_BETAS for x0 in GRID_X0S}
@@ -221,24 +194,9 @@ def expansion_grid(triangle: NoncentralTriangle,
             for beta in GRID_BETAS:
                 for x0 in GRID_X0S:
                     jet_value = scale * jets[alpha, beta, x0][n]
-                    reports.append(_residual_report(row, x0, alpha, beta, jet_value, rel_tol))
+                    expansion_value = evaluate_expansion(x0, alpha, beta, row)
+                    rel = abs(jet_value - expansion_value) / max(abs(jet_value), RESIDUAL_FLOOR)
+                    reports.append(ResidualReport(n, alpha, beta, x0, jet_value,
+                                                  expansion_value, rel, rel <= rel_tol))
     return reports
 
-
-def residuals_to_json_records(reports: List[ResidualReport]) -> List[dict]:
-    """ResidualReports as JSON-ready dicts; all numbers are decimal strings."""
-    out = []
-    for r in reports:
-        out.append(
-            {
-                "n": str(r.n),
-                "alpha": format_rational(r.alpha),
-                "beta": repr(r.beta),
-                "x0": repr(r.x0),
-                "jet_value": repr(r.jet_value),
-                "expansion_value": repr(r.expansion_value),
-                "rel_residual": repr(r.rel_residual),
-                "pass": r.passed,
-            }
-        )
-    return out

@@ -385,6 +385,8 @@ REFUSALS = [
     (("verify", "--n-max", "-1"), 2, "--n-max must be nonnegative\n"),
     (("verify", "--tol", "0"), 2, "--tol must be finite and positive\n"),
     (("verify", "--corrupt", "nope"), 2, "bad --corrupt argument 'nope': "),
+    (("verify", "--corrupt", "1_0,1"), 2, "bad --corrupt argument '1_0,1': "),
+    (("verify", "--corrupt", "\u0663,1"), 2, "bad --corrupt argument '\u0663,1': "),
     (("verify", "--out", "{missing}"), 1, "cannot write {missing}: "),
     (("eval", "--n", "2", "--k", "3", "--alpha", "1"), 2, "--k must not exceed --n\n"),
     (("eval", "--n", "-1", "--k", "0", "--alpha", "1"), 2, "--n and --k must be nonnegative\n"),
@@ -427,8 +429,21 @@ def test_reader_closing_the_pipe_before_reading(argv):
     assert err.decode() == "ncstirling: %s: stdout closed before the end\n" % argv[0]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("triangle", "--n-max", "30"), ("verify", "--n-max", "4"),
+                                  ("eval", "--n", "2", "--k", "1", "--alpha", "1")],
+                         ids=["triangle", "verify", "eval"])
+def test_stdout_write_error_is_one_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "ncstirling", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=_src_env(), timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == ("ncstirling: %s: cannot write stdout: "
+                                    "[Errno 28] No space left on device\n" % argv[0])
+
+
 def test_main_lets_an_unexpected_exception_through(monkeypatch):
-    # only refusals and a closed stdout are handled; a bug keeps its traceback
+    # only refusals and stdout write errors are handled; a bug keeps its traceback
     def broken(n, alpha):
         raise RuntimeError("not a refusal")
 

@@ -16,7 +16,6 @@ from ncstirling.jets import (
     jet_mul,
     jet_pow_real,
     jet_seed,
-    verify_derivative_expansion,
 )
 from ncstirling.noncentral import build_by_recurrence, evaluate_row
 from ncstirling.stirling import StirlingTable
@@ -223,27 +222,39 @@ def test_exp_ln_round_trip(jet):
         assert back == pytest.approx(original, rel=1e-12)
 
 
-def test_verify_order_zero_residual_vanishes(triangle):
-    report = verify_derivative_expansion(row_of(triangle, 0, Fraction(1, 2)), 2.0,
-                                         Fraction(1, 2), 1.5)
-    assert report.rel_residual <= 1e-12
-    assert report.passed
+@pytest.fixture(scope="module")
+def grid(triangle):
+    """The grid's 1,260 records, n = 0..8, keyed by (n, alpha, beta, x0)."""
+    return {(r.n, r.alpha, r.beta, r.x0): r for r in expansion_grid(triangle)}
 
 
-def test_verify_spot_points(triangle):
-    assert verify_derivative_expansion(row_of(triangle, 4, 2), 2.0, 2, 2.0,
-                                       rel_tol=1e-8).passed
-    assert verify_derivative_expansion(row_of(triangle, 3, -1), math.e, -1, 1.0,
-                                       rel_tol=1e-8).passed
+def test_verify_order_zero_residual_vanishes(grid):
+    zero = [r for r in grid.values() if r.n == 0]
+    assert len(zero) == 7 * 5 * 4
+    assert all(r.rel_residual <= 1e-12 and r.passed for r in zero)
 
 
-def test_identically_zero_derivatives_give_zero_residual(triangle):
+def test_verify_spot_points(grid):
+    assert grid[4, 2, 2.0, 2.0].rel_residual <= 1e-8
+    assert grid[3, -1, 1.0, math.e].rel_residual <= 1e-8
+
+
+def test_identically_zero_derivatives_give_zero_residual(grid):
     # x^2 differentiated three times is identically zero; both sides must
     # agree exactly, not merely to rounding
-    report = verify_derivative_expansion(row_of(triangle, 3, -2), 1.5, -2, 0.0)
+    report = grid[3, -2, 0.0, 1.5]
     assert report.jet_value == 0.0
     assert report.expansion_value == 0.0
     assert report.rel_residual == 0.0
+
+
+def test_grid_reads_the_same_floats_as_derivative_by_jets(grid):
+    # one jet of the top order per (alpha, beta, x0) gives, bit for bit, the
+    # derivative that a jet of each order n gives
+    assert len(grid) == 9 * 7 * 5 * 4
+    for (n, alpha, beta, x0), report in grid.items():
+        expected = derivative_by_jets(x0, float(alpha), beta, n)
+        assert report.jet_value.hex() == expected.hex(), (n, alpha, beta, x0)
 
 
 def test_small_grid_passes():
