@@ -35,6 +35,8 @@ MAX_FAILURES_PRINTED = 25
 # log2((n+1)!) bits, within a budget of 64 MiB up to n = 520; (521)! has 1,191 digits,
 # under the default int-to-str limit (4,300) that "%d" would otherwise hit midway.
 TRIANGLE_N_MAX = 520
+# The largest `verify --n-max`: twice the largest pinned size (64); time grows as N^4 past it.
+VERIFY_N_MAX = 128
 # verify --corrupt N,K: two integers in ASCII digits (the integer part of RATIONAL_RE); int()
 # alone would also read "1_0" and non-ASCII digits, which --alpha refuses.
 CORRUPT_RE = re.compile(r"\s*([+-]?[0-9]+)\s*,\s*([+-]?[0-9]+)\s*")
@@ -80,9 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every exact check up to --n-max; nonzero exit on any failure",
     )
     ver.add_argument("--n-max", type=int, default=20,
-                     help="largest row N (default 20); with --with-oracle 0.18 s, 18 MB "
-                          "at N=32; 0.41 s, 27 MB at N=64; 3.6 s, 96 MB at N=128; past "
-                          "N=64 the O(N^4) explicit construction takes about half the time")
+                     help="largest row N (default 20, at most %d); with --with-oracle 0.08 s, "
+                          "18 MiB at N=32; 0.21 s, 27 MiB at N=64; 1.8 s, 95 MiB at N=128, or "
+                          "1.9 s, 143 MiB with --out; past N=64 the O(N^4) explicit "
+                          "construction takes most of the time" % VERIFY_N_MAX)
     ver.add_argument("--with-oracle", action="store_true",
                      help="also run the numerical derivative-expansion grid")
     ver.add_argument("--tol", type=float, default=1e-6,
@@ -153,23 +156,28 @@ def cmd_triangle(args) -> int:
     return 0
 
 
-# The JSON records of verify's report: every number is a decimal string.
-def _structural_json_records(checks) -> list:
-    return [{"check": c.check, "n": str(c.n), "k": None if c.k is None else str(c.k),
-             "ok": c.ok, "detail": c.detail} for c in checks]
+# verify's JSON records as the text json.dumps writes with separators (",", ":"): numbers are
+# decimal strings; names, digits, "/" and float reprs need no escaping, detail goes through it.
+def _structural_json_records(checks) -> str:
+    return "[%s]" % ",".join([
+        '{"check":"%s","n":"%d","k":%s,"ok":%s,"detail":%s}'
+        % (c.check, c.n, "null" if c.k is None else '"%d"' % c.k, "true" if c.ok else "false",
+           json.dumps(c.detail)) for c in checks])
 
 
-def reports_to_json_records(reports) -> list:
-    return [{"identity": r.identity, "n": str(r.n), "alpha": format_rational(r.alpha),
-             "lhs": format_rational(r.lhs), "rhs": format_rational(r.rhs), "holds": r.holds}
-            for r in reports]
+def reports_to_json_records(reports) -> str:
+    return "[%s]" % ",".join([
+        '{"identity":"%s","n":"%d","alpha":"%s","lhs":"%s","rhs":"%s","holds":%s}'
+        % (r.identity, r.n, format_rational(r.alpha), format_rational(r.lhs),
+           format_rational(r.rhs), "true" if r.holds else "false") for r in reports])
 
 
-def residuals_to_json_records(reports) -> list:
-    return [{"n": str(r.n), "alpha": format_rational(r.alpha), "beta": repr(r.beta),
-             "x0": repr(r.x0), "jet_value": repr(r.jet_value),
-             "expansion_value": repr(r.expansion_value), "rel_residual": repr(r.rel_residual),
-             "pass": r.passed} for r in reports]
+def residuals_to_json_records(reports) -> str:
+    return "[%s]" % ",".join([
+        '{"n":"%d","alpha":"%s","beta":"%r","x0":"%r","jet_value":"%r","expansion_value":"%r",'
+        '"rel_residual":"%r","pass":%s}'
+        % (r.n, format_rational(r.alpha), r.beta, r.x0, r.jet_value, r.expansion_value,
+           r.rel_residual, "true" if r.passed else "false") for r in reports])
 
 
 def _verify_csv_chunks(checks, identity_reports, oracle_reports):
@@ -187,6 +195,8 @@ def _verify_csv_chunks(checks, identity_reports, oracle_reports):
 def cmd_verify(args) -> int:
     if args.n_max < 0:
         raise Refusal(2, "--n-max must be nonnegative")
+    if args.n_max > VERIFY_N_MAX:
+        raise Refusal(2, "--n-max must be at most %d" % VERIFY_N_MAX)
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise Refusal(2, "--tol must be finite and positive")
     if args.corrupt is not None:
@@ -232,11 +242,11 @@ def cmd_verify(args) -> int:
 
         if out is not None:
             if args.format == "json":
-                doc = {"seed": str(args.seed), "n_max": str(args.n_max),
-                       "structural": _structural_json_records(checks),
-                       "identities": reports_to_json_records(identity_reports),
-                       "oracle": residuals_to_json_records(oracle_reports)}
-                chunks = [json.dumps(doc, separators=(",", ":")) + "\n"]
+                chunks = ['{"seed":"%d","n_max":"%d","structural":%s,"identities":%s,'
+                          '"oracle":%s}\n' % (args.seed, args.n_max,
+                                              _structural_json_records(checks),
+                                              reports_to_json_records(identity_reports),
+                                              residuals_to_json_records(oracle_reports))]
             else:
                 chunks = _verify_csv_chunks(checks, identity_reports, oracle_reports)
             _emit(chunks, out)

@@ -22,9 +22,10 @@ from .exact import (
 )
 from .noncentral import (
     NoncentralTriangle,
-    alternating_binomial_sum,
+    alternating_sum_weights,
     s_n1_recurrence,
     s_n1_sum_formula,
+    scaled_alternating_sum,
 )
 from .stirling import StirlingTable, harmonic, stirling_expansion_oracle
 
@@ -99,58 +100,67 @@ def run_suite(table: StirlingTable, triangle: NoncentralTriangle,
     """
     n_max = triangle.n_max
     rng = random.Random(seed)
-    master_alphas = [Fraction(a) for a in range(-n_max, n_max + 1)]
-    master_alphas += random_rationals(MASTER_RANDOM_POINTS, rng)
+    # (alpha as reported, alpha as computed with): an integer alpha runs on ints
+    master_alphas = [(Fraction(a), a) for a in range(-n_max, n_max + 1)]
+    master_alphas += [(a, a) for a in random_rationals(MASTER_RANDOM_POINTS, rng)]
     column_alphas = random_rationals(COLUMN_RANDOM_POINTS, rng)
     column = {n: table.noncentral(n, 1) for n in range(1, n_max + 1)}
+    weights = [alternating_sum_weights(n) for n in range(n_max + 1)]
     reports: List[IdentityReport] = []
 
     def add(identity: str, n: int, alpha: RationalLike,
             lhs: RationalLike, rhs: RationalLike) -> None:
-        lhs, rhs = Fraction(lhs), Fraction(rhs)
-        reports.append(IdentityReport(identity, n, Fraction(alpha), lhs, rhs, lhs == rhs))
+        # an int becomes one Fraction; a Fraction is kept as it is
+        alpha = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
+        lhs = lhs if isinstance(lhs, Fraction) else Fraction(lhs)
+        rhs = rhs if isinstance(rhs, Fraction) else Fraction(rhs)
+        reports.append(IdentityReport(identity, n, alpha, lhs, rhs, lhs == rhs))
 
     for n in range(1, n_max + 1):
         p = column[n]
         sign = (-1) ** (n - 1)
+        signed_p = tuple([sign * c for c in p])
         n_fact = math.factorial(n)
-        for alpha in master_alphas:
+        for alpha, a in master_alphas:
             add("binomial_stirling_sum", n, alpha,
-                n_fact * alternating_binomial_sum(alpha, n), sign * horner(p, alpha))
+                Fraction(scaled_alternating_sum(weights[n], a), a.denominator ** (n - 1)),
+                horner(signed_p, a))
         if n >= 2:
             add("factorial_from_stirling", n, -1, (-1) ** n * math.factorial(n - 2),
                 horner(p, -1))
         hn = harmonic(n)
         add("harmonic_sum", n, 1, n_fact * hn, sign * horner(p, 1))
-        add("hn_binomial_form", n, n, hn, sign * alternating_binomial_sum(-n, n))
+        add("hn_binomial_form", n, n, hn,
+            Fraction(sign * scaled_alternating_sum(weights[n], -n), n_fact))
         add("hn_stirling_form", n, n, hn, Fraction(horner(p, -n), n_fact))
 
     for b in range(1, min(8, n_max - 1) + 1):
         for n in range(b + 1, n_max + 1):
-            total = (-1) ** b * alternating_binomial_sum(-b, n)
+            total = (-1) ** b * scaled_alternating_sum(weights[n], -b)  # n! (-1)^b S(-b, n)
             closed = math.factorial(b) * math.factorial(n - b - 1)
-            add("neg_alpha_factorial_form", n, -b, math.factorial(n) * total, closed)
-            add("neg_alpha_reciprocal_form", n, -b, (b + 1) * total,
+            add("neg_alpha_factorial_form", n, -b, total, closed)
+            add("neg_alpha_reciprocal_form", n, -b, Fraction((b + 1) * total, math.factorial(n)),
                 Fraction(1, math.comb(n, b + 1)))
-            add("column1_neg_alpha_value", n, -b, triangle.evaluate(n, 1, -b),
+            add("column1_neg_alpha_value", n, -b, horner(triangle.rows[n][1], -b),
                 (-1) ** (n - b - 1) * closed)
 
     for b in range(1, min(10, n_max) + 1):
         for n in range(1, b + 1):
             direct = harmonic(b) - harmonic(b - n)
             add("harmonic_diff_sum_form", n, -b, direct,
-                Fraction((-1) ** (n + 1), math.comb(b, n)) * alternating_binomial_sum(-b, n))
+                Fraction((-1) ** (n + 1) * scaled_alternating_sum(weights[n], -b),
+                         math.comb(b, n) * math.factorial(n)))
             # sum_k s(n,k) b^k is the falling factorial b!/(b-n)!, positive here
             add("harmonic_diff_ratio_form", n, -b, direct,
                 Fraction(horner(column[n], -b), horner(table.row(n), b)))
-            add("column1_harmonic_value", n, -b, triangle.evaluate(n, 1, -b),
-                direct * Fraction(math.factorial(b), math.factorial(b - n)))
+            add("column1_harmonic_value", n, -b, horner(triangle.rows[n][1], -b),
+                direct * (math.factorial(b) // math.factorial(b - n)))
 
     for alpha in column_alphas:
         recurrence = s_n1_recurrence(n_max, alpha)
         for n in range(1, n_max + 1):
-            value = triangle.evaluate(n, 1, alpha)
-            add("column1_sum_formula", n, alpha, value, s_n1_sum_formula(n, alpha))
+            value = horner(triangle.rows[n][1], alpha)
+            add("column1_sum_formula", n, alpha, value, s_n1_sum_formula(n, alpha, weights[n]))
             add("column1_recurrence", n, alpha, value, recurrence[n])
     return reports
 

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence
 
-from .exact import RationalLike
+from .exact import RationalLike, horner
 from .exact import format_rational  # noqa: F401  unused; perfbench/tracing.py patches this name
 from .noncentral import NoncentralTriangle
 
@@ -145,15 +145,17 @@ def evaluate_expansion(x0: float, alpha: RationalLike, beta: float,
 
         sum_{i=0}^{n} s(n, i, alpha) * (beta)_i * x0^(-alpha-n) * ln(x0)^(beta-i)
 
-    with the exact values row[i] = s(n, i, alpha) rounded to float and the
-    weights (beta)_i as one running product. A term whose weight is zero is
-    skipped before its row value is rounded: that leaves the sum bit-for-bit
-    unchanged and keeps integer-beta cases exact."""
+    with the exact values row[i] = s(n, i, alpha) rounded to float (row may hold
+    them rounded already) and the weights (beta)_i as one running product. A
+    term whose weight is zero is skipped before its row value is rounded: that
+    leaves the sum bit-for-bit unchanged and keeps integer-beta cases exact. The
+    exponent -alpha - n = (-p - nq)/q is one correctly rounded int division."""
     _check_point(x0, beta)
     beta = float(beta)
     n = len(row) - 1
     log_x0 = math.log(x0)
-    power = float(x0) ** float(-Fraction(alpha) - n)
+    p, q = alpha.numerator, alpha.denominator
+    power = float(x0) ** ((-p - n * q) / q)
     total, weight = 0.0, 1
     for i, value in enumerate(row):
         if weight != 0.0:
@@ -181,22 +183,21 @@ def expansion_grid(triangle: NoncentralTriangle,
     against GRID_ALPHAS x GRID_BETAS x GRID_X0S. Each (alpha, beta, x0) family
     builds one jet of the top order and reads every n's derivative off it
     (the same floats as derivative_by_jets); each (n, alpha) row is read from
-    the triangle once. A point passes iff its relative residual
+    the triangle and rounded to float once. A point passes iff its relative residual
     |jet - expansion| / max(|jet|, 1e-300) is at most rel_tol."""
     order = min(GRID_MAX_ORDER, triangle.n_max)
-    jets = {(alpha, beta, x0): _function_jet(x0, float(alpha), beta, order)
-            for alpha in GRID_ALPHAS for beta in GRID_BETAS for x0 in GRID_X0S}
+    points = [(beta, x0) for beta in GRID_BETAS for x0 in GRID_X0S]
+    jets = [[_function_jet(x0, float(alpha), beta, order) for beta, x0 in points]
+            for alpha in GRID_ALPHAS]
     reports = []
     for n in range(order + 1):
         scale = math.factorial(n)
-        for alpha in GRID_ALPHAS:
-            row = [triangle.evaluate(n, i, alpha) for i in range(n + 1)]
-            for beta in GRID_BETAS:
-                for x0 in GRID_X0S:
-                    jet_value = scale * jets[alpha, beta, x0][n]
-                    expansion_value = evaluate_expansion(x0, alpha, beta, row)
-                    rel = abs(jet_value - expansion_value) / max(abs(jet_value), RESIDUAL_FLOOR)
-                    reports.append(ResidualReport(n, alpha, beta, x0, jet_value,
-                                                  expansion_value, rel, rel <= rel_tol))
+        for alpha, alpha_jets in zip(GRID_ALPHAS, jets):
+            row = [float(horner(coeffs, alpha)) for coeffs in triangle.rows[n]]
+            for (beta, x0), jet in zip(points, alpha_jets):
+                jet_value = scale * jet[n]
+                expansion_value = evaluate_expansion(x0, alpha, beta, row)
+                rel = abs(jet_value - expansion_value) / max(abs(jet_value), RESIDUAL_FLOOR)
+                reports.append(ResidualReport(n, alpha, beta, x0, jet_value,
+                                              expansion_value, rel, rel <= rel_tol))
     return reports
-

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Iterator, List
+from typing import Iterator, List, Optional, Sequence
 
 from .exact import (
     AlphaPoly,
@@ -137,44 +137,52 @@ def build_by_explicit(n_max: int) -> NoncentralTriangle:
     return NoncentralTriangle(explicit_rows(n_max))
 
 
-def alternating_binomial_sum(alpha: RationalLike, n: int) -> Fraction:
-    """S(alpha, n) = sum_{k=0}^{n-1} (-1)^k C(-alpha, k) / (n - k), exact.
+def alternating_sum_weights(n: int) -> List[int]:
+    """[C(n, k) (n-k-1)! for k < n]: the integer weights of n! S(a, n), the same at
+    every a, so one list serves every alpha at this n."""
+    return [math.comb(n, k) * math.factorial(n - k - 1) for k in range(n)]
+
+
+def scaled_alternating_sum(weights: Sequence[int], alpha: RationalLike) -> int:
+    """n! q^(n-1) S(p/q, n) as an int, for n = len(weights) and alpha = p/q (an int
+    has q = 1), where S(a, n) = sum_{k=0}^{n-1} (-1)^k C(-a, k) / (n - k).
 
     Since (-1)^k C(-a, k) = a(a+1)...(a+k-1)/k!, the sum times n! has integer
-    coefficients: n! S(a, n) = sum_k C(n, k) (n-k-1)! a(a+1)...(a+k-1). At
-    a = p/q, with R_k = p(p+q)...(p+(k-1)q), the scaled sum
-
-        N = sum_{k<n} C(n, k) (n-k-1)! R_k q^(n-1-k)
-
-    is run on ints by Horner's rule in the factors p + kq, and S(a, n) is the
-    one Fraction N / (n! q^(n-1)). At a negative integer a = -b, R_k is 0 for
-    k > b, so the sum stops at k = b.
+    coefficients: n! S(a, n) = sum_k C(n, k) (n-k-1)! a(a+1)...(a+k-1). With
+    R_k = p(p+q)...(p+(k-1)q) the scaled sum sum_k weights[k] R_k q^(n-1-k) is run
+    by Horner's rule in the factors p + kq. At a negative integer a = -b, R_k is 0
+    for k > b, so the sum stops at k = b.
     """
+    n, p, q = len(weights), alpha.numerator, alpha.denominator
+    top = min(n - 1, -p) if q == 1 and p <= 0 else n - 1
+    acc, scale = 0, 1
+    for k in range(top, -1, -1):
+        acc = acc * (p + k * q) + weights[k] * scale
+        scale *= q
+    return acc
+
+
+def alternating_binomial_sum(alpha: RationalLike, n: int) -> Fraction:
+    """S(alpha, n) = sum_{k=0}^{n-1} (-1)^k C(-alpha, k) / (n - k), exact: the one
+    Fraction scaled_alternating_sum / (n! q^(n-1))."""
     if n < 1:
         return Fraction(0)
-    a = Fraction(alpha)
-    p, q = a.numerator, a.denominator
-    top = min(n - 1, -p) if q == 1 and p <= 0 else n - 1
-    acc, scale = 0, q ** (n - 1 - top)
-    weight = math.comb(n, top) * math.factorial(n - 1 - top)
-    for k in range(top, -1, -1):
-        acc = acc * (p + k * q) + weight * scale
-        scale *= q
-        # C(n, k-1) (n-k)! = C(n, k) (n-k-1)! k (n-k) / (n-k+1), exactly
-        weight = weight * k * (n - k) // (n - k + 1)
-    return Fraction(acc, math.factorial(n) * q ** (n - 1))
+    return Fraction(scaled_alternating_sum(alternating_sum_weights(n), alpha),
+                    math.factorial(n) * alpha.denominator ** (n - 1))
 
 
-def s_n1_sum_formula(n: int, alpha: RationalLike) -> Fraction:
+def s_n1_sum_formula(n: int, alpha: RationalLike,
+                     weights: Optional[Sequence[int]] = None) -> Fraction:
     """s(n, 1, alpha) by the alternating binomial sum, independent of any triangle:
 
         n! * sum_{k=0}^{n-1} (-1)^(n-k-1) C(-alpha, k) / (n - k)
-            = (-1)^(n-1) n! S(alpha, n)
-    """
+            = (-1)^(n-1) n! S(alpha, n),
+
+    one Fraction; weights, if given, are alternating_sum_weights(n)."""
     if n < 1:
         raise ValueError("n must be positive")
-    value = math.factorial(n) * alternating_binomial_sum(alpha, n)
-    return value if n % 2 else -value
+    value = scaled_alternating_sum(weights or alternating_sum_weights(n), alpha)
+    return Fraction(value if n % 2 else -value, alpha.denominator ** (n - 1))
 
 
 def s_n1_recurrence(n: int, alpha: RationalLike) -> List[Fraction]:

@@ -383,6 +383,8 @@ REFUSALS = [
     (("triangle", "--n-max", "-1"), 2, "--n-max must be in 0..%d\n" % cli.TRIANGLE_N_MAX),
     (("triangle", "--out", "{missing}"), 1, "cannot write {missing}: "),
     (("verify", "--n-max", "-1"), 2, "--n-max must be nonnegative\n"),
+    (("verify", "--n-max", str(cli.VERIFY_N_MAX + 1)), 2,
+     "--n-max must be at most %d\n" % cli.VERIFY_N_MAX),
     (("verify", "--tol", "0"), 2, "--tol must be finite and positive\n"),
     (("verify", "--corrupt", "nope"), 2, "bad --corrupt argument 'nope': "),
     (("verify", "--corrupt", "1_0,1"), 2, "bad --corrupt argument '1_0,1': "),
@@ -684,6 +686,48 @@ def test_verify_top_size_reports_match_golden_digests(capsys, tmp_path, argv, st
                                                       csv_digest, json_digests):
     _assert_verify_digests(capsys, tmp_path, argv, status, csv_digest, json_digests,
                            seed="1")
+
+
+GOLDEN_VERIFY_RUNS = ([(("--n-max", "16"), "0")]
+                      + [(argv, "0") for argv, _, _, _ in GOLDEN_VERIFY_EDGES]
+                      + [(argv, "1") for argv, _, _, _ in GOLDEN_VERIFY_TOP])
+
+
+@pytest.mark.parametrize("argv, seed", GOLDEN_VERIFY_RUNS,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN_VERIFY_RUNS])
+def test_verify_json_report_is_compact_json_byte_for_byte(capsys, tmp_path, argv, seed):
+    # the section digests above are taken after a json round trip; this pins the rest
+    # of the file's bytes: no whitespace, escaping as json.dumps does it, one final newline
+    path = tmp_path / "report.json"
+    run_cli("verify", "--with-oracle", "--seed", seed, *argv, "--format", "json",
+            "--out", str(path))
+    capsys.readouterr()
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+
+
+def test_json_records_escape_detail_as_json_dumps_does():
+    checks = [StructuralCheck("degree", 3, None, False, 'expected "a\\b", got \u00e9\n'),
+              StructuralCheck("degree", 4, 2, True)]
+    expected = [{"check": c.check, "n": str(c.n), "k": None if c.k is None else str(c.k),
+                 "ok": c.ok, "detail": c.detail} for c in checks]
+    assert cli._structural_json_records(checks) == json.dumps(expected, separators=(",", ":"))
+
+
+def test_verify_bound_sits_above_every_pinned_size(capsys, monkeypatch):
+    sizes = [int(argv[argv.index("--n-max") + 1]) for argv, _ in GOLDEN_VERIFY_RUNS]
+    assert cli.VERIFY_N_MAX >= 128 and cli.VERIFY_N_MAX > max(sizes)
+
+    class Built(Exception):
+        pass
+
+    def built(n_max):
+        raise Built(n_max)
+
+    monkeypatch.setattr(cli, "StirlingTable", built)
+    with pytest.raises(Built):  # accepted: verify goes on to build the table
+        run_cli("verify", "--n-max", str(cli.VERIFY_N_MAX))
+    capsys.readouterr()
 
 
 # sha256 of `eval` stdout, pinned before `eval` stopped building the

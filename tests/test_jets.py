@@ -192,6 +192,36 @@ def test_expansion_weights_match_per_term_falling_factorials(n, alpha, beta, x0)
             == _outcome(_expansion_by_falling_factorials, x0, alpha, beta, row))
 
 
+def _expansion_with_fraction_exponent(x0, alpha, beta, row):
+    """The expansion with its exponent formed in Fraction arithmetic, float(-alpha - n)."""
+    n, log_x0, beta = len(row) - 1, math.log(x0), float(beta)
+    power = float(x0) ** float(-Fraction(alpha) - n)
+    total, weight = 0.0, 1
+    for i, value in enumerate(row):
+        if weight != 0.0:
+            total += float(value) * weight * power * log_x0 ** (beta - i)
+        weight *= beta - i
+    return total
+
+
+@given(n=st.integers(0, 40),
+       alpha=st.one_of(st.integers(-60, 60),
+                       st.builds(Fraction, st.integers(-60, 60), st.integers(1, 25))),
+       beta=st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, -1.5]),
+       x0=st.sampled_from([1.5, 2.0, math.e, 5.0]))
+@example(n=8, alpha=-2, beta=0.5, x0=math.e)
+@example(n=8, alpha=Fraction(-1, 2), beta=2.5, x0=5.0)
+@example(n=3, alpha=Fraction(59, 7), beta=0.5, x0=1.5)
+def test_expansion_exponent_is_the_float_of_the_fraction(n, alpha, beta, x0):
+    # -alpha - n as one int division (-p - nq)/q rounds like float(-Fraction(alpha) - n),
+    # at int and Fraction alphas of both signs, so the sum is the same bit for bit
+    p, q = alpha.numerator, alpha.denominator
+    assert ((-p - n * q) / q).hex() == float(-Fraction(alpha) - n).hex()
+    row = evaluate_row(n, alpha)
+    assert (evaluate_expansion(x0, alpha, beta, row).hex()
+            == _expansion_with_fraction_exponent(x0, alpha, beta, row).hex())
+
+
 def test_pure_log_powers_match_classical_composition(triangle):
     # alpha = 0, beta = m: the jet derivative of ln^m x must match the
     # composition formula built from classical s(n, i) directly

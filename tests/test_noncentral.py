@@ -1,6 +1,7 @@
 """Tests for the non-central triangle: both constructions, boundary closed
 forms, the k=1 column formulas, and serialization."""
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -13,6 +14,7 @@ from ncstirling.exact import AlphaPoly, falling_factorial
 from ncstirling.noncentral import (
     NoncentralTriangle,
     alternating_binomial_sum,
+    alternating_sum_weights,
     build_by_explicit,
     build_by_recurrence,
     corrupt_entry,
@@ -21,6 +23,7 @@ from ncstirling.noncentral import (
     recurrence_rows,
     s_n1_recurrence,
     s_n1_sum_formula,
+    scaled_alternating_sum,
     triangle_from_json,
     triangle_to_json,
 )
@@ -201,6 +204,24 @@ def test_binomial_sum_at_nonpositive_integers():
     for b in range(41):
         for n in range(41):
             assert alternating_binomial_sum(-b, n) == fraction_binomial_sum(-b, n), (b, n)
+
+
+@given(n=st.integers(1, 40), p=st.integers(-60, 60), q=st.integers(1, 20), b=st.integers(0, 45))
+@example(n=40, p=7, q=20, b=39)
+@example(n=40, p=-7, q=1, b=40)
+@example(n=1, p=0, q=1, b=0)
+def test_shared_weights_sum_matches_fraction_term_recurrence(n, p, q, b):
+    # one weight list serves every alpha at this n: a rational, an integer, and a
+    # negative integer -b, where the scaled sum stops at k = b
+    weights = alternating_sum_weights(n)
+    for alpha in (Fraction(p, q), p, -b):
+        expected = fraction_binomial_sum(alpha, n)
+        scaled = scaled_alternating_sum(weights, alpha)
+        assert type(scaled) is int
+        assert Fraction(scaled, math.factorial(n) * alpha.denominator ** (n - 1)) == expected
+        assert (s_n1_sum_formula(n, alpha, weights)
+                == (-1) ** (n - 1) * math.factorial(n) * expected)
+    assert weights == alternating_sum_weights(n)  # the shared list is left as it was
 
 
 def test_recurrence_small_values():
