@@ -106,6 +106,7 @@ class AlphaPoly:
         return "AlphaPoly(%r)" % (list(self._coeffs),)
 
 
+# Only binomial_rational calls this; kept while perfbench/tracing.py counts calls through it.
 def falling_factorial(x: RationalLike, k: int) -> RationalLike:
     """x(x-1)...(x-k+1), exact; the empty product (k=0) is 1."""
     if k < 0:
@@ -116,6 +117,7 @@ def falling_factorial(x: RationalLike, k: int) -> RationalLike:
     return out
 
 
+# No caller in the package; kept while perfbench/tracing.py counts calls through it.
 def binomial_rational(x: RationalLike, k: int) -> Fraction:
     """Generalized binomial coefficient C(x, k) = x(x-1)...(x-k+1)/k!."""
     if k < 0:

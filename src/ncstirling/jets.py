@@ -127,16 +127,9 @@ def derivative_by_jets(x0: float, alpha: float, beta: float, n: int) -> float:
         raise ValueError("n must be nonnegative")
     if n > MAX_DERIVATIVE_ORDER:
         raise ValueError("derivative order capped at %d, got %d" % (MAX_DERIVATIVE_ORDER, n))
-    return math.factorial(n) * _function_jet(x0, alpha, beta, n)[n]
-
-
-def _function_jet(x0: float, alpha: float, beta: float, order: int) -> Jet:
-    """Jet of x^(-alpha) * ln^beta(x) at x0. Coefficient k of every jet
-    operation is computed from coefficients <= k only, in the same order at
-    any truncation order, so coefficient n of this jet is bit-for-bit the one
-    a jet of order n gives."""
-    x = jet_seed(float(x0), order)
-    return jet_mul(jet_pow_real(x, -float(alpha)), jet_pow_real(jet_ln(x), float(beta)))
+    x = jet_seed(x0, n)
+    jet = jet_mul(jet_pow_real(x, -float(alpha)), jet_pow_real(jet_ln(x), float(beta)))
+    return math.factorial(n) * jet[n]
 
 
 def evaluate_expansion(x0: float, alpha: RationalLike, beta: float,
@@ -180,15 +173,21 @@ class ResidualReport(NamedTuple):
 def expansion_grid(triangle: NoncentralTriangle,
                    rel_tol: float = 1e-6) -> List[ResidualReport]:
     """Run the validation grid: every n up to min(GRID_MAX_ORDER, triangle.n_max)
-    against GRID_ALPHAS x GRID_BETAS x GRID_X0S. Each (alpha, beta, x0) family
-    builds one jet of the top order and reads every n's derivative off it
-    (the same floats as derivative_by_jets); each (n, alpha) row is read from
+    against GRID_ALPHAS x GRID_BETAS x GRID_X0S. Each point's jet of the top order
+    is one jet_mul of factor jets, each built once: x^(-alpha) per (alpha, x0) and
+    ln^beta(x) per (beta, x0), from one seed per x0. Coefficient k of every jet
+    operation depends only on coefficients <= k, so every n's derivative read off
+    it is bit for bit that of derivative_by_jets. Each (n, alpha) row is read from
     the triangle and rounded to float once. A point passes iff its relative residual
     |jet - expansion| / max(|jet|, 1e-300) is at most rel_tol."""
     order = min(GRID_MAX_ORDER, triangle.n_max)
     points = [(beta, x0) for beta in GRID_BETAS for x0 in GRID_X0S]
-    jets = [[_function_jet(x0, float(alpha), beta, order) for beta, x0 in points]
-            for alpha in GRID_ALPHAS]
+    seeds = [jet_seed(x0, order) for x0 in GRID_X0S]
+    logs = [jet_ln(x) for x in seeds]
+    log_powers = [[jet_pow_real(log, beta) for log in logs] for beta in GRID_BETAS]
+    powers = [[jet_pow_real(x, -float(alpha)) for x in seeds] for alpha in GRID_ALPHAS]
+    jets = [[jet_mul(power, log_power) for row in log_powers
+             for power, log_power in zip(alpha_powers, row)] for alpha_powers in powers]
     reports = []
     for n in range(order + 1):
         scale = math.factorial(n)

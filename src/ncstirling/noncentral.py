@@ -162,15 +162,6 @@ def scaled_alternating_sum(weights: Sequence[int], alpha: RationalLike) -> int:
     return acc
 
 
-def alternating_binomial_sum(alpha: RationalLike, n: int) -> Fraction:
-    """S(alpha, n) = sum_{k=0}^{n-1} (-1)^k C(-alpha, k) / (n - k), exact: the one
-    Fraction scaled_alternating_sum / (n! q^(n-1))."""
-    if n < 1:
-        return Fraction(0)
-    return Fraction(scaled_alternating_sum(alternating_sum_weights(n), alpha),
-                    math.factorial(n) * alpha.denominator ** (n - 1))
-
-
 def s_n1_sum_formula(n: int, alpha: RationalLike,
                      weights: Optional[Sequence[int]] = None) -> Fraction:
     """s(n, 1, alpha) by the alternating binomial sum, independent of any triangle:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ncstirling import jets
 from ncstirling.exact import falling_factorial
 from ncstirling.jets import (
     JetDomainError,
@@ -279,8 +280,8 @@ def test_identically_zero_derivatives_give_zero_residual(grid):
 
 
 def test_grid_reads_the_same_floats_as_derivative_by_jets(grid):
-    # one jet of the top order per (alpha, beta, x0) gives, bit for bit, the
-    # derivative that a jet of each order n gives
+    # the product of the shared factor jets of the top order gives, bit for bit,
+    # the derivative that derivative_by_jets builds from factor jets of order n
     assert len(grid) == 9 * 7 * 5 * 4
     for (n, alpha, beta, x0), report in grid.items():
         expected = derivative_by_jets(x0, float(alpha), beta, n)
@@ -290,3 +291,21 @@ def test_grid_reads_the_same_floats_as_derivative_by_jets(grid):
 def test_small_grid_passes():
     reports = expansion_grid(build_by_recurrence(4))
     assert reports and all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("n_max", [8, 3])
+def test_grid_builds_each_factor_jet_once(monkeypatch, n_max):
+    # one seed per x0 (4) and one power jet per (alpha, x0) and per (beta, x0):
+    # 7 * 4 + 5 * 4 = 48
+    calls = {"jet_seed": 0, "jet_pow_real": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(jets, name, counting(name, getattr(jets, name)))
+    jets.expansion_grid(build_by_recurrence(n_max))
+    assert calls == {"jet_seed": 4, "jet_pow_real": 48}

@@ -13,7 +13,6 @@ from ncstirling.cli import triangle_to_csv
 from ncstirling.exact import AlphaPoly, falling_factorial
 from ncstirling.noncentral import (
     NoncentralTriangle,
-    alternating_binomial_sum,
     alternating_sum_weights,
     build_by_explicit,
     build_by_recurrence,
@@ -183,8 +182,12 @@ def fraction_binomial_sum(alpha, n):
     return total
 
 
-@given(n=st.integers(0, 40), p=st.integers(-60, 60), q=st.integers(1, 25))
-@example(n=0, p=-3, q=1)
+def binomial_sum_by_formula(alpha, n):
+    """S(alpha, n) = (-1)^(n-1) s_n1_sum_formula(n, alpha) / n!, for n >= 1."""
+    return (-1) ** (n - 1) * s_n1_sum_formula(n, alpha) / math.factorial(n)
+
+
+@given(n=st.integers(1, 40), p=st.integers(-60, 60), q=st.integers(1, 25))
 @example(n=1, p=0, q=1)
 @example(n=40, p=0, q=1)
 @example(n=40, p=-1, q=1)
@@ -194,7 +197,7 @@ def fraction_binomial_sum(alpha, n):
 @example(n=40, p=-60, q=25)
 @example(n=40, p=60, q=25)
 def test_binomial_sum_matches_fraction_term_recurrence(n, p, q):
-    value = alternating_binomial_sum(Fraction(p, q), n)
+    value = binomial_sum_by_formula(Fraction(p, q), n)
     assert type(value) is Fraction
     assert value == fraction_binomial_sum(Fraction(p, q), n)
 
@@ -202,8 +205,8 @@ def test_binomial_sum_matches_fraction_term_recurrence(n, p, q):
 def test_binomial_sum_at_nonpositive_integers():
     # at alpha = -b the sum stops at k = b; b = 0 leaves only the k = 0 term 1/n
     for b in range(41):
-        for n in range(41):
-            assert alternating_binomial_sum(-b, n) == fraction_binomial_sum(-b, n), (b, n)
+        for n in range(1, 41):
+            assert binomial_sum_by_formula(-b, n) == fraction_binomial_sum(-b, n), (b, n)
 
 
 @given(n=st.integers(1, 40), p=st.integers(-60, 60), q=st.integers(1, 20), b=st.integers(0, 45))
