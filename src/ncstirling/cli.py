@@ -22,6 +22,7 @@ from .noncentral import (
     build_by_explicit,
     build_by_recurrence,
     corrupt_entry,
+    evaluate_entry,
     evaluate_row,
     explicit_rows,
     recurrence_rows,
@@ -37,6 +38,7 @@ MAX_FAILURES_PRINTED = 25
 TRIANGLE_N_MAX = 520
 # The largest `verify --n-max`: twice the largest pinned size (64); time grows as N^4 past it.
 VERIFY_N_MAX = 128
+EVAL_N_MAX = 2000  # the largest `eval --n`: a whole row (k = n, or --beta) takes about 0.75 s
 # verify --corrupt N,K: two integers in ASCII digits (the integer part of RATIONAL_RE); int()
 # alone would also read "1_0" and non-ASCII digits, which --alpha refuses.
 CORRUPT_RE = re.compile(r"\s*([+-]?[0-9]+)\s*,\s*([+-]?[0-9]+)\s*")
@@ -100,7 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", allow_abbrev=False, help="print s(n, k, alpha) exactly")
     ev.add_argument("--n", type=int, required=True,
-                    help="costs about n^3 bit operations (7 s at n=4000)")
+                    help="at most %d; O(n (k+1)) integer steps, a whole row at k = n or with "
+                         "--beta: 0.75 s at n=2000; past n=1500 even small k can pass the "
+                         "4,300-digit print limit (s(1500, 2, 7/3) has 4,835 digits)" % EVAL_N_MAX)
     ev.add_argument("--k", type=int, required=True)
     ev.add_argument("--alpha", type=_rational_argument, required=True,
                     help='rational, e.g. "-2", "7/3" or "-5/2"')
@@ -258,6 +262,8 @@ def cmd_verify(args) -> int:
 def cmd_eval(args) -> int:
     if args.n < 0 or args.k < 0:
         raise Refusal(2, "--n and --k must be nonnegative")
+    if args.n > EVAL_N_MAX:
+        raise Refusal(2, "--n must be at most %d" % EVAL_N_MAX)
     if args.k > args.n:
         raise Refusal(2, "--k must not exceed --n")
     if (args.beta is None) != (args.x0 is None):
@@ -267,13 +273,14 @@ def cmd_eval(args) -> int:
             raise Refusal(2, "--beta and --x0 must be finite")
         if not args.x0 > 1.0:
             raise Refusal(2, "--x0 must exceed 1")
-    row = evaluate_row(args.n, args.alpha)
+    row = None if args.beta is None else evaluate_row(args.n, args.alpha)
+    value = evaluate_entry(args.n, args.k, args.alpha) if row is None else row[args.k]
     try:
-        text = format_rational(row[args.k])
+        text = format_rational(value)
     except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
         raise Refusal(2, "s(n,k,alpha) cannot be printed: %s" % exc)
     print(text)
-    if args.beta is not None:
+    if row is not None:
         value = evaluate_expansion(args.x0, args.alpha, args.beta, row)
         print("expansion n=%d alpha=%s beta=%r x0=%r -> %r"
               % (args.n, format_rational(args.alpha), args.beta, args.x0, value))

@@ -15,14 +15,15 @@ explicit_rows), are provided and must agree exactly:
   expanded with classical numbers too.
 
 Specializing alpha = 0 recovers the classical signed numbers. A second use of
-the recurrence runs it at one rational alpha in integer arithmetic and gives a
-whole row of values (evaluate_row), or the k=1 column of every row in one pass
-(s_n1_recurrence).
+the recurrence runs it at one rational alpha in integer arithmetic, by
+stirling.scaled_rows, and gives a whole row of values (evaluate_row), one entry
+(evaluate_entry), or the k=1 column of every row in one pass (s_n1_recurrence).
 """
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence
 
@@ -34,7 +35,7 @@ from .exact import (
     horner,
     parse_canonical_int,
 )
-from .stirling import StirlingTable, check_index
+from .stirling import StirlingTable, check_index, scaled_rows
 
 
 class NoncentralTriangle:
@@ -93,22 +94,21 @@ def build_by_recurrence(n_max: int) -> NoncentralTriangle:
 
 
 def evaluate_row(n: int, alpha: RationalLike) -> List[Fraction]:
-    """[s(n, 0, alpha), ..., s(n, n, alpha)] at one rational alpha, exactly:
-    the coefficients of (x - alpha)(x - alpha - 1)...(x - alpha - n + 1).
+    """[s(n, 0, alpha), ..., s(n, n, alpha)], exactly: the coefficients of (x - alpha)...
+    (x - alpha - n + 1), the last of scaled_rows(n, alpha, n), one row held at a time, O(n^2)."""
+    q = Fraction(alpha).denominator
+    row = deque(scaled_rows(n, alpha, n), maxlen=1).pop()
+    return [Fraction(value, q ** (n - i)) for i, value in enumerate(row)]
 
-    With alpha = p/q the scaled values c(m, i) = q^(m-i) s(m, i, alpha) are
-    integers, and the recurrence becomes c(m+1, i) = c(m, i-1) - (p + m q) c(m, i),
-    so the row costs O(n^2) integer steps and no polynomial arithmetic.
-    """
+
+def evaluate_entry(n: int, k: int, alpha: RationalLike) -> Fraction:
+    """s(n, k, alpha) alone, exactly: entry k of the last of scaled_rows(n, alpha, k),
+    whose rows stop at column k, in O(n (k+1)) integer steps, not evaluate_row's O(n^2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    a = Fraction(alpha)
-    p, q = a.numerator, a.denominator
-    c = [1]
-    for m in range(n):
-        shift = p + m * q
-        c = [low - shift * high for low, high in zip([0] + c, c + [0])]
-    return [Fraction(value, q ** (n - i)) for i, value in enumerate(c)]
+    check_index(n, k, n)
+    value = deque(scaled_rows(n, alpha, k), maxlen=1).pop()[k]
+    return Fraction(value, Fraction(alpha).denominator ** (n - k))
 
 
 def explicit_rows(n_max: int) -> Iterator[tuple]:
@@ -177,25 +177,12 @@ def s_n1_sum_formula(n: int, alpha: RationalLike,
 
 
 def s_n1_recurrence(n: int, alpha: RationalLike) -> List[Fraction]:
-    """[s(0, 1, alpha), ..., s(n, 1, alpha)]: the k <= 1 columns of the
-    recurrence run once at alpha = p/q, on the scaled integers of evaluate_row,
-
-        c(m+1, 0) = -(p + m q) c(m, 0),  c(m+1, 1) = c(m, 0) - (p + m q) c(m, 1),
-
-    with s(m, 1, alpha) = c(m, 1) / q^(m-1): O(n) integer steps for the whole
-    column, independent of any triangle."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    a = Fraction(alpha)
-    p, q = a.numerator, a.denominator
-    low, high, scale = 1, 0, 1
-    column = [Fraction(0)]
-    for m in range(n):
-        shift = p + m * q
-        low, high = -shift * low, low - shift * high
-        column.append(Fraction(high, scale))
-        scale *= q
-    return column
+    """[s(0, 1, alpha), ..., s(n, 1, alpha)]: column 1 of scaled_rows(n, alpha, 1), with
+    s(m, 1, alpha) = c(m, 1) / q^(m-1) at alpha = p/q: the recurrence run once on columns
+    0 and 1 alone, O(n) integer steps for the whole column, independent of any triangle."""
+    q, rows = Fraction(alpha).denominator, scaled_rows(n, alpha, 1)
+    next(rows)  # row 0 has no column 1: s(0, 1, alpha) = 0
+    return [Fraction(0)] + [Fraction(row[1], q ** m) for m, row in enumerate(rows)]
 
 
 def triangle_json_chunks(n_max: int, rows) -> Iterator[str]:

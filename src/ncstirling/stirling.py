@@ -1,13 +1,27 @@
-"""Classical signed Stirling numbers of the first kind, an oracle for their
-rows, the non-central numbers read off them by a closed form, and exact
-harmonic numbers. The unsigned |s(n, k)| = (-1)^(n-k) s(n, k) is not stored."""
+"""scaled_rows, the recurrence at one rational alpha in integers; the classical signed numbers
+of the first kind, its rows at alpha = 0 (|s(n, k)| = (-1)^(n-k) s(n, k) is not stored), with
+an oracle for them; the non-central numbers read off them by a closed form; harmonic numbers."""
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, List
 
-from .exact import AlphaPoly
+from .exact import AlphaPoly, RationalLike
+
+
+def scaled_rows(n: int, alpha: RationalLike, top: int) -> Iterator[List[int]]:
+    """Rows m = 0..n of the integers c(m, i) = q^(m-i) s(m, i, alpha), alpha = p/q, for
+    i <= min(m, top), by c(m+1, i) = c(m, i-1) - (p + m q) c(m, i) from c(0, 0) = 1; the
+    cap is exact, as column i reads only columns <= i. At alpha = 0, c(m, i) = s(m, i)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    p, q = Fraction(alpha).as_integer_ratio()
+    row = [1]
+    yield row
+    for m, shift in enumerate(range(p, p + n * q, q)):  # shift = p + m q
+        row = [low - shift * high for low, high in zip([0] + row, row + [0] if m < top else row)]
+        yield row
 
 
 def check_index(n: int, k: int, n_max: int) -> None:
@@ -21,23 +35,15 @@ def check_index(n: int, k: int, n_max: int) -> None:
 class StirlingTable:
     """Triangle of signed first-kind Stirling numbers s(n, k), 0 <= k <= n <= n_max.
 
-    Built once with the two-term recurrence
-    s(n, k) = s(n-1, k-1) - (n-1) * s(n-1, k), as one shift: row n is the
-    previous row shifted up one place minus (n-1) times it, each zero-padded
-    to n+1 entries. Immutable afterwards, so concurrent reads are safe.
+    Built once as the rows of scaled_rows at alpha = 0, the classical recurrence
+    s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k); immutable afterwards, so reads are thread-safe.
     """
 
     __slots__ = ("n_max", "_rows")
 
     def __init__(self, n_max: int) -> None:
-        if n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        self.n_max = n_max
-        rows = [(1,)]
-        for n in range(1, n_max + 1):
-            prev = rows[-1]
-            rows.append(tuple([a - (n - 1) * b for a, b in zip((0,) + prev, prev + (0,))]))
-        self._rows = tuple(rows)
+        self.n_max = n_max  # scaled_rows rejects a negative n_max
+        self._rows = tuple(map(tuple, scaled_rows(n_max, 0, n_max)))
 
     def signed(self, n: int, k: int) -> int:
         check_index(n, k, self.n_max)

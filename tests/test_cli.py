@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
+import ast
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -392,6 +394,8 @@ REFUSALS = [
     (("verify", "--out", "{missing}"), 1, "cannot write {missing}: "),
     (("eval", "--n", "2", "--k", "3", "--alpha", "1"), 2, "--k must not exceed --n\n"),
     (("eval", "--n", "-1", "--k", "0", "--alpha", "1"), 2, "--n and --k must be nonnegative\n"),
+    (("eval", "--n", str(cli.EVAL_N_MAX + 1), "--k", "0", "--alpha", "0"), 2,
+     "--n must be at most %d\n" % cli.EVAL_N_MAX),
     (("eval", "--n", "2", "--k", "1", "--alpha", "1", "--beta", "1"), 2,
      "--beta and --x0 must be given together\n"),
     (("eval", "--n", "2", "--k", "1", "--alpha", "1", "--beta=nan", "--x0", "2"), 2,
@@ -409,7 +413,7 @@ def test_every_refusal_is_one_line_before_anything_is_built(capsys, monkeypatch,
         raise AssertionError("a refused command built something")
 
     for name in ("StirlingTable", "build_by_recurrence", "build_by_explicit",
-                 "recurrence_rows", "explicit_rows", "evaluate_row"):
+                 "recurrence_rows", "explicit_rows", "evaluate_row", "evaluate_entry"):
         monkeypatch.setattr(cli, name, refuse)
     missing = str(tmp_path / "missing" / "r.json")
     assert run_cli(*[arg.replace("{missing}", missing) for arg in argv]) == status
@@ -446,10 +450,10 @@ def test_stdout_write_error_is_one_line(argv):
 
 def test_main_lets_an_unexpected_exception_through(monkeypatch):
     # only refusals and stdout write errors are handled; a bug keeps its traceback
-    def broken(n, alpha):
+    def broken(n, k, alpha):
         raise RuntimeError("not a refusal")
 
-    monkeypatch.setattr(cli, "evaluate_row", broken)
+    monkeypatch.setattr(cli, "evaluate_entry", broken)
     with pytest.raises(RuntimeError):
         run_cli("eval", "--n", "2", "--k", "1", "--alpha", "1")
 
@@ -776,3 +780,29 @@ GOLDEN_EVAL = [
 def test_eval_matches_golden_digests(capsys, argv, digest):
     assert run_cli("eval", *argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_eval_without_beta_never_builds_a_whole_row(capsys, monkeypatch):
+    def refuse(n, alpha):
+        raise AssertionError("eval without --beta built a whole row")
+
+    monkeypatch.setattr(cli, "evaluate_row", refuse)
+    for argv, digest in GOLDEN_EVAL:
+        if "--beta" not in argv:
+            assert run_cli("eval", *argv) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_eval_bound_sits_above_every_pinned_n(capsys):
+    # every literal "--n" of these tests (the goldens among them) and the largest
+    # n of the benchmark's eval mix, read from its source without importing it
+    pinned = [int(n) for n in re.findall(r'"--n", "([0-9]+)"', Path(__file__).read_text())]
+    workloads = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+                          .read_text())
+    bench = next(ast.literal_eval(node.value) for node in ast.walk(workloads)
+                 if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None)
+                 == "EVAL_SIZES")
+    assert pinned and bench
+    assert cli.EVAL_N_MAX > max(pinned + list(bench))
+    assert run_cli("eval", "--n", str(cli.EVAL_N_MAX), "--k", "0", "--alpha", "0") == 0
+    assert capsys.readouterr() == ("0\n", "")

@@ -17,6 +17,7 @@ from ncstirling.noncentral import (
     build_by_explicit,
     build_by_recurrence,
     corrupt_entry,
+    evaluate_entry,
     evaluate_row,
     explicit_rows,
     recurrence_rows,
@@ -156,6 +157,32 @@ def test_evaluate_row_rejects_negative_order():
         evaluate_row(-1, 0)
 
 
+# (n, k) with 0 <= k <= n <= 60
+ENTRIES = st.integers(0, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+
+
+@given(nk=ENTRIES, p=st.integers(-60, 60), q=st.integers(1, 25), b=st.integers(0, 65))
+@example(nk=(0, 0), p=0, q=1, b=0)
+@example(nk=(60, 0), p=7, q=3, b=30)
+@example(nk=(60, 60), p=-41, q=19, b=59)
+@example(nk=(60, 1), p=-5, q=2, b=60)
+def test_evaluate_entry_is_the_entry_of_evaluate_row(nk, p, q, b):
+    # the rows capped at column k give entry k of the whole row: at a rational, an
+    # integer and a negative integer -b, where a factor p + m q of the row vanishes
+    n, k = nk
+    for alpha in (Fraction(p, q), p, -b):
+        value = evaluate_entry(n, k, alpha)
+        assert type(value) is Fraction and value == evaluate_row(n, alpha)[k]
+
+
+def test_evaluate_entry_rejects_orders_and_columns_outside_the_triangle():
+    with pytest.raises(ValueError):
+        evaluate_entry(-1, 0, 1)
+    for n, k in [(0, 1), (3, 4), (3, -1), (0, -1)]:
+        with pytest.raises(IndexError):
+            evaluate_entry(n, k, Fraction(7, 3))
+
+
 def test_entry_range_checks(by_recurrence):
     with pytest.raises(IndexError):
         by_recurrence.entry(2, 3)
@@ -187,21 +214,6 @@ def binomial_sum_by_formula(alpha, n):
     return (-1) ** (n - 1) * s_n1_sum_formula(n, alpha) / math.factorial(n)
 
 
-@given(n=st.integers(1, 40), p=st.integers(-60, 60), q=st.integers(1, 25))
-@example(n=1, p=0, q=1)
-@example(n=40, p=0, q=1)
-@example(n=40, p=-1, q=1)
-@example(n=40, p=-39, q=1)
-@example(n=40, p=-40, q=1)
-@example(n=12, p=-60, q=1)
-@example(n=40, p=-60, q=25)
-@example(n=40, p=60, q=25)
-def test_binomial_sum_matches_fraction_term_recurrence(n, p, q):
-    value = binomial_sum_by_formula(Fraction(p, q), n)
-    assert type(value) is Fraction
-    assert value == fraction_binomial_sum(Fraction(p, q), n)
-
-
 def test_binomial_sum_at_nonpositive_integers():
     # at alpha = -b the sum stops at k = b; b = 0 leaves only the k = 0 term 1/n
     for b in range(41):
@@ -213,17 +225,25 @@ def test_binomial_sum_at_nonpositive_integers():
 @example(n=40, p=7, q=20, b=39)
 @example(n=40, p=-7, q=1, b=40)
 @example(n=1, p=0, q=1, b=0)
+@example(n=40, p=0, q=1, b=1)
+@example(n=40, p=-39, q=1, b=40)
+@example(n=12, p=-60, q=1, b=12)
+@example(n=40, p=-60, q=25, b=0)
+@example(n=40, p=60, q=25, b=45)
 def test_shared_weights_sum_matches_fraction_term_recurrence(n, p, q, b):
     # one weight list serves every alpha at this n: a rational, an integer, and a
-    # negative integer -b, where the scaled sum stops at k = b
+    # negative integer -b, where the scaled sum stops at k = b; without weights,
+    # s_n1_sum_formula builds its own list
     weights = alternating_sum_weights(n)
     for alpha in (Fraction(p, q), p, -b):
         expected = fraction_binomial_sum(alpha, n)
         scaled = scaled_alternating_sum(weights, alpha)
         assert type(scaled) is int
         assert Fraction(scaled, math.factorial(n) * alpha.denominator ** (n - 1)) == expected
-        assert (s_n1_sum_formula(n, alpha, weights)
-                == (-1) ** (n - 1) * math.factorial(n) * expected)
+        value = (-1) ** (n - 1) * math.factorial(n) * expected
+        assert s_n1_sum_formula(n, alpha, weights) == value
+        default = s_n1_sum_formula(n, alpha)
+        assert type(default) is Fraction and default == value
     assert weights == alternating_sum_weights(n)  # the shared list is left as it was
 
 

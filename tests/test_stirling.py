@@ -10,6 +10,7 @@ from ncstirling.noncentral import build_by_explicit, build_by_recurrence, evalua
 from ncstirling.stirling import (
     StirlingTable,
     harmonic,
+    scaled_rows,
     stirling_expansion_oracle,
 )
 
@@ -48,6 +49,23 @@ def test_table_rows_match_expansion_oracle(table):
     # two independent constructions agree entry-for-entry
     rows = list(stirling_expansion_oracle(N_MAX))
     assert rows == [table.row(n) for n in range(N_MAX + 1)]
+
+
+def test_scaled_rows_and_the_table_reject_a_negative_order():
+    with pytest.raises(ValueError):
+        next(scaled_rows(-1, 0, 0))
+    with pytest.raises(ValueError):
+        StirlingTable(-1)
+
+
+@given(n=st.integers(0, 40), p=st.integers(-60, 60), q=st.integers(1, 25),
+       top=st.integers(0, 42))
+def test_capped_rows_are_the_first_columns_of_whole_rows(n, p, q, top):
+    # column i of the recurrence reads only columns <= i, so the cap loses nothing it keeps
+    alpha = Fraction(p, q)
+    capped, whole = list(scaled_rows(n, alpha, top)), list(scaled_rows(n, alpha, n))
+    assert len(capped) == len(whole) == n + 1
+    assert capped == [row[:top + 1] for row in whole]
 
 
 def test_unsigned_values(table):
