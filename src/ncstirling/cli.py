@@ -36,6 +36,13 @@ MAX_FAILURES_PRINTED = 25
 # log2((n+1)!) bits, within a budget of 64 MiB up to n = 520; (521)! has 1,191 digits,
 # under the default int-to-str limit (4,300) that "%d" would otherwise hit midway.
 TRIANGLE_N_MAX = 520
+# _emit writes pieces of about this many characters (bytes, since the output is ASCII): large
+# enough that a write costs little per byte, small enough that the pieces held are little memory.
+PIECE_SIZE = 1 << 18
+# While _emit's writer runs, a thread waiting for the interpreter lock gets it within this many
+# seconds (sys.setswitchinterval) instead of the default 5 ms, which would hold a finished write
+# back past the making of the next piece.
+WRITER_SWITCH_INTERVAL = 1e-4
 # The largest `verify --n-max`: twice the largest pinned size (64); time grows as N^4 past it.
 VERIFY_N_MAX = 128
 EVAL_N_MAX = 2000  # the largest `eval --n`: a whole row (k = n, or --beta) takes about 0.75 s
@@ -69,10 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     tri = sub.add_parser("triangle", allow_abbrev=False,
                          help="emit the polynomial triangle")
     tri.add_argument("--n-max", type=int, default=64,
-                     help="largest row N (default 64, at most %d); written row by row, so "
-                          "memory grows as one row, about N^3 log N bits, and time as N^4 log N: "
-                          "0.09 s, 15 MiB at N=64; 0.8 s, 24 MiB at N=160; 4.0 s, 51 MiB at "
-                          "N=256" % TRIANGLE_N_MAX)
+                     help="largest row N (default 64, at most %d); written as it is built, "
+                          "so memory is one row of ints, about N^3 log N bits, plus about 1 MiB "
+                          "of text, and time grows as N^4 log N: 0.04 s, 17 MiB at N=64; "
+                          "0.29 s, 20 MiB at N=160; 2.1 s, 27 MiB at N=256" % TRIANGLE_N_MAX)
     tri.add_argument("--construction", choices=("recurrence", "explicit"),
                      default="recurrence", help="which construction to run")
     tri.add_argument("--format", choices=("json", "csv"), default="json")
@@ -125,24 +132,77 @@ def _open_out(path):
 
 
 def _emit(chunks, out) -> None:
-    """Write each chunk as it is made, to stdout when out is None, else to the open --out
-    file, which it then closes so that a failing flush is refused here too."""
+    """Write the chunks to stdout when out is None, else to the open --out file, which it
+    then closes so that a failing flush is refused here too."""
     if out is None:
-        sys.stdout.writelines(chunks)
+        _write_behind(chunks, sys.stdout)
         return
     try:
         with out:
-            out.writelines(chunks)
+            _write_behind(chunks, out)
     except OSError as exc:
         raise Refusal(1, "cannot write %s: %s" % (out.name, exc))
 
 
+def _pieces(chunks):
+    """The chunks joined into pieces of at least PIECE_SIZE characters, and a last, shorter one."""
+    held, size = [], 0
+    for chunk in chunks:
+        held.append(chunk)
+        size += len(chunk)
+        if size >= PIECE_SIZE:
+            yield "".join(held)
+            held, size = [], 0
+    if held:
+        yield "".join(held)
+
+
+def _write_behind(chunks, stream) -> None:
+    """Write the chunks as pieces from one writer thread while the next piece is made here.
+    A piece is handed over through a single slot once the writer is done with the one before,
+    so at most two are held. The writer calls stream.write(text), which any text stream has;
+    the first error it meets is raised here after the join, and no piece is made after it.
+    The switch interval is shortened meanwhile, and restored."""
+    import threading  # here, so that --help and eval import neither
+    from queue import SimpleQueue
+
+    slot, results = SimpleQueue(), SimpleQueue()
+
+    def write():
+        for piece in iter(slot.get, None):
+            try:
+                stream.write(piece)
+            except BaseException as exc:  # raised in the main thread below
+                results.put(exc)
+            else:
+                results.put(None)
+
+    writer = threading.Thread(target=write, name="ncstirling-writer")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(min(interval, WRITER_SWITCH_INTERVAL))
+    writer.start()
+    results.put(None)  # the writer starts idle
+    try:
+        for piece in _pieces(chunks):
+            if (error := results.get()) is not None:
+                break
+            slot.put(piece)
+        else:
+            error = results.get()
+    finally:
+        slot.put(None)
+        writer.join()
+        sys.setswitchinterval(interval)
+    if error is not None:
+        raise error
+
+
 def triangle_csv_chunks(rows):
-    """CSV triangle dump, one chunk per row: n,k,degree,coeffs, coefficients low to high."""
+    """CSV triangle dump, one chunk per entry: n,k,degree,coeffs, coefficients low to high."""
     yield "n,k,degree,coeffs\n"
     for n, row in enumerate(rows):
-        yield "".join(["%d,%d,%d,%s\n" % (n, k, len(coeffs) - 1, " ".join(map(str, coeffs)))
-                       for k, coeffs in enumerate(row)])
+        for k, coeffs in enumerate(row):
+            yield "%d,%d,%d,%s\n" % (n, k, len(coeffs) - 1, " ".join(map(str, coeffs)))
 
 
 def triangle_to_csv(triangle: NoncentralTriangle) -> str:

@@ -186,16 +186,18 @@ def s_n1_recurrence(n: int, alpha: RationalLike) -> List[Fraction]:
 
 
 def triangle_json_chunks(n_max: int, rows) -> Iterator[str]:
-    """Canonical JSON for a triangle, one chunk per row between an opening and
+    """Canonical JSON for a triangle, one chunk per entry between an opening and
     a closing chunk. Numbers are decimal strings so arbitrary-precision
     coefficients survive; compact separators, keys in the order n_max, entries
     and n, k, coeffs, written directly: digits and '-' need no JSON escaping."""
     yield '{"n_max":"%d","entries":[' % n_max
+    separator = ""
     for n, row in enumerate(rows):
-        yield ("," if n else "") + ",".join([
-            '{"n":"%d","k":"%d","coeffs":[%s]}' % (n, k, ",".join(['"%d"' % c for c in coeffs]))
-            for k, coeffs in enumerate(row)
-        ])
+        for k, coeffs in enumerate(row):
+            digits = '","'.join(map(str, coeffs))  # "" only for the zero polynomial's ()
+            yield '%s{"n":"%d","k":"%d","coeffs":[%s]}' % (separator, n, k,
+                                                          digits and '"%s"' % digits)
+            separator = ","
     yield "]}\n"
 
 

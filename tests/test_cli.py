@@ -1,12 +1,15 @@
 """Tests for the command-line interface."""
 import ast
+import errno
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +20,13 @@ from ncstirling.cli import main
 from ncstirling.exact import AlphaPoly
 from ncstirling.identities import IdentityReport, StructuralCheck
 from ncstirling.jets import ResidualReport
-from ncstirling.noncentral import NoncentralTriangle, triangle_from_json, triangle_to_json
+from ncstirling.noncentral import (
+    NoncentralTriangle,
+    build_by_recurrence,
+    triangle_from_json,
+    triangle_json_chunks,
+    triangle_to_json,
+)
 
 
 def run_cli(*argv):
@@ -179,6 +188,57 @@ def test_triangle_reader_closing_the_pipe_early():
         _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert err.decode() == "ncstirling: triangle: stdout closed before the end\n"
+
+
+def test_triangle_write_error_stops_the_writer_and_the_rows(capsys, monkeypatch, tmp_path):
+    # A stdout whose first write fails: the error reaches main as one line and status 1,
+    # the writer thread is gone, and the rows stop within two pieces of the failure.
+    yielded, real_rows = [], cli.recurrence_rows
+
+    def counted_rows(n_max):
+        for row in real_rows(n_max):
+            yielded.append(row)
+            yield row
+
+    class FullStream(io.TextIOBase):
+        def __init__(self, fd):
+            self.fd, self.writers = fd, []
+
+        def fileno(self):  # main points this descriptor at os.devnull
+            return self.fd
+
+        def write(self, text):
+            self.writers.append(threading.current_thread())
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    before = set(threading.enumerate())
+    monkeypatch.setattr(cli, "recurrence_rows", counted_rows)
+    with open(tmp_path / "stdout", "w") as sink:
+        stream = FullStream(sink.fileno())
+        monkeypatch.setattr(sys, "stdout", stream)
+        status = run_cli("triangle", "--n-max", "160")
+    assert status == 1
+    assert capsys.readouterr().err == ("ncstirling: triangle: cannot write stdout: "
+                                       "[Errno 28] No space left on device\n")
+    assert len(stream.writers) == 1 and stream.writers[0] is not threading.main_thread()
+    assert set(threading.enumerate()) == before
+    # every row but the last one asked for was rendered whole, into at most two pieces
+    chunks = [len(chunk) for chunk in triangle_json_chunks(160, yielded[:-1])]
+    assert 0 < sum(chunks) <= 2 * (cli.PIECE_SIZE + max(chunks))
+
+
+def test_triangle_pieces_stay_whole_and_in_order_under_frequent_thread_switches(capsys,
+                                                                               monkeypatch):
+    # one piece per entry, and the interpreter switching threads every microsecond
+    monkeypatch.setattr(cli, "PIECE_SIZE", 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run_cli("triangle", "--n-max", "30") == 0
+        assert sys.getswitchinterval() == 1e-6  # the writer's shorter interval is undone
+    finally:
+        sys.setswitchinterval(interval)
+    assert capsys.readouterr().out == triangle_to_json(build_by_recurrence(30))
 
 
 def test_eval_hand_values(capsys):

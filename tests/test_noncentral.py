@@ -382,6 +382,10 @@ def test_json_round_trip_any_triangle(triangle):
     parsed = triangle_from_json(text)
     assert parsed == triangle
     assert triangle_to_json(parsed) == text
+    doc = {"n_max": str(triangle.n_max), "entries": [
+        {"n": str(n), "k": str(k), "coeffs": [str(c) for c in coeffs]}
+        for n, row in enumerate(triangle.rows) for k, coeffs in enumerate(row)]}
+    assert text == json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 NEAR_INTEGERS = st.from_regex(r"\s?[+-]?[0-9\u0660-\u0669_]{0,3}\s?", fullmatch=True)
