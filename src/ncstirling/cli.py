@@ -39,10 +39,6 @@ TRIANGLE_N_MAX = 520
 # _emit writes pieces of about this many characters (bytes, since the output is ASCII): large
 # enough that a write costs little per byte, small enough that the pieces held are little memory.
 PIECE_SIZE = 1 << 18
-# While _emit's writer runs, a thread waiting for the interpreter lock gets it within this many
-# seconds (sys.setswitchinterval) instead of the default 5 ms, which would hold a finished write
-# back past the making of the next piece.
-WRITER_SWITCH_INTERVAL = 1e-4
 # The largest `verify --n-max`: twice the largest pinned size (64); time grows as N^4 past it.
 VERIFY_N_MAX = 128
 EVAL_N_MAX = 2000  # the largest `eval --n`: a whole row (k = n, or --beta) takes about 0.75 s
@@ -159,41 +155,38 @@ def _pieces(chunks):
 
 def _write_behind(chunks, stream) -> None:
     """Write the chunks as pieces from one writer thread while the next piece is made here.
-    A piece is handed over through a single slot once the writer is done with the one before,
-    so at most two are held. The writer calls stream.write(text), which any text stream has;
-    the first error it meets is raised here after the join, and no piece is made after it.
-    The switch interval is shortened meanwhile, and restored."""
+    Each piece goes through a single slot, and this thread waits for the writer's answer,
+    sent as it takes the piece, before it writes it: the wait hands it the interpreter lock at
+    once, and at most two pieces are held. The writer calls stream.write(text), which any text
+    stream has; an answer carries the first error of the writes before it, no piece is made
+    after one, and it is raised here after the join."""
     import threading  # here, so that --help and eval import neither
     from queue import SimpleQueue
 
-    slot, results = SimpleQueue(), SimpleQueue()
+    slot, answers = SimpleQueue(), SimpleQueue()
 
     def write():
+        error = None
         for piece in iter(slot.get, None):
-            try:
-                stream.write(piece)
-            except BaseException as exc:  # raised in the main thread below
-                results.put(exc)
-            else:
-                results.put(None)
+            answers.put(error)
+            if error is None:
+                try:
+                    stream.write(piece)
+                except BaseException as exc:  # raised in the main thread below
+                    error = exc
+        answers.put(error)  # the answer to the end of the pieces
 
     writer = threading.Thread(target=write, name="ncstirling-writer")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(min(interval, WRITER_SWITCH_INTERVAL))
     writer.start()
-    results.put(None)  # the writer starts idle
     try:
         for piece in _pieces(chunks):
-            if (error := results.get()) is not None:
-                break
             slot.put(piece)
-        else:
-            error = results.get()
+            if answers.get() is not None:
+                break
     finally:
         slot.put(None)
         writer.join()
-        sys.setswitchinterval(interval)
-    if error is not None:
+    if (error := answers.get()) is not None:
         raise error
 
 
@@ -372,7 +365,14 @@ def main(argv=None) -> int:
         print("ncstirling: %s: %s" % (args.command, message), file=sys.stderr)
         return status
     except OSError as exc:  # from stdout, since --out errors are Refusals
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush passes
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # no descriptor (io.UnsupportedOperation is both)
+            pass
+        else:  # point it at os.devnull, so that the exit flush passes
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
         reason = ("stdout closed before the end" if isinstance(exc, BrokenPipeError)
                   else "cannot write stdout: %s" % exc)
         print("ncstirling: %s: %s" % (args.command, reason), file=sys.stderr)

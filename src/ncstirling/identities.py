@@ -172,7 +172,8 @@ def structural_checks(by_recurrence: NoncentralTriangle,
     construction agreement, specialization at alpha=0, degree and leading-sign
     pattern, the k=0 and k=1 columns against the classical closed form
     table.noncentral, the diagonal s(n, n, alpha) = 1, and the classical rows
-    against stirling_expansion_oracle; the three must share one n_max."""
+    against stirling_expansion_oracle; the three must share one n_max, the oracle must
+    give its n_max + 1 rows and each triangle row n must hold n + 1 entries."""
     sizes = by_recurrence.n_max, by_explicit.n_max, table.n_max
     if len(set(sizes)) > 1:
         raise ValueError("sizes differ: recurrence %d, explicit %d, table %d" % sizes)
@@ -190,11 +191,14 @@ def structural_checks(by_recurrence: NoncentralTriangle,
 
     # An entry's coefficient tuple c has constant term c[0], degree len(c) - 1
     # and leading coefficient c[-1]; the empty tuple is the zero polynomial.
-    for n, oracle in enumerate(stirling_expansion_oracle(table.n_max)):
-        rec_row = by_recurrence.rows[n]
-        for k in range(n + 1):
-            rec = rec_row[k]
-            add_poly("construction_agreement", n, k, by_explicit.rows[n][k], rec)
+    rows = zip(stirling_expansion_oracle(table.n_max), by_recurrence.rows, by_explicit.rows,
+               strict=True)
+    for n, (oracle, rec_row, exp_row) in enumerate(rows):
+        if not len(rec_row) == len(exp_row) == n + 1:
+            raise ValueError("row %d holds %d recurrence and %d explicit entries, not %d"
+                             % (n, len(rec_row), len(exp_row), n + 1))
+        for k, (rec, exp) in enumerate(zip(rec_row, exp_row)):
+            add_poly("construction_agreement", n, k, exp, rec)
             constant, lead = (rec[0], rec[-1]) if rec else (0, 0)
             add("specialization_at_zero", n, k, constant == table.signed(n, k),
                 table.signed(n, k), constant)

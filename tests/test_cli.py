@@ -227,6 +227,35 @@ def test_triangle_write_error_stops_the_writer_and_the_rows(capsys, monkeypatch,
     assert 0 < sum(chunks) <= 2 * (cli.PIECE_SIZE + max(chunks))
 
 
+class _FullTextStream(io.TextIOBase):
+    """A text stdout with no descriptor whose every write fails as a full device does."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_stdout_write_error_without_a_descriptor_is_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullTextStream())
+    assert run_cli("triangle", "--n-max", "3") == 1
+    assert capsys.readouterr().err == ("ncstirling: triangle: cannot write stdout: "
+                                       "[Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_stdout_write_error_leaves_no_descriptor_open(capsys, monkeypatch, tmp_path):
+    class FullStream(_FullTextStream):
+        def fileno(self):  # main points this descriptor at os.devnull
+            return sink.fileno()
+
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", FullStream())
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            assert run_cli("triangle", "--n-max", "3") == 1
+        assert len(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().err.count("cannot write stdout") == 3
+
+
 def test_triangle_pieces_stay_whole_and_in_order_under_frequent_thread_switches(capsys,
                                                                                monkeypatch):
     # one piece per entry, and the interpreter switching threads every microsecond
@@ -235,7 +264,7 @@ def test_triangle_pieces_stay_whole_and_in_order_under_frequent_thread_switches(
     sys.setswitchinterval(1e-6)
     try:
         assert run_cli("triangle", "--n-max", "30") == 0
-        assert sys.getswitchinterval() == 1e-6  # the writer's shorter interval is undone
+        assert sys.getswitchinterval() == 1e-6  # the writer leaves the interval alone
     finally:
         sys.setswitchinterval(interval)
     assert capsys.readouterr().out == triangle_to_json(build_by_recurrence(30))

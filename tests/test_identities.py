@@ -1,9 +1,11 @@
 """Tests for the exact identity suite."""
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from ncstirling import identities, stirling
 from ncstirling.exact import AlphaPoly
 from ncstirling.identities import (
     random_rationals,
@@ -238,6 +240,22 @@ def test_structural_checks_reject_triangles_of_different_sizes():
         structural_checks(build_by_recurrence(5), build_by_explicit(10), StirlingTable(10))
     with pytest.raises(ValueError, match="recurrence 4, explicit 4, table 6"):
         structural_checks(build_by_recurrence(4), build_by_explicit(4), StirlingTable(6))
+
+
+def test_structural_checks_reject_an_oracle_one_row_short(monkeypatch):
+    # row N would otherwise go unchecked by every structural check
+    short = stirling.stirling_expansion_oracle
+    monkeypatch.setattr(identities, "stirling_expansion_oracle",
+                        lambda n_max: itertools.islice(short(n_max), n_max))
+    with pytest.raises(ValueError, match="is longer than argument 1"):
+        structural_checks(build_by_recurrence(6), build_by_explicit(6), StirlingTable(6))
+
+
+def test_structural_checks_reject_a_row_with_an_extra_entry():
+    # an extra zero polynomial at the end of every explicit row, which no check reads by index
+    padded = NoncentralTriangle(row + ((),) for row in build_by_explicit(6).rows)
+    with pytest.raises(ValueError, match="row 0 holds 1 recurrence and 2 explicit entries"):
+        structural_checks(build_by_recurrence(6), padded, StirlingTable(6))
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 12])
