@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import re
@@ -87,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every exact check up to --n-max; nonzero exit on any failure",
     )
     ver.add_argument("--n-max", type=int, default=20,
-                     help="largest row N (default 20, at most %d); with --with-oracle 0.08 s, "
-                          "18 MiB at N=32; 0.21 s, 27 MiB at N=64; 1.8 s, 95 MiB at N=128, or "
-                          "1.9 s, 143 MiB with --out; past N=64 the O(N^4) explicit "
+                     help="largest row N (default 20, at most %d); with --with-oracle 0.06 s, "
+                          "17 MiB at N=32; 0.19 s, 25 MiB at N=64; 1.7 s, 88 MiB at N=128, or "
+                          "1.8 s, 136 MiB with --out; past N=64 the O(N^4) explicit "
                           "construction takes most of the time" % VERIFY_N_MAX)
     ver.add_argument("--with-oracle", action="store_true",
                      help="also run the numerical derivative-expansion grid")
@@ -213,20 +212,31 @@ def cmd_triangle(args) -> int:
     return 0
 
 
+def _json_string(text: str) -> str:
+    """json.dumps(text); json is imported only for a nonempty text, a failing check's detail."""
+    if not text:
+        return '""'
+    import json
+
+    return json.dumps(text)
+
+
 # verify's JSON records as the text json.dumps writes with separators (",", ":"): numbers are
 # decimal strings; names, digits, "/" and float reprs need no escaping, detail goes through it.
 def _structural_json_records(checks) -> str:
     return "[%s]" % ",".join([
         '{"check":"%s","n":"%d","k":%s,"ok":%s,"detail":%s}'
         % (c.check, c.n, "null" if c.k is None else '"%d"' % c.k, "true" if c.ok else "false",
-           json.dumps(c.detail)) for c in checks])
+           _json_string(c.detail)) for c in checks])
 
 
+# A report whose lhs and rhs are one object (run_suite's holding reports) formats it once.
 def reports_to_json_records(reports) -> str:
     return "[%s]" % ",".join([
         '{"identity":"%s","n":"%d","alpha":"%s","lhs":"%s","rhs":"%s","holds":%s}'
-        % (r.identity, r.n, format_rational(r.alpha), format_rational(r.lhs),
-           format_rational(r.rhs), "true" if r.holds else "false") for r in reports])
+        % (r.identity, r.n, format_rational(r.alpha), (lhs := format_rational(r.lhs)),
+           lhs if r.rhs is r.lhs else format_rational(r.rhs), "true" if r.holds else "false")
+        for r in reports])
 
 
 def residuals_to_json_records(reports) -> str:

@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: integer polynomials in one indeterminate as
-coefficient tuples, evaluated by horner; AlphaPoly, the product type of the
+coefficient tuples, evaluated by horner (or by scaled_horner, as an integer
+over a power of the denominator); AlphaPoly, the product type of the
 classical-row oracle and the public polynomial view; exact rationals; and
 binomial coefficients with rational arguments (integer binomials are
 ``math.comb``).
@@ -22,19 +23,24 @@ RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 _CANONICAL_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 
+def scaled_horner(coeffs: tuple, p: int, q: int) -> int:
+    """q^d times the integer polynomial with nonempty coefficients coeffs (low to high),
+    of degree d = len(coeffs) - 1, at p/q: sum_k c_k p^k q^(d-k), one integer Horner pass."""
+    acc, scale = coeffs[-1], 1
+    for c in coeffs[-2::-1]:
+        scale *= q
+        acc = acc * p + c * scale
+    return acc
+
+
 def horner(coeffs: tuple, x: RationalLike) -> RationalLike:
     """Evaluate the integer polynomial with coefficients coeffs (low to high) at
     x by Horner's rule on ints, exactly. An int x gives an int. At a Fraction
-    x = p/q and nonempty coeffs the scaled value sum_k c_k p^k q^(d-k), d the
-    degree, is one integer Horner pass, and one Fraction is built from it and
-    q^d at the end."""
+    x = p/q and nonempty coeffs it is scaled_horner's integer over q^d, d the
+    degree, as one Fraction."""
     if isinstance(x, Fraction) and coeffs:
-        p, q = x.numerator, x.denominator
-        acc, scale = coeffs[-1], 1
-        for c in coeffs[-2::-1]:
-            scale *= q
-            acc = acc * p + c * scale
-        return Fraction(acc, scale)
+        q = x.denominator
+        return Fraction(scaled_horner(coeffs, x.numerator, q), q ** (len(coeffs) - 1))
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c

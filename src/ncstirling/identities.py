@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 from typing import List, NamedTuple, Optional
 
 from .exact import (
@@ -19,6 +20,7 @@ from .exact import (
     binomial_rational,  # noqa: F401  unused; perfbench/tracing.py patches this name
     format_rational,  # noqa: F401  unused; perfbench/tracing.py patches this name
     horner,
+    scaled_horner,
 )
 from .noncentral import (
     NoncentralTriangle,
@@ -27,7 +29,8 @@ from .noncentral import (
     s_n1_sum_formula,
     scaled_alternating_sum,
 )
-from .stirling import StirlingTable, harmonic, stirling_expansion_oracle
+from .stirling import StirlingTable, stirling_expansion_oracle
+from .stirling import harmonic  # noqa: F401  unused; perfbench/tracing.py patches this name
 
 RANDOM_NUMERATOR_RANGE = (-50, 50)
 RANDOM_DENOMINATOR_RANGE = (1, 20)
@@ -97,6 +100,14 @@ def run_suite(table: StirlingTable, triangle: NoncentralTriangle,
 
     The random rationals are drawn from ``random.Random(seed)``, so a run is
     reproducible from (N, seed) alone.
+
+    The two sides are compared exactly, each built as few times as it can be. At
+    a = p/q, binomial_stirling_sum compares two integers over the common
+    denominator q^(n-1): scaled_alternating_sum, n! q^(n-1) S(a, n), with
+    scaled_horner of (-1)^(n-1) P_n, of degree n-1. Every other identity compares
+    its two sides as ints or Fractions. A report that holds stores one Fraction
+    as both lhs and rhs; one that fails stores both. Each H_m, m <= N, is summed
+    once.
     """
     n_max = triangle.n_max
     rng = random.Random(seed)
@@ -106,15 +117,19 @@ def run_suite(table: StirlingTable, triangle: NoncentralTriangle,
     column_alphas = random_rationals(COLUMN_RANDOM_POINTS, rng)
     column = {n: table.noncentral(n, 1) for n in range(1, n_max + 1)}
     weights = [alternating_sum_weights(n) for n in range(n_max + 1)]
+    harmonics = list(accumulate((Fraction(1, m) for m in range(1, n_max + 1)),
+                                initial=Fraction(0)))  # H_0..H_N; b <= min(10, N) below
     reports: List[IdentityReport] = []
+
+    def fraction(value: RationalLike) -> Fraction:
+        return value if isinstance(value, Fraction) else Fraction(value)
 
     def add(identity: str, n: int, alpha: RationalLike,
             lhs: RationalLike, rhs: RationalLike) -> None:
-        # an int becomes one Fraction; a Fraction is kept as it is
-        alpha = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
-        lhs = lhs if isinstance(lhs, Fraction) else Fraction(lhs)
-        rhs = rhs if isinstance(rhs, Fraction) else Fraction(rhs)
-        reports.append(IdentityReport(identity, n, alpha, lhs, rhs, lhs == rhs))
+        # an int becomes one Fraction, a Fraction is kept; sides that agree share one
+        lhs = fraction(lhs)
+        rhs = lhs if lhs == rhs else fraction(rhs)
+        reports.append(IdentityReport(identity, n, fraction(alpha), lhs, rhs, lhs is rhs))
 
     for n in range(1, n_max + 1):
         p = column[n]
@@ -122,13 +137,17 @@ def run_suite(table: StirlingTable, triangle: NoncentralTriangle,
         signed_p = tuple([sign * c for c in p])
         n_fact = math.factorial(n)
         for alpha, a in master_alphas:
-            add("binomial_stirling_sum", n, alpha,
-                Fraction(scaled_alternating_sum(weights[n], a), a.denominator ** (n - 1)),
-                horner(signed_p, a))
+            # both sides as integers over q^(n-1): signed_p has degree n - 1
+            q = a.denominator
+            total = scaled_alternating_sum(weights[n], a)
+            value = scaled_horner(signed_p, a.numerator, q)
+            lhs = Fraction(total, q ** (n - 1))
+            rhs = lhs if value == total else Fraction(value, q ** (n - 1))
+            reports.append(IdentityReport("binomial_stirling_sum", n, alpha, lhs, rhs, lhs is rhs))
         if n >= 2:
             add("factorial_from_stirling", n, -1, (-1) ** n * math.factorial(n - 2),
                 horner(p, -1))
-        hn = harmonic(n)
+        hn = harmonics[n]
         add("harmonic_sum", n, 1, n_fact * hn, sign * horner(p, 1))
         add("hn_binomial_form", n, n, hn,
             Fraction(sign * scaled_alternating_sum(weights[n], -n), n_fact))
@@ -146,7 +165,7 @@ def run_suite(table: StirlingTable, triangle: NoncentralTriangle,
 
     for b in range(1, min(10, n_max) + 1):
         for n in range(1, b + 1):
-            direct = harmonic(b) - harmonic(b - n)
+            direct = harmonics[b] - harmonics[b - n]
             add("harmonic_diff_sum_form", n, -b, direct,
                 Fraction((-1) ** (n + 1) * scaled_alternating_sum(weights[n], -b),
                          math.comb(b, n) * math.factorial(n)))

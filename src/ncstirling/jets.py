@@ -170,6 +170,18 @@ class ResidualReport(NamedTuple):
     passed: bool
 
 
+def _expansion_factors(x0: float, beta: float, order: int) -> List[tuple]:
+    """[((beta)_i, ln(x0)^(beta-i)) for i <= order] by evaluate_expansion's float
+    operations: the weights as one running product, and no log power (None) where
+    the weight is zero, so that it is neither computed nor read."""
+    log_x0 = math.log(x0)
+    factors, weight = [], 1
+    for i in range(order + 1):
+        factors.append((weight, log_x0 ** (beta - i) if weight != 0.0 else None))
+        weight *= beta - i
+    return factors
+
+
 def expansion_grid(triangle: NoncentralTriangle,
                    rel_tol: float = 1e-6) -> List[ResidualReport]:
     """Run the validation grid: every n up to min(GRID_MAX_ORDER, triangle.n_max)
@@ -178,10 +190,15 @@ def expansion_grid(triangle: NoncentralTriangle,
     ln^beta(x) per (beta, x0), from one seed per x0. Coefficient k of every jet
     operation depends only on coefficients <= k, so every n's derivative read off
     it is bit for bit that of derivative_by_jets. Each (n, alpha) row is read from
-    the triangle and rounded to float once. A point passes iff its relative residual
-    |jet - expansion| / max(|jet|, 1e-300) is at most rel_tol."""
+    the triangle and rounded to float once. The expansion's float factors are built
+    once too: the weights and log powers per (beta, x0) and x0^(-alpha-n) per
+    (alpha, x0, n), and each point sums its terms as evaluate_expansion does, in the
+    same order, so the value is bit for bit evaluate_expansion's on the rounded row.
+    A point passes iff its relative residual |jet - expansion| / max(|jet|, 1e-300)
+    is at most rel_tol."""
     order = min(GRID_MAX_ORDER, triangle.n_max)
     points = [(beta, x0) for beta in GRID_BETAS for x0 in GRID_X0S]
+    factors = [_expansion_factors(x0, beta, order) for beta, x0 in points]
     seeds = [jet_seed(x0, order) for x0 in GRID_X0S]
     logs = [jet_ln(x) for x in seeds]
     log_powers = [[jet_pow_real(log, beta) for log in logs] for beta in GRID_BETAS]
@@ -193,9 +210,15 @@ def expansion_grid(triangle: NoncentralTriangle,
         scale = math.factorial(n)
         for alpha, alpha_jets in zip(GRID_ALPHAS, jets):
             row = [float(horner(coeffs, alpha)) for coeffs in triangle.rows[n]]
-            for (beta, x0), jet in zip(points, alpha_jets):
+            p, q = alpha.numerator, alpha.denominator
+            # x0^(-alpha-n) in the order of points, whose x0 runs fastest
+            x_powers = [x0 ** ((-p - n * q) / q) for x0 in GRID_X0S] * len(GRID_BETAS)
+            for (beta, x0), jet, power, terms in zip(points, alpha_jets, x_powers, factors):
                 jet_value = scale * jet[n]
-                expansion_value = evaluate_expansion(x0, alpha, beta, row)
+                expansion_value = 0.0
+                for value, (weight, log_power) in zip(row, terms):
+                    if weight != 0.0:
+                        expansion_value += value * weight * power * log_power
                 rel = abs(jet_value - expansion_value) / max(abs(jet_value), RESIDUAL_FLOOR)
                 reports.append(ResidualReport(n, alpha, beta, x0, jet_value,
                                               expansion_value, rel, rel <= rel_tol))

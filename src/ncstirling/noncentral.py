@@ -21,7 +21,6 @@ stirling.scaled_rows, and gives a whole row of values (evaluate_row), one entry
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from fractions import Fraction
@@ -60,9 +59,13 @@ class NoncentralTriangle:
         return AlphaPoly(self.rows[n][k])
 
     def evaluate(self, n: int, k: int, alpha: RationalLike) -> Fraction:
-        """s(n, k, alpha) at a concrete rational alpha, exactly."""
+        """s(n, k, alpha) at a concrete rational alpha, exactly, as one Fraction: the one
+        horner builds, or the int it gives at an int alpha or the zero polynomial, made one."""
         check_index(n, k, self.n_max)
-        return Fraction(horner(self.rows[n][k], Fraction(alpha)))
+        if not isinstance(alpha, (int, Fraction)):
+            alpha = Fraction(alpha)
+        value = horner(self.rows[n][k], alpha)
+        return value if isinstance(value, Fraction) else Fraction(value)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NoncentralTriangle):
@@ -214,6 +217,8 @@ def triangle_from_json(text: str) -> NoncentralTriangle:
     keys or entries, and added whitespace, and checks each entry's n and k).
     The entry count is checked before any coefficient is parsed, so a short
     document with a huge n_max fails at once."""
+    import json  # here, so that importing the CLI does not load it
+
     doc = json.loads(text)
     entries = doc.get("entries") if isinstance(doc, dict) else None
     if not isinstance(entries, list):

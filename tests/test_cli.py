@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from ncstirling import cli
+from ncstirling import cli, identities
 from ncstirling.cli import main
 from ncstirling.exact import AlphaPoly
 from ncstirling.identities import IdentityReport, StructuralCheck
@@ -27,6 +27,7 @@ from ncstirling.noncentral import (
     triangle_json_chunks,
     triangle_to_json,
 )
+from ncstirling.stirling import StirlingTable
 
 
 def run_cli(*argv):
@@ -616,16 +617,56 @@ def test_module_entry_point_subprocess():
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # -S keeps site hooks out; the package is found on PYTHONPATH
+    # -S keeps site hooks out; the package is found on PYTHONPATH. json is loaded only
+    # for a failing check's detail and by triangle_from_json, which the CLI never calls.
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import ncstirling.cli, sys; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+         "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"],
         capture_output=True,
         text=True,
         env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_a_failing_master_identity_keeps_both_sides(capsys, monkeypatch, tmp_path):
+    # no golden has a failing binomial_stirling_sum: make the summed side one more, over
+    # q^(n-1), at the first n = 3 point with a non-integer alpha
+    hit = []
+    real = identities.scaled_alternating_sum
+
+    def one_more(weights, alpha):
+        value = real(weights, alpha)
+        if not hit and len(weights) == 3 and alpha.denominator > 1:
+            hit.append(alpha)
+            return value + 1
+        return value
+
+    monkeypatch.setattr(identities, "scaled_alternating_sum", one_more)
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--n-max", "5", "--out", str(out)) == 1
+    (alpha,) = hit
+    assert "FAIL IdentityReport(identity='binomial_stirling_sum', n=3, alpha=%r" % (alpha,) \
+        in capsys.readouterr().out
+    records = json.loads(out.read_text())["identities"]
+    failing = [r for r in records if r["holds"] is False]
+    assert len(failing) == 1 and all(r["lhs"] == r["rhs"] for r in records if r["holds"])
+    (record,) = failing
+    assert (record["identity"], record["n"], record["alpha"]) == (
+        "binomial_stirling_sum", "3", cli.format_rational(alpha))
+    lhs, rhs = Fraction(record["lhs"]), Fraction(record["rhs"])
+    assert lhs - rhs == Fraction(1, alpha.denominator ** 2)
+
+    hit.clear()
+    reports = identities.run_suite(StirlingTable(5), build_by_recurrence(5))
+    (report,) = [r for r in reports if not r.holds]
+    assert (report.n, report.alpha, report.lhs, report.rhs) == (3, alpha, lhs, rhs)
+    assert report.lhs != report.rhs and report.lhs is not report.rhs
+    assert all(r.lhs is r.rhs for r in reports if r.holds)
+    assert cli.reports_to_json_records([report]) == (
+        '[{"identity":"binomial_stirling_sum","n":"3","alpha":"%s","lhs":"%s","rhs":"%s",'
+        '"holds":false}]' % (cli.format_rational(alpha), record["lhs"], record["rhs"]))
 
 
 # One hand-built record of each report type and its repr, which is the text

@@ -12,6 +12,7 @@ from ncstirling.exact import (
     format_rational,
     horner,
     parse_rational,
+    scaled_horner,
 )
 from ncstirling.stirling import stirling_expansion_oracle
 
@@ -174,6 +175,17 @@ def test_integer_horner_matches_fraction_horner(p, x):
             assert type(value) is Fraction
             assert value.denominator > 0
             assert math.gcd(value.numerator, value.denominator) == 1
+
+
+@given(coeffs=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=14),
+       p=st.integers(-60, 60), q=st.integers(1, 25))
+@example(coeffs=[5], p=3, q=7)
+@example(coeffs=[1, 0, 0], p=0, q=4)
+@example(coeffs=[2, -3, 1], p=6, q=4)
+def test_scaled_horner_is_the_value_times_q_to_the_degree(coeffs, p, q):
+    # the integer itself, not only its ratio to q^d: two of them over one q^d are compared
+    d = len(coeffs) - 1
+    assert scaled_horner(tuple(coeffs), p, q) == fraction_horner(coeffs, Fraction(p, q)) * q ** d
 
 
 @given(x=rationals)

@@ -288,6 +288,19 @@ def test_grid_reads_the_same_floats_as_derivative_by_jets(grid):
         assert report.jet_value.hex() == expected.hex(), (n, alpha, beta, x0)
 
 
+@pytest.mark.parametrize("n_max", [12, 5])
+def test_grid_expansion_values_are_evaluate_expansion_bit_for_bit(n_max):
+    # the grid builds its float factors once; each point's value must still be, bit for
+    # bit, evaluate_expansion's on the same row rounded to float
+    triangle = build_by_recurrence(n_max)
+    reports = expansion_grid(triangle)
+    assert len(reports) == (min(8, n_max) + 1) * 7 * 5 * 4
+    for r in reports:
+        row = [float(triangle.evaluate(r.n, i, r.alpha)) for i in range(r.n + 1)]
+        expected = evaluate_expansion(r.x0, r.alpha, r.beta, row)
+        assert r.expansion_value.hex() == expected.hex(), (r.n, r.alpha, r.beta, r.x0)
+
+
 def test_small_grid_passes():
     reports = expansion_grid(build_by_recurrence(4))
     assert reports and all(r.passed for r in reports)

@@ -133,6 +133,29 @@ def test_evaluate(by_recurrence):
     assert by_recurrence.evaluate(5, 5, Fraction(7, 3)) == 1
 
 
+def test_evaluate_builds_at_most_one_fraction(by_recurrence, monkeypatch):
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    zero = NoncentralTriangle([[()]])  # the zero polynomial: horner gives the int 0
+    cases = [(by_recurrence, 6, 2, 3), (by_recurrence, 6, 2, Fraction(-7, 3)),
+             (by_recurrence, 0, 0, Fraction(1, 2)), (zero, 0, 0, Fraction(5, 4)), (zero, 0, 0, 5)]
+    expected = [evaluate_entry(6, 2, 3), evaluate_entry(6, 2, Fraction(-7, 3)),
+                Fraction(1), Fraction(0), Fraction(0)]
+    values = []
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for triangle, n, k, alpha in cases:
+        made.clear()
+        values.append(triangle.evaluate(n, k, alpha))
+        assert len(made) <= 1, (n, k, alpha, made)
+    monkeypatch.undo()
+    assert values == expected and all(type(v) is Fraction for v in values)
+
+
 @pytest.fixture(scope="module")
 def by_recurrence_40():
     return build_by_recurrence(40)
