@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--alpha", type=_rational_argument, required=True,
                     help='rational, e.g. "-2", "7/3" or "-5/2"')
     ev.add_argument("--beta", type=float, default=None,
-                    help="with --x0: also evaluate the derivative expansion")
+                    help='with --x0: also evaluate the derivative expansion; a float, '
+                         'e.g. "2.5" or "-1e3"')
     ev.add_argument("--x0", type=float, default=None)
     return parser
 
@@ -353,20 +354,32 @@ def cmd_eval(args) -> int:
 COMMANDS = {"triangle": cmd_triangle, "verify": cmd_verify, "eval": cmd_eval}
 
 
-def _attach_alpha_values(argv) -> list:
-    """Rewrite "--alpha VALUE" as "--alpha=VALUE" when VALUE is a rational
-    literal, since argparse takes a separate "-5/2" for an option."""
+def _reads_as_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_signed_values(argv) -> list:
+    """Rewrite "--alpha VALUE" as "--alpha=VALUE" when VALUE is a rational literal, and
+    "--beta VALUE" as "--beta=VALUE" when float() reads VALUE, since argparse takes a
+    separate value such as "-5/2" or "-1e3", which its negative-number pattern misses,
+    for an option."""
     out = []
     for token in argv:
-        if out and out[-1] == "--alpha" and RATIONAL_RE.fullmatch(token):
-            out[-1] = "--alpha=" + token
+        option = out[-1] if out else None
+        if (option == "--alpha" and RATIONAL_RE.fullmatch(token)
+                or option == "--beta" and _reads_as_float(token)):
+            out[-1] = option + "=" + token
         else:
             out.append(token)
     return out
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_attach_alpha_values(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         status = COMMANDS[args.command](args)
         sys.stdout.flush()

@@ -132,6 +132,35 @@ def derivative_by_jets(x0: float, alpha: float, beta: float, n: int) -> float:
     return math.factorial(n) * jet[n]
 
 
+def _expansion_factors(x0: float, beta: float, order: int) -> List[tuple]:
+    """[((beta)_i, ln(x0)^(beta-i)) for i <= order]: the weights as one running
+    product, and no log power (None) where the weight is zero, so that it is
+    neither computed nor read."""
+    log_x0 = math.log(x0)
+    factors, weight = [], 1
+    for i in range(order + 1):
+        factors.append((weight, log_x0 ** (beta - i) if weight != 0.0 else None))
+        weight *= beta - i
+    return factors
+
+
+def _expansion_sum(row: Sequence, x0: float, alpha: RationalLike,
+                   factors: Sequence[tuple]) -> float:
+    """The expansion of order n = len(row) - 1 from its factors (_expansion_factors,
+    at least n + 1 of them). A term whose weight is zero is skipped before its row
+    value is rounded: that leaves the sum bit-for-bit unchanged and keeps
+    integer-beta cases exact. The exponent -alpha - n = (-p - nq)/q is one correctly
+    rounded int division."""
+    n = len(row) - 1
+    p, q = alpha.numerator, alpha.denominator
+    power = float(x0) ** ((-p - n * q) / q)
+    total = 0.0
+    for value, (weight, log_power) in zip(row, factors):
+        if weight != 0.0:
+            total += float(value) * weight * power * log_power
+    return total
+
+
 def evaluate_expansion(x0: float, alpha: RationalLike, beta: float,
                        row: Sequence[Fraction]) -> float:
     """Evaluate the derivative expansion of order n = len(row) - 1
@@ -139,22 +168,10 @@ def evaluate_expansion(x0: float, alpha: RationalLike, beta: float,
         sum_{i=0}^{n} s(n, i, alpha) * (beta)_i * x0^(-alpha-n) * ln(x0)^(beta-i)
 
     with the exact values row[i] = s(n, i, alpha) rounded to float (row may hold
-    them rounded already) and the weights (beta)_i as one running product. A
-    term whose weight is zero is skipped before its row value is rounded: that
-    leaves the sum bit-for-bit unchanged and keeps integer-beta cases exact. The
-    exponent -alpha - n = (-p - nq)/q is one correctly rounded int division."""
+    them rounded already): _expansion_sum over _expansion_factors, the code the
+    validation grid runs."""
     _check_point(x0, beta)
-    beta = float(beta)
-    n = len(row) - 1
-    log_x0 = math.log(x0)
-    p, q = alpha.numerator, alpha.denominator
-    power = float(x0) ** ((-p - n * q) / q)
-    total, weight = 0.0, 1
-    for i, value in enumerate(row):
-        if weight != 0.0:
-            total += float(value) * weight * power * log_x0 ** (beta - i)
-        weight *= beta - i
-    return total
+    return _expansion_sum(row, x0, alpha, _expansion_factors(x0, float(beta), len(row) - 1))
 
 
 class ResidualReport(NamedTuple):
@@ -170,18 +187,6 @@ class ResidualReport(NamedTuple):
     passed: bool
 
 
-def _expansion_factors(x0: float, beta: float, order: int) -> List[tuple]:
-    """[((beta)_i, ln(x0)^(beta-i)) for i <= order] by evaluate_expansion's float
-    operations: the weights as one running product, and no log power (None) where
-    the weight is zero, so that it is neither computed nor read."""
-    log_x0 = math.log(x0)
-    factors, weight = [], 1
-    for i in range(order + 1):
-        factors.append((weight, log_x0 ** (beta - i) if weight != 0.0 else None))
-        weight *= beta - i
-    return factors
-
-
 def expansion_grid(triangle: NoncentralTriangle,
                    rel_tol: float = 1e-6) -> List[ResidualReport]:
     """Run the validation grid: every n up to min(GRID_MAX_ORDER, triangle.n_max)
@@ -190,12 +195,10 @@ def expansion_grid(triangle: NoncentralTriangle,
     ln^beta(x) per (beta, x0), from one seed per x0. Coefficient k of every jet
     operation depends only on coefficients <= k, so every n's derivative read off
     it is bit for bit that of derivative_by_jets. Each (n, alpha) row is read from
-    the triangle and rounded to float once. The expansion's float factors are built
-    once too: the weights and log powers per (beta, x0) and x0^(-alpha-n) per
-    (alpha, x0, n), and each point sums its terms as evaluate_expansion does, in the
-    same order, so the value is bit for bit evaluate_expansion's on the rounded row.
-    A point passes iff its relative residual |jet - expansion| / max(|jet|, 1e-300)
-    is at most rel_tol."""
+    the triangle and rounded to float once, and each point's expansion value is
+    evaluate_expansion's _expansion_sum over factors built once per (beta, x0). A point
+    passes iff its relative residual |jet - expansion| / max(|jet|, 1e-300) is at most
+    rel_tol."""
     order = min(GRID_MAX_ORDER, triangle.n_max)
     points = [(beta, x0) for beta in GRID_BETAS for x0 in GRID_X0S]
     factors = [_expansion_factors(x0, beta, order) for beta, x0 in points]
@@ -210,15 +213,9 @@ def expansion_grid(triangle: NoncentralTriangle,
         scale = math.factorial(n)
         for alpha, alpha_jets in zip(GRID_ALPHAS, jets):
             row = [float(horner(coeffs, alpha)) for coeffs in triangle.rows[n]]
-            p, q = alpha.numerator, alpha.denominator
-            # x0^(-alpha-n) in the order of points, whose x0 runs fastest
-            x_powers = [x0 ** ((-p - n * q) / q) for x0 in GRID_X0S] * len(GRID_BETAS)
-            for (beta, x0), jet, power, terms in zip(points, alpha_jets, x_powers, factors):
+            for (beta, x0), jet, terms in zip(points, alpha_jets, factors):
                 jet_value = scale * jet[n]
-                expansion_value = 0.0
-                for value, (weight, log_power) in zip(row, terms):
-                    if weight != 0.0:
-                        expansion_value += value * weight * power * log_power
+                expansion_value = _expansion_sum(row, x0, alpha, terms)
                 rel = abs(jet_value - expansion_value) / max(abs(jet_value), RESIDUAL_FLOOR)
                 reports.append(ResidualReport(n, alpha, beta, x0, jet_value,
                                               expansion_value, rel, rel <= rel_tol))

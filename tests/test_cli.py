@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from ncstirling import cli, identities
+from ncstirling import cli, identities, jets
 from ncstirling.cli import main
 from ncstirling.exact import AlphaPoly
 from ncstirling.identities import IdentityReport, StructuralCheck
@@ -305,6 +305,51 @@ def test_eval_alpha_accepts_a_separate_negative_fraction(capsys):
     assert run_cli("eval", "--n", "6", "--k", "2", "--alpha=-5/2") == 0
     assert capsys.readouterr().out == separate
     assert separate.strip() != ""
+
+
+@pytest.mark.parametrize("beta", ["-1e3", "-1E-1", "-1_0", "-2.5"])
+def test_eval_beta_accepts_a_separate_negative_float(capsys, beta):
+    # argparse's negative-number pattern, which "-2.5" matches, has no exponent: without the
+    # rewrite "-1e3" would be read as an option
+    argv = ("eval", "--n", "3", "--k", "1", "--alpha", "1")
+    assert run_cli(*argv, "--beta", beta, "--x0", "2") == 0
+    separate = capsys.readouterr().out
+    assert run_cli(*argv, "--beta=" + beta, "--x0", "2") == 0
+    assert capsys.readouterr().out == separate
+    assert " beta=%r " % float(beta) in separate
+
+
+def test_eval_beta_takes_only_a_float_as_a_separate_value(capsys):
+    argv = ("eval", "--n", "3", "--k", "1", "--alpha", "1", "--beta")
+    assert run_cli(*argv, "-inf", "--x0", "2") == 2
+    assert capsys.readouterr() == ("", "ncstirling: eval: --beta and --x0 must be finite\n")
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(*argv, "--x0", "2")
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_eval_and_verify_share_the_expansion_sum(capsys, monkeypatch):
+    # one perturbed weight, (beta)_0, must fail the grid that verify checks and change the
+    # expansion that eval prints: the two run one sum
+    argv = ("eval", "--n", "6", "--k", "2", "--alpha", "1/2", "--beta", "0.5", "--x0", "2")
+    assert run_cli(*argv) == 0
+    before = capsys.readouterr().out.split("\n")
+    factors = jets._expansion_factors
+
+    def perturbed(x0, beta, order):
+        out = factors(x0, beta, order)
+        weight, log_power = out[0]
+        out[0] = (weight * 1.001, log_power)
+        return out
+
+    monkeypatch.setattr(jets, "_expansion_factors", perturbed)
+    assert run_cli("verify", "--n-max", "8", "--with-oracle") == 1
+    assert "VERIFY: FAIL" in capsys.readouterr().out
+    assert run_cli(*argv) == 0
+    after = capsys.readouterr().out.split("\n")
+    assert after[0] == before[0]
+    assert after[1] != before[1] and after[1].startswith("expansion n=6 alpha=1/2 beta=0.5 ")
 
 
 def test_abbreviated_options_are_rejected(capsys):
