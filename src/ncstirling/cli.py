@@ -41,6 +41,9 @@ PIECE_SIZE = 1 << 18
 # The largest `verify --n-max`: twice the largest pinned size (64); time grows as N^4 past it.
 VERIFY_N_MAX = 128
 EVAL_N_MAX = 2000  # the largest `eval --n`: a whole row (k = n, or --beta) takes about 0.75 s
+# The most digits of p and q in eval's --alpha = p/q in lowest terms: a row's integers gain
+# their bits at every step, so a whole row at n = 2000 takes 0.75 s at 7/3 and 3.5 s here.
+EVAL_ALPHA_DIGITS = 9
 # verify --corrupt N,K: two integers in ASCII digits (the integer part of RATIONAL_RE); int()
 # alone would also read "1_0" and non-ASCII digits, which --alpha refuses.
 CORRUPT_RE = re.compile(r"\s*([+-]?[0-9]+)\s*,\s*([+-]?[0-9]+)\s*")
@@ -109,7 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "4,300-digit print limit (s(1500, 2, 7/3) has 4,835 digits)" % EVAL_N_MAX)
     ev.add_argument("--k", type=int, required=True)
     ev.add_argument("--alpha", type=_rational_argument, required=True,
-                    help='rational, e.g. "-2", "7/3" or "-5/2"')
+                    help='rational p/q, e.g. "-2", "7/3" or "-5/2"; in lowest terms p and q '
+                         'have at most %d digits, at which a whole row at n=2000 takes 3.5 s '
+                         '(0.75 s at 7/3)' % EVAL_ALPHA_DIGITS)
     ev.add_argument("--beta", type=float, default=None,
                     help='with --x0: also evaluate the derivative expansion; a float, '
                          'e.g. "2.5" or "-1e3"')
@@ -288,7 +293,7 @@ def cmd_verify(args) -> int:
         identity_reports = run_suite(table, by_recurrence, seed=args.seed)
         oracle_reports = []
         if args.with_oracle:
-            oracle_reports = expansion_grid(by_recurrence, rel_tol=args.tol)
+            oracle_reports = expansion_grid(by_recurrence.rows, rel_tol=args.tol)
 
         failed_checks = [c for c in checks if not c.ok]
         failed_identities = [r for r in identity_reports if not r.holds]
@@ -330,6 +335,9 @@ def cmd_eval(args) -> int:
         raise Refusal(2, "--n must be at most %d" % EVAL_N_MAX)
     if args.k > args.n:
         raise Refusal(2, "--k must not exceed --n")
+    if max(abs(args.alpha.numerator), args.alpha.denominator) >= 10 ** EVAL_ALPHA_DIGITS:
+        raise Refusal(2, "--alpha in lowest terms p/q must have at most %d digits in p and in q"
+                      % EVAL_ALPHA_DIGITS)
     if (args.beta is None) != (args.x0 is None):
         raise Refusal(2, "--beta and --x0 must be given together")
     if args.beta is not None:
@@ -402,6 +410,3 @@ def main(argv=None) -> int:
         return 1
     return status
 
-
-if __name__ == "__main__":
-    sys.exit(main())

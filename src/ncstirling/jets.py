@@ -15,7 +15,6 @@ from typing import List, NamedTuple, Sequence
 
 from .exact import RationalLike, horner
 from .exact import format_rational  # noqa: F401  unused; perfbench/tracing.py patches this name
-from .noncentral import NoncentralTriangle
 
 Jet = List[float]
 
@@ -133,31 +132,29 @@ def derivative_by_jets(x0: float, alpha: float, beta: float, n: int) -> float:
 
 
 def _expansion_factors(x0: float, beta: float, order: int) -> List[tuple]:
-    """[((beta)_i, ln(x0)^(beta-i)) for i <= order]: the weights as one running
-    product, and no log power (None) where the weight is zero, so that it is
-    neither computed nor read."""
+    """[((beta)_i, ln(x0)^(beta-i)) for i <= order], the weights one running product,
+    ending before the first zero weight: every later one is zero too."""
     log_x0 = math.log(x0)
     factors, weight = [], 1
     for i in range(order + 1):
-        factors.append((weight, log_x0 ** (beta - i) if weight != 0.0 else None))
+        if weight == 0.0:
+            break
+        factors.append((weight, log_x0 ** (beta - i)))
         weight *= beta - i
     return factors
 
 
 def _expansion_sum(row: Sequence, x0: float, alpha: RationalLike,
                    factors: Sequence[tuple]) -> float:
-    """The expansion of order n = len(row) - 1 from its factors (_expansion_factors,
-    at least n + 1 of them). A term whose weight is zero is skipped before its row
-    value is rounded: that leaves the sum bit-for-bit unchanged and keeps
-    integer-beta cases exact. The exponent -alpha - n = (-p - nq)/q is one correctly
-    rounded int division."""
+    """The expansion of order n = len(row) - 1 over its nonzero terms, one per factor
+    (_expansion_factors up to order n); the row values past them are never rounded. The
+    exponent -alpha - n = (-p - nq)/q is one correctly rounded int division."""
     n = len(row) - 1
     p, q = alpha.numerator, alpha.denominator
     power = float(x0) ** ((-p - n * q) / q)
     total = 0.0
     for value, (weight, log_power) in zip(row, factors):
-        if weight != 0.0:
-            total += float(value) * weight * power * log_power
+        total += float(value) * weight * power * log_power
     return total
 
 
@@ -167,8 +164,7 @@ def evaluate_expansion(x0: float, alpha: RationalLike, beta: float,
 
         sum_{i=0}^{n} s(n, i, alpha) * (beta)_i * x0^(-alpha-n) * ln(x0)^(beta-i)
 
-    with the exact values row[i] = s(n, i, alpha) rounded to float (row may hold
-    them rounded already): _expansion_sum over _expansion_factors, the code the
+    with row[i] = s(n, i, alpha), exact or already rounded to float: the sum the
     validation grid runs."""
     _check_point(x0, beta)
     return _expansion_sum(row, x0, alpha, _expansion_factors(x0, float(beta), len(row) - 1))
@@ -187,19 +183,18 @@ class ResidualReport(NamedTuple):
     passed: bool
 
 
-def expansion_grid(triangle: NoncentralTriangle,
+def expansion_grid(rows: Sequence[Sequence[Sequence[int]]],
                    rel_tol: float = 1e-6) -> List[ResidualReport]:
-    """Run the validation grid: every n up to min(GRID_MAX_ORDER, triangle.n_max)
-    against GRID_ALPHAS x GRID_BETAS x GRID_X0S. Each point's jet of the top order
-    is one jet_mul of factor jets, each built once: x^(-alpha) per (alpha, x0) and
-    ln^beta(x) per (beta, x0), from one seed per x0. Coefficient k of every jet
-    operation depends only on coefficients <= k, so every n's derivative read off
-    it is bit for bit that of derivative_by_jets. Each (n, alpha) row is read from
-    the triangle and rounded to float once, and each point's expansion value is
-    evaluate_expansion's _expansion_sum over factors built once per (beta, x0). A point
-    passes iff its relative residual |jet - expansion| / max(|jet|, 1e-300) is at most
-    rel_tol."""
-    order = min(GRID_MAX_ORDER, triangle.n_max)
+    """Run the validation grid on rows[n][i], the coefficients of s(n, i, alpha): every
+    n up to min(GRID_MAX_ORDER, len(rows) - 1) against GRID_ALPHAS x GRID_BETAS x
+    GRID_X0S. Each point's jet of the top order is one jet_mul of factor jets, each built
+    once: x^(-alpha) per (alpha, x0) and ln^beta(x) per (beta, x0), from one seed per x0.
+    Coefficient k of every jet operation depends only on coefficients <= k, so every n's
+    derivative read off it is bit for bit that of derivative_by_jets. Each (n, alpha) row
+    is rounded to float once, and each point's expansion value is evaluate_expansion's
+    _expansion_sum over factors built once per (beta, x0). A point passes iff its
+    relative residual |jet - expansion| / max(|jet|, 1e-300) is at most rel_tol."""
+    order = min(GRID_MAX_ORDER, len(rows) - 1)
     points = [(beta, x0) for beta in GRID_BETAS for x0 in GRID_X0S]
     factors = [_expansion_factors(x0, beta, order) for beta, x0 in points]
     seeds = [jet_seed(x0, order) for x0 in GRID_X0S]
@@ -212,7 +207,7 @@ def expansion_grid(triangle: NoncentralTriangle,
     for n in range(order + 1):
         scale = math.factorial(n)
         for alpha, alpha_jets in zip(GRID_ALPHAS, jets):
-            row = [float(horner(coeffs, alpha)) for coeffs in triangle.rows[n]]
+            row = [float(horner(coeffs, alpha)) for coeffs in rows[n]]
             for (beta, x0), jet, terms in zip(points, alpha_jets, factors):
                 jet_value = scale * jet[n]
                 expansion_value = _expansion_sum(row, x0, alpha, terms)

@@ -127,7 +127,7 @@ def test_06_column_one_triple_agreement():
 def test_07_derivative_expansion_grid():
     started = time.monotonic()
     triangle = build_by_recurrence(8)
-    reports = expansion_grid(triangle, rel_tol=1e-6)
+    reports = expansion_grid(triangle.rows, rel_tol=1e-6)
     assert len(reports) == 9 * 7 * 5 * 4
     failing = [r for r in reports if not r.passed]
     assert not failing, failing[:5]

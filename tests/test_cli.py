@@ -537,6 +537,9 @@ REFUSALS = [
      "--beta and --x0 must be finite\n"),
     (("eval", "--n", "2", "--k", "1", "--alpha", "1", "--beta", "1", "--x0", "1"), 2,
      "--x0 must exceed 1\n"),
+    (("eval", "--n", "2", "--k", "1", "--alpha", "1234567890/7"), 2,
+     "--alpha in lowest terms p/q must have at most %d digits in p and in q\n"
+     % cli.EVAL_ALPHA_DIGITS),
 ]
 
 
@@ -981,3 +984,27 @@ def test_eval_bound_sits_above_every_pinned_n(capsys):
     assert cli.EVAL_N_MAX > max(pinned + list(bench))
     assert run_cli("eval", "--n", str(cli.EVAL_N_MAX), "--k", "0", "--alpha", "0") == 0
     assert capsys.readouterr() == ("0\n", "")
+
+
+def test_eval_alpha_bound_sits_above_every_pinned_alpha(capsys):
+    # every literal "--alpha" of these tests but the refused ones, and the benchmark's alpha
+    # ranges, read from its source without importing it; the bound itself is served
+    literals = re.findall(r'"--alpha(?:", "|=)([^"]*)"', Path(__file__).read_text())
+    refused = {argv[argv.index("--alpha") + 1] for argv, _, message in REFUSALS
+               if message.startswith("--alpha")}
+    pinned = [cli.parse_rational(text) for text in set(literals) - refused
+              if cli.RATIONAL_RE.fullmatch(text) and not text.endswith("/0")]
+    workloads = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+                          .read_text())
+    ranges = {node.targets[0].id: ast.literal_eval(node.value) for node in ast.walk(workloads)
+              if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None)
+              in ("ALPHA_NUMERATORS", "ALPHA_DENOMINATORS")}
+    assert pinned and len(ranges) == 2
+    largest = max([abs(v) for v in ranges["ALPHA_NUMERATORS"] + ranges["ALPHA_DENOMINATORS"]]
+                  + [max(abs(a.numerator), a.denominator) for a in pinned])
+    assert largest < 10 ** cli.EVAL_ALPHA_DIGITS
+    top = 10 ** cli.EVAL_ALPHA_DIGITS - 1
+    assert run_cli("eval", "--n", "2", "--k", "2", "--alpha=-%d/%d" % (top, top - 1)) == 0
+    assert capsys.readouterr() == ("1\n", "")
+    assert run_cli("eval", "--n", "2", "--k", "2", "--alpha", str(top + 1)) == 2
+    assert capsys.readouterr().out == ""

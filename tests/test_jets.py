@@ -223,6 +223,32 @@ def test_expansion_exponent_is_the_float_of_the_fraction(n, alpha, beta, x0):
             == _expansion_with_fraction_exponent(x0, alpha, beta, row).hex())
 
 
+
+@given(order=st.integers(0, 60),
+       alpha=st.builds(Fraction, st.integers(-60, 60), st.integers(1, 7)),
+       beta=st.one_of(st.integers(-3, 70).map(float), st.floats(-200.0, 200.0),
+                      st.sampled_from([1e308, -1e308, 1e-300, 5e-324, -0.0])),
+       x0=st.sampled_from([1.5, 2.0, math.e, 5.0]))
+@example(order=8, alpha=Fraction(1, 2), beta=8.0, x0=2.0)
+@example(order=8, alpha=Fraction(1, 2), beta=9.0, x0=2.0)
+@example(order=3, alpha=Fraction(1), beta=1e308, x0=5.0)
+def test_expansion_factors_end_at_the_first_zero_weight(order, alpha, beta, x0):
+    # (beta)_i is zero for every i > m at an integer beta = m >= 0 and for no i otherwise,
+    # so the factors hold m + 1 or order + 1 pairs, and their sum is, bit for bit, the one
+    # over the whole running product that skips each zero weight
+    row = evaluate_row(order, alpha)
+    expected = _outcome(_expansion_with_fraction_exponent, x0, alpha, beta, row)
+    try:
+        factors = jets._expansion_factors(x0, beta, order)
+    except OverflowError as exc:  # ln(x0)^(beta-i) out of range, in both
+        assert expected == (OverflowError, str(exc))
+        return
+    assert all(weight != 0.0 for weight, _ in factors)
+    integer = beta.is_integer() and 0 <= beta <= order
+    assert len(factors) == (int(beta) if integer else order) + 1
+    assert _outcome(jets._expansion_sum, row, x0, alpha, factors) == expected
+
+
 def test_pure_log_powers_match_classical_composition(triangle):
     # alpha = 0, beta = m: the jet derivative of ln^m x must match the
     # composition formula built from classical s(n, i) directly
@@ -256,7 +282,7 @@ def test_exp_ln_round_trip(jet):
 @pytest.fixture(scope="module")
 def grid(triangle):
     """The grid's 1,260 records, n = 0..8, keyed by (n, alpha, beta, x0)."""
-    return {(r.n, r.alpha, r.beta, r.x0): r for r in expansion_grid(triangle)}
+    return {(r.n, r.alpha, r.beta, r.x0): r for r in expansion_grid(triangle.rows)}
 
 
 def test_verify_order_zero_residual_vanishes(grid):
@@ -293,7 +319,7 @@ def test_grid_expansion_values_are_evaluate_expansion_bit_for_bit(n_max):
     # the grid builds its float factors once; each point's value must still be, bit for
     # bit, evaluate_expansion's on the same row rounded to float
     triangle = build_by_recurrence(n_max)
-    reports = expansion_grid(triangle)
+    reports = expansion_grid(triangle.rows)
     assert len(reports) == (min(8, n_max) + 1) * 7 * 5 * 4
     for r in reports:
         row = [float(triangle.evaluate(r.n, i, r.alpha)) for i in range(r.n + 1)]
@@ -302,7 +328,7 @@ def test_grid_expansion_values_are_evaluate_expansion_bit_for_bit(n_max):
 
 
 def test_small_grid_passes():
-    reports = expansion_grid(build_by_recurrence(4))
+    reports = expansion_grid(build_by_recurrence(4).rows)
     assert reports and all(r.passed for r in reports)
 
 
@@ -320,5 +346,5 @@ def test_grid_builds_each_factor_jet_once(monkeypatch, n_max):
 
     for name in calls:
         monkeypatch.setattr(jets, name, counting(name, getattr(jets, name)))
-    jets.expansion_grid(build_by_recurrence(n_max))
+    jets.expansion_grid(build_by_recurrence(n_max).rows)
     assert calls == {"jet_seed": 4, "jet_pow_real": 48}

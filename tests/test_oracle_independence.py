@@ -87,3 +87,23 @@ RULES = [
 @pytest.mark.parametrize("oracle, forbidden", RULES, ids=[oracle for oracle, _ in RULES])
 def test_an_oracle_reaches_no_other(oracle, forbidden):
     assert _reach(oracle) & forbidden == set()
+
+
+def _package_imports(path):
+    """The package modules that a source file imports, relatively or absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("ncstirling." if node.level else "") + (node.module or "")
+            names = [base] if node.module else [base + alias.name for alias in node.names]
+        else:
+            continue
+        found.update(name for name in names if name.split(".")[0] == "ncstirling")
+    return found
+
+
+def test_jets_imports_no_package_module_but_exact():
+    # the jet oracle reads the rows it checks; it needs neither construction's module
+    assert _package_imports(PACKAGE / "jets.py") == {"ncstirling.exact"}
