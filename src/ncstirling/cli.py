@@ -12,23 +12,43 @@ import math
 import os
 import re
 import sys
+from importlib import import_module
 
 from .exact import RATIONAL_RE, format_rational, parse_rational
-from .identities import run_suite, structural_checks
-from .jets import evaluate_expansion, expansion_grid
-from .noncentral import (
-    NoncentralTriangle,
-    build_by_explicit,
-    build_by_recurrence,
-    corrupt_entry,
-    evaluate_entry,
-    evaluate_row,
-    explicit_rows,
-    recurrence_rows,
-    triangle_json_chunks,
-    triangle_to_json,  # noqa: F401  unused; perfbench/tracing.py patches this name
-)
-from .stirling import StirlingTable, check_index
+from .stirling import StirlingTable, check_index, evaluate_entry, evaluate_row
+
+# The names cli takes from the modules that not every command runs; a command binds them with
+# _load(module) only when it runs that module, since a process with no bytecode cache compiles
+# every module it imports, and eval and --help need none of these. So these names are globals
+# that no import statement binds, which a static checker reports as undefined. triangle_to_json
+# is unused here; perfbench/tracing.py patches this name. The table is scaffolding for that
+# tracer, which replaces cli attributes before a command runs: once it patches none, each
+# cmd_* can import what it runs in its own body.
+DEFERRED = {
+    "noncentral": ("build_by_explicit", "build_by_recurrence", "corrupt_entry", "explicit_rows",
+                   "recurrence_rows", "triangle_json_chunks", "triangle_to_json"),
+    "identities": ("run_suite", "structural_checks"),
+    "jets": ("evaluate_expansion", "expansion_grid"),
+}
+
+
+def _load(module: str) -> None:
+    """Import the module and bind its DEFERRED names here, each unless already bound: a name
+    replaced before the first load (a tracer's wrapper) stays the one the commands call."""
+    loaded = import_module("." + module, __package__)
+    namespace = globals()
+    for name in DEFERRED[module]:
+        namespace.setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    """cli.<deferred name> before any command has loaded it: load its module (PEP 562)."""
+    for module, names in DEFERRED.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 MAX_FAILURES_PRINTED = 25
 # The largest `triangle --n-max`: row n holds about n^2/2 coefficients of at most
@@ -203,13 +223,14 @@ def triangle_csv_chunks(rows):
             yield "%d,%d,%d,%s\n" % (n, k, len(coeffs) - 1, " ".join(map(str, coeffs)))
 
 
-def triangle_to_csv(triangle: NoncentralTriangle) -> str:
+def triangle_to_csv(triangle) -> str:
     return "".join(triangle_csv_chunks(triangle.rows))
 
 
 def cmd_triangle(args) -> int:
     if not 0 <= args.n_max <= TRIANGLE_N_MAX:
         raise Refusal(2, "--n-max must be in 0..%d" % TRIANGLE_N_MAX)
+    _load("noncentral")
     with _open_out(args.out) as out:
         rows = (explicit_rows if args.construction == "explicit" else recurrence_rows)(args.n_max)
         chunks = (triangle_json_chunks(args.n_max, rows) if args.format == "json"
@@ -281,6 +302,10 @@ def cmd_verify(args) -> int:
             check_index(corrupt_n, corrupt_k, args.n_max)
         except (ValueError, IndexError) as exc:
             raise Refusal(2, "bad --corrupt argument %r: %s" % (args.corrupt, exc))
+    _load("noncentral")
+    _load("identities")
+    if args.with_oracle:
+        _load("jets")
     with _open_out(args.out) as out:
         table = StirlingTable(args.n_max)
         by_recurrence = build_by_recurrence(args.n_max)
@@ -345,6 +370,7 @@ def cmd_eval(args) -> int:
             raise Refusal(2, "--beta and --x0 must be finite")
         if not args.x0 > 1.0:
             raise Refusal(2, "--x0 must exceed 1")
+        _load("jets")
     row = None if args.beta is None else evaluate_row(args.n, args.alpha)
     value = evaluate_entry(args.n, args.k, args.alpha) if row is None else row[args.k]
     try:

@@ -18,7 +18,6 @@ from .exact import format_rational  # noqa: F401  unused; perfbench/tracing.py p
 
 Jet = List[float]
 
-MAX_DERIVATIVE_ORDER = 12
 RESIDUAL_FLOOR = 1e-300
 
 GRID_ALPHAS = (
@@ -112,25 +111,6 @@ def _check_point(x0: float, *exponents: float) -> None:
         raise ValueError("x0 must exceed 1, got %r" % (x0,))
 
 
-def derivative_by_jets(x0: float, alpha: float, beta: float, n: int) -> float:
-    """n-th derivative of x^(-alpha) * ln^beta(x) at x0 by jet arithmetic.
-
-    The function is built as exp(-alpha ln x) * exp(beta ln ln x) (with the
-    integer-power shortcut of jet_pow_real), which needs x0 > 1 so that both
-    logs are defined for arbitrary real exponents. Beyond order 12 the
-    factorial scaling of the top coefficient erodes binary64 accuracy, so
-    larger n is rejected; the exact modules carry correctness there.
-    """
-    _check_point(x0, alpha, beta)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > MAX_DERIVATIVE_ORDER:
-        raise ValueError("derivative order capped at %d, got %d" % (MAX_DERIVATIVE_ORDER, n))
-    x = jet_seed(x0, n)
-    jet = jet_mul(jet_pow_real(x, -float(alpha)), jet_pow_real(jet_ln(x), float(beta)))
-    return math.factorial(n) * jet[n]
-
-
 def _expansion_factors(x0: float, beta: float, order: int) -> List[tuple]:
     """[((beta)_i, ln(x0)^(beta-i)) for i <= order], the weights one running product,
     ending before the first zero weight: every later one is zero too."""
@@ -190,10 +170,11 @@ def expansion_grid(rows: Sequence[Sequence[Sequence[int]]],
     GRID_X0S. Each point's jet of the top order is one jet_mul of factor jets, each built
     once: x^(-alpha) per (alpha, x0) and ln^beta(x) per (beta, x0), from one seed per x0.
     Coefficient k of every jet operation depends only on coefficients <= k, so every n's
-    derivative read off it is bit for bit that of derivative_by_jets. Each (n, alpha) row
-    is rounded to float once, and each point's expansion value is evaluate_expansion's
-    _expansion_sum over factors built once per (beta, x0). A point passes iff its
-    relative residual |jet - expansion| / max(|jet|, 1e-300) is at most rel_tol."""
+    derivative read off it is bit for bit that of the same product built at order n.
+    Each (n, alpha) row is rounded to float once, and each point's expansion value is
+    evaluate_expansion's _expansion_sum over factors built once per (beta, x0). A point
+    passes iff its relative residual |jet - expansion| / max(|jet|, 1e-300) is at most
+    rel_tol."""
     order = min(GRID_MAX_ORDER, len(rows) - 1)
     points = [(beta, x0) for beta in GRID_BETAS for x0 in GRID_X0S]
     factors = [_expansion_factors(x0, beta, order) for beta, x0 in points]

@@ -16,13 +16,12 @@ explicit_rows), are provided and must agree exactly:
 
 Specializing alpha = 0 recovers the classical signed numbers. A second use of
 the recurrence runs it at one rational alpha in integer arithmetic, by
-stirling.scaled_rows, and gives a whole row of values (evaluate_row), one entry
-(evaluate_entry), or the k=1 column of every row in one pass (s_n1_recurrence).
+stirling.scaled_rows; s_n1_recurrence reads the k=1 column of every row off it in
+one pass (stirling reads a whole row of values and one entry off it, for eval).
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence
 
@@ -94,24 +93,6 @@ def recurrence_rows(n_max: int) -> Iterator[tuple]:
 
 def build_by_recurrence(n_max: int) -> NoncentralTriangle:
     return NoncentralTriangle(recurrence_rows(n_max))
-
-
-def evaluate_row(n: int, alpha: RationalLike) -> List[Fraction]:
-    """[s(n, 0, alpha), ..., s(n, n, alpha)], exactly: the coefficients of (x - alpha)...
-    (x - alpha - n + 1), the last of scaled_rows(n, alpha, n), one row held at a time, O(n^2)."""
-    q = Fraction(alpha).denominator
-    row = deque(scaled_rows(n, alpha, n), maxlen=1).pop()
-    return [Fraction(value, q ** (n - i)) for i, value in enumerate(row)]
-
-
-def evaluate_entry(n: int, k: int, alpha: RationalLike) -> Fraction:
-    """s(n, k, alpha) alone, exactly: entry k of the last of scaled_rows(n, alpha, k),
-    whose rows stop at column k, in O(n (k+1)) integer steps, not evaluate_row's O(n^2)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    check_index(n, k, n)
-    value = deque(scaled_rows(n, alpha, k), maxlen=1).pop()[k]
-    return Fraction(value, Fraction(alpha).denominator ** (n - k))
 
 
 def explicit_rows(n_max: int) -> Iterator[tuple]:

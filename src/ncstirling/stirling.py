@@ -1,9 +1,12 @@
-"""scaled_rows, the recurrence at one rational alpha in integers; the classical signed numbers
-of the first kind, its rows at alpha = 0 (|s(n, k)| = (-1)^(n-k) s(n, k) is not stored), with
-an oracle for them; the non-central numbers read off them by a closed form; harmonic numbers."""
+"""scaled_rows, the recurrence at one rational alpha in integers, and the row and the entry of
+s(n, ., alpha) read off its last row (evaluate_row, evaluate_entry: eval's values, with no
+triangle built); the classical signed numbers of the first kind, its rows at alpha = 0
+(|s(n, k)| = (-1)^(n-k) s(n, k) is not stored), with an oracle for them; the non-central
+numbers read off them by a closed form; harmonic numbers."""
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from typing import Iterator, List
 
@@ -22,6 +25,24 @@ def scaled_rows(n: int, alpha: RationalLike, top: int) -> Iterator[List[int]]:
     for m, shift in enumerate(range(p, p + n * q, q)):  # shift = p + m q
         row = [low - shift * high for low, high in zip([0] + row, row + [0] if m < top else row)]
         yield row
+
+
+def evaluate_row(n: int, alpha: RationalLike) -> List[Fraction]:
+    """[s(n, 0, alpha), ..., s(n, n, alpha)], exactly: the coefficients of (x - alpha)...
+    (x - alpha - n + 1), the last of scaled_rows(n, alpha, n), one row held at a time, O(n^2)."""
+    q = Fraction(alpha).denominator
+    row = deque(scaled_rows(n, alpha, n), maxlen=1).pop()
+    return [Fraction(value, q ** (n - i)) for i, value in enumerate(row)]
+
+
+def evaluate_entry(n: int, k: int, alpha: RationalLike) -> Fraction:
+    """s(n, k, alpha) alone, exactly: entry k of the last of scaled_rows(n, alpha, k),
+    whose rows stop at column k, in O(n (k+1)) integer steps, not evaluate_row's O(n^2)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    check_index(n, k, n)
+    value = deque(scaled_rows(n, alpha, k), maxlen=1).pop()[k]
+    return Fraction(value, Fraction(alpha).denominator ** (n - k))
 
 
 def check_index(n: int, k: int, n_max: int) -> None:

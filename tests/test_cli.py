@@ -678,6 +678,41 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
+BASE_MODULES = ("ncstirling", "ncstirling.cli", "ncstirling.exact", "ncstirling.stirling")
+LOADED_MODULES = [
+    (("--help",), ()),
+    (("eval", "--n", "6", "--k", "2", "--alpha", "7/3"), ()),
+    (("eval", "--n", "6", "--k", "2", "--alpha", "7/3", "--beta", "1.5", "--x0", "2"),
+     ("jets",)),
+    (("triangle", "--n-max", "4"), ("noncentral",)),
+    (("triangle", "--n-max", "4", "--construction", "explicit", "--format", "csv"),
+     ("noncentral",)),
+    (("verify", "--n-max", "4"), ("noncentral", "identities")),
+    (("verify", "--n-max", "4", "--with-oracle"), ("noncentral", "identities", "jets")),
+]
+
+
+@pytest.mark.parametrize("argv, deferred", LOADED_MODULES,
+                         ids=[" ".join(argv) for argv, _ in LOADED_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(argv, deferred):
+    # a process with no bytecode cache compiles every module it imports: eval and --help
+    # import none of noncentral, identities and jets, triangle no identities or jets
+    code = ("import contextlib, io, sys\n"
+            "from ncstirling import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        status = cli.main(%r)\n"
+            "    except SystemExit as exc:\n"
+            "        status = exc.code\n"
+            "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'ncstirling'))"
+            % (list(argv),))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    expected = sorted(BASE_MODULES + tuple("ncstirling." + m for m in deferred))
+    assert proc.stdout == "0 %s\n" % expected
+
+
 def test_a_failing_master_identity_keeps_both_sides(capsys, monkeypatch, tmp_path):
     # no golden has a failing binomial_stirling_sum: make the summed side one more, over
     # q^(n-1), at the first n = 3 point with a non-integer alpha

@@ -9,7 +9,7 @@ from ncstirling import jets
 from ncstirling.exact import falling_factorial
 from ncstirling.jets import (
     JetDomainError,
-    derivative_by_jets,
+    _check_point,
     evaluate_expansion,
     expansion_grid,
     jet_exp,
@@ -18,8 +18,8 @@ from ncstirling.jets import (
     jet_pow_real,
     jet_seed,
 )
-from ncstirling.noncentral import build_by_recurrence, evaluate_row
-from ncstirling.stirling import StirlingTable
+from ncstirling.noncentral import build_by_recurrence
+from ncstirling.stirling import StirlingTable, evaluate_row
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +30,22 @@ def triangle():
 def row_of(triangle, n, alpha):
     """The exact row [s(n, 0, alpha), ..., s(n, n, alpha)] read from the triangle."""
     return [triangle.evaluate(n, i, alpha) for i in range(n + 1)]
+
+
+def derivative_by_jets(x0: float, alpha: float, beta: float, n: int) -> float:
+    """n-th derivative of x^(-alpha) * ln^beta(x) at x0 by jet arithmetic: the grid's
+    reference, one point at a time, whose value the grid must reproduce bit for bit.
+
+    The function is built as exp(-alpha ln x) * exp(beta ln ln x) (with the
+    integer-power shortcut of jet_pow_real), which needs x0 > 1 so that both
+    logs are defined for arbitrary real exponents. The tests call it at orders
+    up to the grid's, 8; how far the factorial scaling of the top coefficient
+    leaves binary64 accurate beyond that is not measured.
+    """
+    _check_point(x0, alpha, beta)
+    x = jet_seed(x0, n)
+    jet = jet_mul(jet_pow_real(x, -float(alpha)), jet_pow_real(jet_ln(x), float(beta)))
+    return math.factorial(n) * jet[n]
 
 
 def test_jet_seed():
@@ -82,10 +98,6 @@ def test_derivative_rejects_bad_arguments():
         derivative_by_jets(1.0, 0.0, 1.0, 1)
     with pytest.raises(ValueError):
         derivative_by_jets(0.5, 0.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        derivative_by_jets(2.0, 0.0, 1.0, 13)
-    with pytest.raises(ValueError):
-        derivative_by_jets(2.0, 0.0, 1.0, -1)
     for x0, alpha, beta in ((math.inf, 0.0, 1.0), (math.nan, 0.0, 1.0),
                             (2.0, math.nan, 1.0), (2.0, 0.0, math.nan),
                             (2.0, 0.0, -math.inf)):

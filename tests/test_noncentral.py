@@ -17,8 +17,6 @@ from ncstirling.noncentral import (
     build_by_explicit,
     build_by_recurrence,
     corrupt_entry,
-    evaluate_entry,
-    evaluate_row,
     explicit_rows,
     recurrence_rows,
     s_n1_recurrence,
@@ -27,7 +25,12 @@ from ncstirling.noncentral import (
     triangle_from_json,
     triangle_to_json,
 )
-from ncstirling.stirling import StirlingTable, stirling_expansion_oracle
+from ncstirling.stirling import (
+    StirlingTable,
+    evaluate_entry,
+    evaluate_row,
+    stirling_expansion_oracle,
+)
 
 N_MAX = 12
 

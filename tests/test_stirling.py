@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ncstirling.exact import horner
-from ncstirling.noncentral import build_by_explicit, build_by_recurrence, evaluate_row
+from ncstirling.noncentral import build_by_explicit, build_by_recurrence
 from ncstirling.stirling import (
     StirlingTable,
+    evaluate_row,
     harmonic,
     scaled_rows,
     stirling_expansion_oracle,
