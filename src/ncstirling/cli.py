@@ -13,6 +13,7 @@ import os
 import re
 import sys
 from importlib import import_module
+from itertools import chain
 
 from .exact import RATIONAL_RE, format_rational, parse_rational
 from .stirling import StirlingTable, check_index, evaluate_entry, evaluate_row
@@ -20,10 +21,10 @@ from .stirling import StirlingTable, check_index, evaluate_entry, evaluate_row
 # The names cli takes from the modules that not every command runs; a command binds them with
 # _load(module) only when it runs that module, since a process with no bytecode cache compiles
 # every module it imports, and eval and --help need none of these. So these names are globals
-# that no import statement binds, which a static checker reports as undefined. triangle_to_json
-# is unused here; perfbench/tracing.py patches this name. The table is scaffolding for that
-# tracer, which replaces cli attributes before a command runs: once it patches none, each
-# cmd_* can import what it runs in its own body.
+# that no import statement binds, which a static checker reports as undefined. No command calls
+# build_by_* or triangle_to_json; perfbench/tracing.py patches them. The table is scaffolding
+# for that tracer, which replaces cli attributes before a command runs: once it patches none,
+# each cmd_* can import what it runs in its own body.
 DEFERRED = {
     "noncentral": ("build_by_explicit", "build_by_recurrence", "corrupt_entry", "explicit_rows",
                    "recurrence_rows", "triangle_json_chunks", "triangle_to_json"),
@@ -109,10 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every exact check up to --n-max; nonzero exit on any failure",
     )
     ver.add_argument("--n-max", type=int, default=20,
-                     help="largest row N (default 20, at most %d); with --with-oracle 0.06 s, "
-                          "17 MiB at N=32; 0.19 s, 25 MiB at N=64; 1.7 s, 88 MiB at N=128, or "
-                          "1.8 s, 136 MiB with --out; past N=64 the O(N^4) explicit "
-                          "construction takes most of the time" % VERIFY_N_MAX)
+                     help="largest row N (default 20, at most %d); rows are checked as they "
+                          "are built: with --with-oracle 0.06 s, 17 MiB at N=32; 0.19 s, 20 MiB "
+                          "at N=64; 1.7 s, 32 MiB at N=128, or 39 MiB with --out; past N=64 the "
+                          "O(N^4) explicit construction takes most of the time" % VERIFY_N_MAX)
     ver.add_argument("--with-oracle", action="store_true",
                      help="also run the numerical derivative-expansion grid")
     ver.add_argument("--tol", type=float, default=1e-6,
@@ -257,13 +258,15 @@ def _structural_json_records(checks) -> str:
            _json_string(c.detail)) for c in checks])
 
 
-# A report whose lhs and rhs are one object (run_suite's holding reports) formats it once.
-def reports_to_json_records(reports) -> str:
-    return "[%s]" % ",".join([
-        '{"identity":"%s","n":"%d","alpha":"%s","lhs":"%s","rhs":"%s","holds":%s}'
-        % (r.identity, r.n, format_rational(r.alpha), (lhs := format_rational(r.lhs)),
-           lhs if r.rhs is r.lhs else format_rational(r.rhs), "true" if r.holds else "false")
-        for r in reports])
+# One chunk per record; a report whose lhs is its rhs (run_suite's holding ones) formats it once.
+def reports_to_json_records(reports):
+    yield "["
+    for i, r in enumerate(reports):
+        yield ('%s{"identity":"%s","n":"%d","alpha":"%s","lhs":"%s","rhs":"%s","holds":%s}'
+               % ("," if i else "", r.identity, r.n, format_rational(r.alpha),
+                  (lhs := format_rational(r.lhs)), lhs if r.rhs is r.lhs
+                  else format_rational(r.rhs), "true" if r.holds else "false"))
+    yield "]"
 
 
 def residuals_to_json_records(reports) -> str:
@@ -304,21 +307,26 @@ def cmd_verify(args) -> int:
             raise Refusal(2, "bad --corrupt argument %r: %s" % (args.corrupt, exc))
     _load("noncentral")
     _load("identities")
+    whole = -1  # the last row that expansion_grid reads whole: none without --with-oracle
     if args.with_oracle:
         _load("jets")
+        from .jets import GRID_MAX_ORDER as whole
     with _open_out(args.out) as out:
         table = StirlingTable(args.n_max)
-        by_recurrence = build_by_recurrence(args.n_max)
-        by_explicit = build_by_explicit(args.n_max)
+        rows = recurrence_rows(args.n_max)
         if args.corrupt is not None:
-            by_recurrence = corrupt_entry(by_recurrence, corrupt_n, corrupt_k)
+            rows = corrupt_entry(rows, corrupt_n, corrupt_k)
             print("test hook: corrupted entry (%d, %d)" % (corrupt_n, corrupt_k))
+        kept = []  # of each row in its one pass, what run_suite (entry 1) and expansion_grid read
 
-        checks = structural_checks(by_recurrence, by_explicit, table)
-        identity_reports = run_suite(table, by_recurrence, seed=args.seed)
-        oracle_reports = []
-        if args.with_oracle:
-            oracle_reports = expansion_grid(by_recurrence.rows, rel_tol=args.tol)
+        def keep(rows):
+            for n, row in enumerate(rows):
+                kept.append(row if n <= whole else row[:2])
+                yield row
+
+        checks = structural_checks(keep(rows), explicit_rows(args.n_max), table)
+        identity_reports = run_suite(table, kept, seed=args.seed)
+        oracle_reports = expansion_grid(kept, rel_tol=args.tol) if args.with_oracle else []
 
         failed_checks = [c for c in checks if not c.ok]
         failed_identities = [r for r in identity_reports if not r.holds]
@@ -340,11 +348,10 @@ def cmd_verify(args) -> int:
 
         if out is not None:
             if args.format == "json":
-                chunks = ['{"seed":"%d","n_max":"%d","structural":%s,"identities":%s,'
-                          '"oracle":%s}\n' % (args.seed, args.n_max,
-                                              _structural_json_records(checks),
-                                              reports_to_json_records(identity_reports),
-                                              residuals_to_json_records(oracle_reports))]
+                chunks = chain(['{"seed":"%d","n_max":"%d","structural":%s,"identities":'
+                                % (args.seed, args.n_max, _structural_json_records(checks))],
+                               reports_to_json_records(identity_reports),
+                               [',"oracle":%s}\n' % residuals_to_json_records(oracle_reports)])
             else:
                 chunks = _verify_csv_chunks(checks, identity_reports, oracle_reports)
             _emit(chunks, out)

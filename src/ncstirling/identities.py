@@ -1,7 +1,7 @@
 """Exact verification of the identity catalogue tied to the k=1 column of the
-non-central triangle: the master binomial/Stirling identity, its factorial and
-harmonic specializations, the closed forms at negative integer alpha, and the
-structural checks that tie the two triangle constructions together.
+non-central triangle (the master binomial/Stirling identity, its factorial and harmonic
+specializations and the closed forms at negative integer alpha), and the structural
+checks that tie the two triangle constructions together, read one row at a time.
 
 Every comparison in this module is exact rational arithmetic; there is no
 tolerance anywhere.
@@ -12,7 +12,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import accumulate
-from typing import List, NamedTuple, Optional
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from .exact import (
     AlphaPoly,
@@ -23,7 +23,6 @@ from .exact import (
     scaled_horner,
 )
 from .noncentral import (
-    NoncentralTriangle,
     alternating_sum_weights,
     s_n1_recurrence,
     s_n1_sum_formula,
@@ -69,14 +68,14 @@ def random_rationals(count: int, rng: random.Random) -> List[Fraction]:
     ]
 
 
-def run_suite(table: StirlingTable, triangle: NoncentralTriangle,
+def run_suite(table: StirlingTable, rows: Sequence[Sequence[Sequence[int]]],
               seed: int = 0) -> List[IdentityReport]:
-    """Check the paper's identities exactly for n = 1..N, N = triangle.n_max,
+    """Check the paper's identities exactly for n = 1..N, N = len(rows) - 1,
     and return one report (identity, n, alpha, lhs, rhs) per point, in this
     order. P_n(a) = sum_k (k+1) s(n,k+1) (-a)^k is table.noncentral(n, 1),
     the closed form at k=1 (s(n, 1, a) from classical numbers), S(a, n) =
     sum_{k<n} (-1)^k C(-a, k)/(n-k) the alternating binomial sum, H_n the
-    harmonic number and s(n, 1, a) the triangle's value.
+    harmonic number and s(n, 1, a) the triangle's value rows[n][1], the one entry read.
 
     For every n, at a = -N..N and 30 random rationals, then at the points
     reported as alpha = -1, 1, n and n:
@@ -109,7 +108,7 @@ def run_suite(table: StirlingTable, triangle: NoncentralTriangle,
     as both lhs and rhs; one that fails stores both. Each H_m, m <= N, is summed
     once.
     """
-    n_max = triangle.n_max
+    n_max = len(rows) - 1
     rng = random.Random(seed)
     # (alpha as reported, alpha as computed with): an integer alpha runs on ints
     master_alphas = [(Fraction(a), a) for a in range(-n_max, n_max + 1)]
@@ -160,7 +159,7 @@ def run_suite(table: StirlingTable, triangle: NoncentralTriangle,
             add("neg_alpha_factorial_form", n, -b, total, closed)
             add("neg_alpha_reciprocal_form", n, -b, Fraction((b + 1) * total, math.factorial(n)),
                 Fraction(1, math.comb(n, b + 1)))
-            add("column1_neg_alpha_value", n, -b, horner(triangle.rows[n][1], -b),
+            add("column1_neg_alpha_value", n, -b, horner(rows[n][1], -b),
                 (-1) ** (n - b - 1) * closed)
 
     for b in range(1, min(10, n_max) + 1):
@@ -172,30 +171,26 @@ def run_suite(table: StirlingTable, triangle: NoncentralTriangle,
             # sum_k s(n,k) b^k is the falling factorial b!/(b-n)!, positive here
             add("harmonic_diff_ratio_form", n, -b, direct,
                 Fraction(horner(column[n], -b), horner(table.row(n), b)))
-            add("column1_harmonic_value", n, -b, horner(triangle.rows[n][1], -b),
+            add("column1_harmonic_value", n, -b, horner(rows[n][1], -b),
                 direct * (math.factorial(b) // math.factorial(b - n)))
 
     for alpha in column_alphas:
         recurrence = s_n1_recurrence(n_max, alpha)
         for n in range(1, n_max + 1):
-            value = horner(triangle.rows[n][1], alpha)
+            value = horner(rows[n][1], alpha)
             add("column1_sum_formula", n, alpha, value, s_n1_sum_formula(n, alpha, weights[n]))
             add("column1_recurrence", n, alpha, value, recurrence[n])
     return reports
 
 
-def structural_checks(by_recurrence: NoncentralTriangle,
-                      by_explicit: NoncentralTriangle,
+def structural_checks(by_recurrence: Iterable[Sequence[Sequence[int]]],
+                      by_explicit: Iterable[Sequence[Sequence[int]]],
                       table: StirlingTable) -> List[StructuralCheck]:
-    """Exact structural checks over every entry of the two triangles:
-    construction agreement, specialization at alpha=0, degree and leading-sign
-    pattern, the k=0 and k=1 columns against the classical closed form
-    table.noncentral, the diagonal s(n, n, alpha) = 1, and the classical rows
-    against stirling_expansion_oracle; the three must share one n_max, the oracle must
-    give its n_max + 1 rows and each triangle row n must hold n + 1 entries."""
-    sizes = by_recurrence.n_max, by_explicit.n_max, table.n_max
-    if len(set(sizes)) > 1:
-        raise ValueError("sizes differ: recurrence %d, explicit %d, table %d" % sizes)
+    """Exact structural checks over every entry of two triangles, read one row of each at a
+    time: construction agreement, specialization at alpha=0, degree and leading-sign pattern,
+    the k=0 and k=1 columns against the closed form table.noncentral, the diagonal
+    s(n, n, alpha) = 1 and the classical rows against stirling_expansion_oracle. Row n must
+    hold n + 1 entries, and zip raises ValueError unless both give table.n_max + 1 rows."""
     checks: List[StructuralCheck] = []
 
     def add(name, n, k, ok, expected=None, actual=None):
@@ -210,8 +205,7 @@ def structural_checks(by_recurrence: NoncentralTriangle,
 
     # An entry's coefficient tuple c has constant term c[0], degree len(c) - 1
     # and leading coefficient c[-1]; the empty tuple is the zero polynomial.
-    rows = zip(stirling_expansion_oracle(table.n_max), by_recurrence.rows, by_explicit.rows,
-               strict=True)
+    rows = zip(stirling_expansion_oracle(table.n_max), by_recurrence, by_explicit, strict=True)
     for n, (oracle, rec_row, exp_row) in enumerate(rows):
         if not len(rec_row) == len(exp_row) == n + 1:
             raise ValueError("row %d holds %d recurrence and %d explicit entries, not %d"

@@ -222,12 +222,11 @@ def triangle_from_json(text: str) -> NoncentralTriangle:
     return triangle
 
 
-def corrupt_entry(triangle: NoncentralTriangle, n: int, k: int) -> NoncentralTriangle:
-    """Copy of the triangle with the constant coefficient of entry (n, k)
-    raised by 1. Verification test hook only: the result must fail the
-    structural checks."""
-    check_index(n, k, triangle.n_max)
-    rows = [list(row) for row in triangle.rows]
-    c = triangle.rows[n][k] or (0,)
-    rows[n][k] = (c[0] + 1,) + c[1:]
-    return NoncentralTriangle(rows)
+def corrupt_entry(rows, n: int, k: int) -> Iterator[tuple]:
+    """The rows, but in row n the constant coefficient of entry (n, k) raised by 1, for
+    a caller that has checked (n, k). Test hook only: verify must then fail."""
+    for m, row in enumerate(rows):
+        if m == n:
+            c = row[k] or (0,)
+            row = row[:k] + ((c[0] + 1,) + c[1:],) + row[k + 1:]
+        yield row

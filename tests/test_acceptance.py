@@ -73,7 +73,7 @@ def test_03_boundaries_and_specialization_to_20():
 
 
 def _suite_families():
-    reports = run_suite(StirlingTable(15), build_by_recurrence(15), seed=SEED)
+    reports = run_suite(StirlingTable(15), build_by_recurrence(15).rows, seed=SEED)
     families = {}
     for report in reports:
         families.setdefault(report.identity, []).append(report)

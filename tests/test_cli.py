@@ -491,17 +491,54 @@ def test_verify_corrupt_hook_flips_exit(capsys):
 
 
 def test_verify_corrupt_bad_argument(capsys, monkeypatch):
-    # a bad N,K is rejected before the table or either triangle is built
+    # a bad N,K is rejected before the table or a row of either triangle is built
     def refuse(n_max):
         raise AssertionError("verify built a triangle before checking --corrupt")
 
-    for name in ("StirlingTable", "build_by_recurrence", "build_by_explicit"):
+    for name in ("StirlingTable", "build_by_recurrence", "build_by_explicit",
+                 "recurrence_rows", "explicit_rows"):
         monkeypatch.setattr(cli, name, refuse)
     for corrupt in ("nope", "99,1"):
         assert run_cli("verify", "--n-max", "2", "--corrupt", corrupt) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("ncstirling: verify: bad --corrupt argument %r: " % corrupt)
+
+
+def test_verify_streams_the_rows_of_both_constructions(capsys, monkeypatch, tmp_path):
+    # verify reads the two constructions in step, each row as it is made, and builds
+    # no whole triangle: one construction is never more than one row ahead of the other
+    produced = []
+
+    def logged(construction, rows):
+        def logged_rows(n_max):
+            for n, row in enumerate(rows(n_max)):
+                produced.append((construction, n))
+                yield row
+        return logged_rows
+
+    def refuse(*args):
+        raise AssertionError("verify built a whole triangle")
+
+    monkeypatch.setattr(cli, "recurrence_rows", logged("recurrence", cli.recurrence_rows))
+    monkeypatch.setattr(cli, "explicit_rows", logged("explicit", cli.explicit_rows))
+    monkeypatch.setattr(cli, "build_by_recurrence", refuse)
+    monkeypatch.setattr(cli, "build_by_explicit", refuse)
+    monkeypatch.setattr(NoncentralTriangle, "__init__", refuse)
+    out = tmp_path / "r.json"
+    assert run_cli("verify", "--n-max", "10", "--with-oracle", "--corrupt", "5,2",
+                   "--out", str(out)) == 1
+    assert capsys.readouterr().out.endswith("VERIFY: FAIL\n")
+    for construction in ("recurrence", "explicit"):
+        assert [n for c, n in produced if c == construction] == list(range(11))
+    lead = 0
+    for construction, _ in produced:
+        lead += 1 if construction == "recurrence" else -1
+        assert abs(lead) <= 1, produced
+    doc = json.loads(out.read_text())
+    assert any(not c["ok"] and (c["n"], c["k"]) == ("5", "2") for c in doc["structural"])
+    assert len(doc["oracle"]) == 9 * len(jets.GRID_ALPHAS) * len(jets.GRID_BETAS) * len(
+        jets.GRID_X0S)
 
 
 def test_verify_corrupt_echoes_the_parsed_entry(capsys):
@@ -742,12 +779,12 @@ def test_a_failing_master_identity_keeps_both_sides(capsys, monkeypatch, tmp_pat
     assert lhs - rhs == Fraction(1, alpha.denominator ** 2)
 
     hit.clear()
-    reports = identities.run_suite(StirlingTable(5), build_by_recurrence(5))
+    reports = identities.run_suite(StirlingTable(5), build_by_recurrence(5).rows)
     (report,) = [r for r in reports if not r.holds]
     assert (report.n, report.alpha, report.lhs, report.rhs) == (3, alpha, lhs, rhs)
     assert report.lhs != report.rhs and report.lhs is not report.rhs
     assert all(r.lhs is r.rhs for r in reports if r.holds)
-    assert cli.reports_to_json_records([report]) == (
+    assert "".join(cli.reports_to_json_records([report])) == (
         '[{"identity":"binomial_stirling_sum","n":"3","alpha":"%s","lhs":"%s","rhs":"%s",'
         '"holds":false}]' % (cli.format_rational(alpha), record["lhs"], record["rhs"]))
 

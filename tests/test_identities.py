@@ -37,7 +37,7 @@ def triangle():
 
 @pytest.fixture(scope="module")
 def suite(table, triangle):
-    return run_suite(table, triangle)
+    return run_suite(table, triangle.rows)
 
 
 def _lookup(reports, identity, n, alpha):
@@ -74,7 +74,7 @@ def test_master_identity_hand_values(suite):
 def test_master_identity_rhs_is_the_unsigned_power_sum(table, triangle):
     # the paper writes the right side as sum_k (k+1) |s(n,k+1)| a^k
     for seed in (0, 1, 2009):
-        records = [r for r in run_suite(table, triangle, seed=seed)
+        records = [r for r in run_suite(table, triangle.rows, seed=seed)
                    if r.identity == "binomial_stirling_sum"]
         assert len(records) == N_MAX * (2 * N_MAX + 1 + 30)
         for r in records:
@@ -86,7 +86,7 @@ def test_master_identity_rhs_is_the_unsigned_power_sum(table, triangle):
 def test_master_identity_sweep(table, triangle):
     alphas = [Fraction(a) for a in range(-N_MAX, N_MAX + 1)]
     alphas += random_rationals(30, random.Random(123))
-    records = [r for r in run_suite(table, triangle, seed=123)
+    records = [r for r in run_suite(table, triangle.rows, seed=123)
                if r.identity == "binomial_stirling_sum"]
     assert {(r.n, r.alpha) for r in records} == {
         (n, alpha) for n in range(1, N_MAX + 1) for alpha in alphas}
@@ -199,12 +199,12 @@ def test_random_rationals_ranges_and_determinism():
 
 def test_run_suite_all_hold(table):
     triangle = build_by_recurrence(10)
-    reports = run_suite(table, triangle)
+    reports = run_suite(table, triangle.rows)
     assert reports
     assert all(r.holds for r in reports)
     assert all(r.holds == (r.lhs == r.rhs) for r in reports)
     # deterministic for a fixed seed
-    assert run_suite(table, triangle) == reports
+    assert run_suite(table, triangle.rows) == reports
     labels = {r.identity for r in reports}
     assert "binomial_stirling_sum" in labels
     assert "column1_sum_formula" in labels
@@ -212,7 +212,7 @@ def test_run_suite_all_hold(table):
 
 
 def test_run_suite_detects_corruption(table):
-    bad = corrupt_entry(build_by_recurrence(10), 5, 1)
+    bad = list(corrupt_entry(build_by_recurrence(10).rows, 5, 1))
     reports = run_suite(table, bad)
     assert any(not r.holds for r in reports)
 
@@ -222,7 +222,8 @@ def test_structural_checks_read_empty_coefficients_as_zero():
     # term 0, degree -1, leading coefficient 0
     doc = ('{"n_max":"1","entries":[{"n":"0","k":"0","coeffs":[]},'
            '{"n":"1","k":"0","coeffs":["0","-1"]},{"n":"1","k":"1","coeffs":["1"]}]}\n')
-    checks = structural_checks(triangle_from_json(doc), build_by_explicit(1), StirlingTable(1))
+    checks = structural_checks(triangle_from_json(doc).rows, build_by_explicit(1).rows,
+                               StirlingTable(1))
     failing = [(c.check, c.n, c.k, c.detail) for c in checks if not c.ok]
     assert failing == [
         ("construction_agreement", 0, 0, "expected AlphaPoly([1]), got AlphaPoly([])"),
@@ -236,10 +237,15 @@ def test_structural_checks_read_empty_coefficients_as_zero():
 
 def test_structural_checks_reject_triangles_of_different_sizes():
     # rows 6..10 of the explicit triangle have no recurrence row to check against
-    with pytest.raises(ValueError, match="recurrence 5, explicit 10, table 10"):
-        structural_checks(build_by_recurrence(5), build_by_explicit(10), StirlingTable(10))
-    with pytest.raises(ValueError, match="recurrence 4, explicit 4, table 6"):
-        structural_checks(build_by_recurrence(4), build_by_explicit(4), StirlingTable(6))
+    with pytest.raises(ValueError, match="argument 2 is shorter than argument 1"):
+        structural_checks(build_by_recurrence(5).rows, build_by_explicit(10).rows,
+                          StirlingTable(10))
+    with pytest.raises(ValueError, match="argument 2 is shorter than argument 1"):
+        structural_checks(build_by_recurrence(4).rows, build_by_explicit(4).rows,
+                          StirlingTable(6))
+    with pytest.raises(ValueError, match="argument 2 is longer than argument 1"):
+        structural_checks(build_by_recurrence(6).rows, build_by_explicit(6).rows,
+                          StirlingTable(4))
 
 
 def test_structural_checks_reject_an_oracle_one_row_short(monkeypatch):
@@ -248,21 +254,21 @@ def test_structural_checks_reject_an_oracle_one_row_short(monkeypatch):
     monkeypatch.setattr(identities, "stirling_expansion_oracle",
                         lambda n_max: itertools.islice(short(n_max), n_max))
     with pytest.raises(ValueError, match="is longer than argument 1"):
-        structural_checks(build_by_recurrence(6), build_by_explicit(6), StirlingTable(6))
+        structural_checks(build_by_recurrence(6).rows, build_by_explicit(6).rows, StirlingTable(6))
 
 
 def test_structural_checks_reject_a_row_with_an_extra_entry():
     # an extra zero polynomial at the end of every explicit row, which no check reads by index
     padded = NoncentralTriangle(row + ((),) for row in build_by_explicit(6).rows)
     with pytest.raises(ValueError, match="row 0 holds 1 recurrence and 2 explicit entries"):
-        structural_checks(build_by_recurrence(6), padded, StirlingTable(6))
+        structural_checks(build_by_recurrence(6).rows, padded.rows, StirlingTable(6))
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 12])
 def test_structural_checks_make_one_oracle_product_per_row(monkeypatch, n_max):
     # the classical rows come from one running product: row n is row n-1
     # times (x - n + 1), so N products in all, none restarted from 1
-    triangles = build_by_recurrence(n_max), build_by_explicit(n_max), StirlingTable(n_max)
+    triangles = build_by_recurrence(n_max).rows, build_by_explicit(n_max).rows, StirlingTable(n_max)
     products = []
     mul = AlphaPoly.__mul__
 
@@ -297,17 +303,17 @@ def test_structural_checks_catch_triangles_wrong_in_the_same_way(table, triangle
     bad_recurrence = _with_coefficient_raised(triangle, n, k, 2)
     bad_explicit = _with_coefficient_raised(explicit, n, k, 2)
     assert bad_recurrence == bad_explicit
-    checks = structural_checks(bad_recurrence, bad_explicit, table)
+    checks = structural_checks(bad_recurrence.rows, bad_explicit.rows, table)
     failing = [(c.check, c.n, c.k) for c in checks if not c.ok]
     assert failing == [(check, n, k)]
 
 
 def test_structural_checks_clean_and_corrupted(table, triangle):
     explicit = build_by_explicit(N_MAX)
-    checks = structural_checks(triangle, explicit, table)
+    checks = structural_checks(triangle.rows, explicit.rows, table)
     assert checks and all(c.ok for c in checks)
-    bad = corrupt_entry(triangle, 7, 3)
-    bad_checks = structural_checks(bad, explicit, table)
+    bad = corrupt_entry(triangle.rows, 7, 3)
+    bad_checks = structural_checks(bad, explicit.rows, table)
     failing = [c for c in bad_checks if not c.ok]
     assert failing
     assert any(c.check == "construction_agreement" and (c.n, c.k) == (7, 3) for c in failing)

@@ -454,12 +454,24 @@ def test_constructor_rejects_a_trailing_zero_coefficient():
 
 
 def test_corrupt_entry_changes_exactly_one(by_recurrence):
-    bad = corrupt_entry(by_recurrence, 4, 2)
-    differing = [
-        (n, k)
-        for n in range(N_MAX + 1)
-        for k in range(n + 1)
-        if bad.entry(n, k) != by_recurrence.entry(n, k)
-    ]
-    assert differing == [(4, 2)]
-    assert bad.entry(4, 2)(0) == by_recurrence.entry(4, 2)(0) + 1
+    # a hook on the rows: it takes each row only when the one before has gone by
+    def rows(read):
+        for m, row in enumerate(by_recurrence.rows):
+            read.append(m)
+            yield row
+
+    for n, k in [(0, 0), (4, 2), (N_MAX, 0), (N_MAX, 5), (N_MAX, N_MAX)]:
+        read = []
+        hooked = corrupt_entry(rows(read), n, k)
+        assert read == []
+        first = next(hooked)
+        assert read == [0]
+        bad = NoncentralTriangle([first, *hooked])
+        differing = [
+            (m, i)
+            for m in range(N_MAX + 1)
+            for i in range(m + 1)
+            if bad.entry(m, i) != by_recurrence.entry(m, i)
+        ]
+        assert differing == [(n, k)]
+        assert bad.entry(n, k)(0) == by_recurrence.entry(n, k)(0) + 1
