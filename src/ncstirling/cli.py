@@ -12,6 +12,7 @@ import math
 import os
 import re
 import sys
+from decimal import Decimal
 from importlib import import_module
 from itertools import chain
 
@@ -129,8 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", allow_abbrev=False, help="print s(n, k, alpha) exactly")
     ev.add_argument("--n", type=int, required=True,
                     help="at most %d; O(n (k+1)) integer steps, a whole row at k = n or with "
-                         "--beta: 0.75 s at n=2000; past n=1500 even small k can pass the "
-                         "4,300-digit print limit (s(1500, 2, 7/3) has 4,835 digits)" % EVAL_N_MAX)
+                         "--beta: 0.75 s at n=2000" % EVAL_N_MAX)
     ev.add_argument("--k", type=int, required=True)
     ev.add_argument("--alpha", type=_rational_argument, required=True,
                     help='rational p/q, e.g. "-2", "7/3" or "-5/2"; in lowest terms p and q '
@@ -380,11 +380,9 @@ def cmd_eval(args) -> int:
         _load("jets")
     row = None if args.beta is None else evaluate_row(args.n, args.alpha)
     value = evaluate_entry(args.n, args.k, args.alpha) if row is None else row[args.k]
-    try:
-        text = format_rational(value)
-    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-        raise Refusal(2, "s(n,k,alpha) cannot be printed: %s" % exc)
-    print(text)
+    # C decimal converts an int without the int-to-str digit limit and sets nothing process-wide
+    numerator, denominator = map(Decimal, value.as_integer_ratio())
+    print(numerator if denominator == 1 else "%s/%s" % (numerator, denominator))
     if row is not None:
         value = evaluate_expansion(args.x0, args.alpha, args.beta, row)
         print("expansion n=%d alpha=%s beta=%r x0=%r -> %r"

@@ -154,7 +154,8 @@ def parse_canonical_int(text: str) -> int:
 
 def format_rational(value: RationalLike) -> str:
     """Render an int or a Fraction as "p" or "p/q"; both are already reduced
-    with a positive denominator."""
+    with a positive denominator. It is subject to the int-to-str digit limit,
+    so eval does not use it for its value."""
     if value.denominator == 1:
         return str(value.numerator)
     return "%d/%d" % (value.numerator, value.denominator)

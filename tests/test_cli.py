@@ -27,7 +27,7 @@ from ncstirling.noncentral import (
     triangle_json_chunks,
     triangle_to_json,
 )
-from ncstirling.stirling import StirlingTable
+from ncstirling.stirling import StirlingTable, evaluate_entry, stirling_expansion_oracle
 
 
 def run_cli(*argv):
@@ -395,20 +395,38 @@ def test_eval_builds_no_triangle(capsys, monkeypatch):
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this Python has no int-to-str digit limit")
-def test_eval_value_past_the_digit_limit_exits_2(capsys):
-    # s(300, 1, 7/3) has about 1,000 digits; a lowered limit stands in for
-    # a large n against the default limit of 4300 digits
+@pytest.mark.parametrize("n, k, alpha", [(300, 1, "7/3"), (400, 1, "7")],
+                         ids=["fraction", "integer"])
+def test_eval_prints_a_value_past_the_digit_limit(capsys, n, k, alpha):
+    # s(300, 1, 7/3) has a numerator of about 1,000 digits and s(400, 1, 7) is an integer of
+    # about 870; a lowered limit stands in for a large n against the default limit of 4300
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        status = run_cli("eval", "--n", "300", "--k", "1", "--alpha", "7/3")
+        status = run_cli("eval", "--n", str(n), "--k", str(k), "--alpha", alpha)
+        captured = capsys.readouterr()
+        sys.set_int_max_str_digits(0)
+        printed = Fraction(captured.out)
     finally:
         sys.set_int_max_str_digits(limit)
-    captured = capsys.readouterr()
-    assert status == 2
-    assert captured.out == ""
-    assert captured.err.startswith("ncstirling: eval: s(n,k,alpha) cannot be printed: ")
-    assert "set_int_max_str_digits" in captured.err
+    # Koutras's closed form from the classical row, a route independent of scaled_rows
+    *_, row = stirling_expansion_oracle(n)
+    a = Fraction(alpha)
+    koutras = sum((-1) ** m * math.comb(k + m, k) * s * a ** m for m, s in enumerate(row[k:]))
+    assert status == 0
+    assert captured.err == ""
+    assert captured.out.count("\n") == 1 and captured.out.endswith("\n")
+    assert ("/" in captured.out) == (alpha == "7/3")
+    assert len(captured.out) > 640
+    assert printed == evaluate_entry(n, k, a) == koutras
+
+
+def test_eval_renders_through_c_decimal():
+    # the pure-Python _pydecimal converts an int through str(), which the digit limit refuses
+    import _decimal
+    import decimal
+
+    assert decimal.Decimal is _decimal.Decimal
 
 
 @pytest.mark.parametrize("beta, x0", [("nan", "2"), ("1", "inf"), ("-inf", "2"),
