@@ -19,37 +19,28 @@ from itertools import chain
 from .exact import RATIONAL_RE, format_rational, parse_rational
 from .stirling import StirlingTable, check_index, evaluate_entry, evaluate_row
 
-# The names cli takes from the modules that not every command runs; a command binds them with
-# _load(module) only when it runs that module, since a process with no bytecode cache compiles
-# every module it imports, and eval and --help need none of these. So these names are globals
-# that no import statement binds, which a static checker reports as undefined. No command calls
-# build_by_* or triangle_to_json; perfbench/tracing.py patches them. The table is scaffolding
-# for that tracer, which replaces cli attributes before a command runs: once it patches none,
-# each cmd_* can import what it runs in its own body.
-DEFERRED = {
-    "noncentral": ("build_by_explicit", "build_by_recurrence", "corrupt_entry", "explicit_rows",
-                   "recurrence_rows", "triangle_json_chunks", "triangle_to_json"),
-    "identities": ("run_suite", "structural_checks"),
-    "jets": ("evaluate_expansion", "expansion_grid"),
-}
+def _deferred(module: str, name: str):
+    """A function that imports ncstirling.<module> when it is called, then calls its name."""
+    def call(*args, **kwargs):
+        return getattr(import_module("." + module, __package__), name)(*args, **kwargs)
+    return call
 
 
-def _load(module: str) -> None:
-    """Import the module and bind its DEFERRED names here, each unless already bound: a name
-    replaced before the first load (a tracer's wrapper) stays the one the commands call."""
-    loaded = import_module("." + module, __package__)
-    namespace = globals()
-    for name in DEFERRED[module]:
-        namespace.setdefault(name, getattr(loaded, name))
-
-
-def __getattr__(name: str):
-    """cli.<deferred name> before any command has loaded it: load its module (PEP 562)."""
-    for module, names in DEFERRED.items():
-        if name in names:
-            _load(module)
-            return globals()[name]
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+# The functions cli takes from the modules that not every command runs: a process with no bytecode
+# cache compiles every module it imports, and eval and --help need none of these. Each is a plain
+# attribute, so a replacement set before a command runs (a tracer's wrapper) is the one it calls.
+corrupt_entry = _deferred("noncentral", "corrupt_entry")
+explicit_rows = _deferred("noncentral", "explicit_rows")
+recurrence_rows = _deferred("noncentral", "recurrence_rows")
+triangle_json_chunks = _deferred("noncentral", "triangle_json_chunks")
+run_suite = _deferred("identities", "run_suite")
+structural_checks = _deferred("identities", "structural_checks")
+evaluate_expansion = _deferred("jets", "evaluate_expansion")
+expansion_grid = _deferred("jets", "expansion_grid")
+# No command calls these three; they are here for perfbench/tracing.py, which wraps them.
+build_by_explicit = _deferred("noncentral", "build_by_explicit")
+build_by_recurrence = _deferred("noncentral", "build_by_recurrence")
+triangle_to_json = _deferred("noncentral", "triangle_to_json")
 
 
 MAX_FAILURES_PRINTED = 25
@@ -231,7 +222,6 @@ def triangle_to_csv(triangle) -> str:
 def cmd_triangle(args) -> int:
     if not 0 <= args.n_max <= TRIANGLE_N_MAX:
         raise Refusal(2, "--n-max must be in 0..%d" % TRIANGLE_N_MAX)
-    _load("noncentral")
     with _open_out(args.out) as out:
         rows = (explicit_rows if args.construction == "explicit" else recurrence_rows)(args.n_max)
         chunks = (triangle_json_chunks(args.n_max, rows) if args.format == "json"
@@ -305,11 +295,8 @@ def cmd_verify(args) -> int:
             check_index(corrupt_n, corrupt_k, args.n_max)
         except (ValueError, IndexError) as exc:
             raise Refusal(2, "bad --corrupt argument %r: %s" % (args.corrupt, exc))
-    _load("noncentral")
-    _load("identities")
     whole = -1  # the last row that expansion_grid reads whole: none without --with-oracle
     if args.with_oracle:
-        _load("jets")
         from .jets import GRID_MAX_ORDER as whole
     with _open_out(args.out) as out:
         table = StirlingTable(args.n_max)
@@ -377,7 +364,6 @@ def cmd_eval(args) -> int:
             raise Refusal(2, "--beta and --x0 must be finite")
         if not args.x0 > 1.0:
             raise Refusal(2, "--x0 must exceed 1")
-        _load("jets")
     row = None if args.beta is None else evaluate_row(args.n, args.alpha)
     value = evaluate_entry(args.n, args.k, args.alpha) if row is None else row[args.k]
     # C decimal converts an int without the int-to-str digit limit and sets nothing process-wide

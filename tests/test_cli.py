@@ -768,6 +768,41 @@ def test_each_command_loads_only_the_modules_it_runs(argv, deferred):
     assert proc.stdout == "0 %s\n" % expected
 
 
+def test_every_global_a_function_reads_is_bound_at_import():
+    # symtable lists the globals each function and class body reads: in every module of the
+    # package, each must be bound once the module is imported, or be a builtin. Running a
+    # command binds no name into cli's namespace and rebinds none, so a static checker sees
+    # every name cli has, and a replacement set before a command stays the one it calls.
+    code = """import builtins, contextlib, importlib, io, pkgutil, symtable
+import ncstirling
+unbound = []
+for info in sorted(pkgutil.iter_modules(ncstirling.__path__), key=lambda info: info.name):
+    module = importlib.import_module("ncstirling." + info.name)
+    bound = set(vars(module)) | set(vars(builtins))
+    with open(module.__file__) as source:
+        tables = symtable.symtable(source.read(), module.__file__, "exec").get_children()
+    while tables:
+        table = tables.pop()
+        tables.extend(table.get_children())
+        unbound.extend((info.name, table.get_name(), symbol.get_name())
+                       for symbol in table.get_symbols()
+                       if symbol.is_referenced() and symbol.is_global()
+                       and symbol.get_name() not in bound)
+from ncstirling import cli
+before, after = dict(vars(cli)), vars(cli)
+with contextlib.redirect_stdout(io.StringIO()):
+    statuses = [cli.main(argv) for argv in %r]
+print(sorted(unbound), statuses, sorted(name for name in before.keys() | after.keys()
+                                        if before.get(name, before) is not after.get(name)))""" % ([
+        ["triangle", "--n-max", "4"],
+        ["verify", "--n-max", "6", "--corrupt", "3,1", "--with-oracle"],
+        ["eval", "--n", "6", "--k", "2", "--alpha", "7/3", "--beta", "1.5", "--x0", "2"]],)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] [0, 1, 0] []\n"
+
+
 def test_a_failing_master_identity_keeps_both_sides(capsys, monkeypatch, tmp_path):
     # no golden has a failing binomial_stirling_sum: make the summed side one more, over
     # q^(n-1), at the first n = 3 point with a non-integer alpha

@@ -62,16 +62,38 @@ def test_every_unused_import_is_a_traced_binding(tracing):
                     if "# noqa: F401" in lines[alias.lineno - 1]:
                         name = alias.asname or alias.name
                         assert (path.stem, name) in bound, (path.name, name)
-    # so is a name cli binds on first use (cli.DEFERRED) that no code of cli reads
+    # so is a deferred name of cli that no code of cli reads
     read = _names_read_by_cli()
-    for names in _module("cli").DEFERRED.values():
-        for name in names:
-            assert name in read or ("cli", name) in bound, name
+    for name, _, _ in _deferred_assignments():
+        assert name in read or ("cli", name) in bound, name
+
+
+CLI_SOURCE = ROOT / "src" / "ncstirling" / "cli.py"
+
+
+def _deferred_assignments():
+    """(bound name, module, name) of each module-level `name = _deferred("module", "name")`
+    in cli.py."""
+    found = []
+    for node in ast.parse(CLI_SOURCE.read_text()).body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name) and node.value.func.id == "_deferred"):
+            (target,) = node.targets
+            found.append((target.id, *map(ast.literal_eval, node.value.args)))
+    assert found
+    return found
 
 
 def _names_read_by_cli():
-    source = (ROOT / "src" / "ncstirling" / "cli.py").read_text()
-    return {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+    return {node.id for node in ast.walk(ast.parse(CLI_SOURCE.read_text()))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_each_deferred_name_is_the_function_it_calls():
+    # a typo in a deferred name fails only when it is called, and no command calls some of them
+    for bound, module, name in _deferred_assignments():
+        assert bound == name, (bound, module, name)
+        assert callable(getattr(_module(module), name, None)), (module, name)
 
 
 SPIED_COMMANDS = [
@@ -83,9 +105,10 @@ SPIED_COMMANDS = [
 
 
 def test_a_name_replaced_before_any_command_is_the_one_it_calls():
-    # cli binds the names of cli.DEFERRED when a command first runs their module; a
-    # replacement set before that, by getattr then setattr as tracing.Patches.set does,
-    # must stay the function each command calls. A fresh interpreter has loaded none.
+    # a replacement of a deferred name set before any command, by getattr then setattr as
+    # tracing.Patches.set does, must be the function each command calls. A fresh interpreter
+    # has imported none of the deferred modules.
+    deferred = [name for name, _, _ in _deferred_assignments()]
     code = """import contextlib, io
 from ncstirling import cli
 called = set()
@@ -94,17 +117,15 @@ def spy(name, fn):
         called.add(name)
         return fn(*args, **kwargs)
     return call
-for names in cli.DEFERRED.values():
-    for name in names:
-        setattr(cli, name, spy(name, getattr(cli, name)))
+for name in %r:
+    setattr(cli, name, spy(name, getattr(cli, name)))
 with contextlib.redirect_stdout(io.StringIO()):
     statuses = [cli.main(argv) for argv in %r]
-print(statuses, sorted(called))""" % (SPIED_COMMANDS,)
+print(statuses, sorted(called))""" % (deferred, SPIED_COMMANDS)
     src = str(ROOT / "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
-    deferred = {name for names in _module("cli").DEFERRED.values() for name in names}
-    assert proc.stdout == "[0, 0, 1, 0] %s\n" % sorted(deferred & _names_read_by_cli())
+    assert proc.stdout == "[0, 0, 1, 0] %s\n" % sorted(set(deferred) & _names_read_by_cli())
