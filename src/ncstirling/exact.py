@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
-
-RationalLike = Union[int, Fraction]
 
 RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 _CANONICAL_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
@@ -33,7 +31,7 @@ def scaled_horner(coeffs: tuple, p: int, q: int) -> int:
     return acc
 
 
-def horner(coeffs: tuple, x: RationalLike) -> RationalLike:
+def horner(coeffs: tuple, x: int | Fraction) -> int | Fraction:
     """Evaluate the integer polynomial with coefficients coeffs (low to high) at
     x by Horner's rule on ints, exactly. An int x gives an int. At a Fraction
     x = p/q and nonempty coeffs it is scaled_horner's integer over q^d, d the
@@ -99,7 +97,7 @@ class AlphaPoly:
 
     __rmul__ = __mul__
 
-    def __call__(self, x: RationalLike) -> RationalLike:
+    def __call__(self, x: int | Fraction) -> int | Fraction:
         """Evaluate at x exactly; see horner."""
         return horner(self._coeffs, x)
 
@@ -113,18 +111,18 @@ class AlphaPoly:
 
 
 # Only binomial_rational calls this; kept while perfbench/tracing.py counts calls through it.
-def falling_factorial(x: RationalLike, k: int) -> RationalLike:
+def falling_factorial(x: int | Fraction, k: int) -> int | Fraction:
     """x(x-1)...(x-k+1), exact; the empty product (k=0) is 1."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    out: RationalLike = 1
+    out = 1
     for j in range(k):
         out = out * (x - j)
     return out
 
 
 # No caller in the package; kept while perfbench/tracing.py counts calls through it.
-def binomial_rational(x: RationalLike, k: int) -> Fraction:
+def binomial_rational(x: int | Fraction, k: int) -> Fraction:
     """Generalized binomial coefficient C(x, k) = x(x-1)...(x-k+1)/k!."""
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -152,7 +150,7 @@ def parse_canonical_int(text: str) -> int:
     return int(text)
 
 
-def format_rational(value: RationalLike) -> str:
+def format_rational(value: int | Fraction) -> str:
     """Render an int or a Fraction as "p" or "p/q"; both are already reduced
     with a positive denominator. It is subject to the int-to-str digit limit,
     so eval does not use it for its value."""

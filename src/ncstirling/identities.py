@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from .exact import (
     AlphaPoly,
-    RationalLike,
     binomial_rational,  # noqa: F401  unused; perfbench/tracing.py patches this name
     format_rational,  # noqa: F401  unused; perfbench/tracing.py patches this name
     horner,
@@ -37,28 +37,15 @@ MASTER_RANDOM_POINTS = 30
 COLUMN_RANDOM_POINTS = 20
 
 
-class IdentityReport(NamedTuple):
-    """Outcome of one exact identity check at a parameter point (n, alpha)."""
+IdentityReport = namedtuple("IdentityReport", "identity n alpha lhs rhs holds")
+IdentityReport.__doc__ = """Outcome of one exact identity check at a parameter point (n, alpha)."""
 
-    identity: str
-    n: int
-    alpha: Fraction
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
+StructuralCheck = namedtuple("StructuralCheck", "check n k ok detail", defaults=("",))
+StructuralCheck.__doc__ = """Outcome of one exact structural check on triangle entry (n, k), or
+on row n where k is None."""
 
 
-class StructuralCheck(NamedTuple):
-    """Outcome of one exact structural check on triangle entry (n, k)."""
-
-    check: str
-    n: int
-    k: Optional[int]
-    ok: bool
-    detail: str = ""
-
-
-def random_rationals(count: int, rng: random.Random) -> List[Fraction]:
+def random_rationals(count: int, rng: random.Random) -> list[Fraction]:
     """Seeded sample of rationals with numerator in [-50, 50], denominator in [1, 20]."""
     lo_n, hi_n = RANDOM_NUMERATOR_RANGE
     lo_d, hi_d = RANDOM_DENOMINATOR_RANGE
@@ -69,7 +56,7 @@ def random_rationals(count: int, rng: random.Random) -> List[Fraction]:
 
 
 def run_suite(table: StirlingTable, rows: Sequence[Sequence[Sequence[int]]],
-              seed: int = 0) -> List[IdentityReport]:
+              seed: int = 0) -> list[IdentityReport]:
     """Check the paper's identities exactly for n = 1..N, N = len(rows) - 1,
     and return one report (identity, n, alpha, lhs, rhs) per point, in this
     order. P_n(a) = sum_k (k+1) s(n,k+1) (-a)^k is table.noncentral(n, 1),
@@ -118,13 +105,13 @@ def run_suite(table: StirlingTable, rows: Sequence[Sequence[Sequence[int]]],
     weights = [alternating_sum_weights(n) for n in range(n_max + 1)]
     harmonics = list(accumulate((Fraction(1, m) for m in range(1, n_max + 1)),
                                 initial=Fraction(0)))  # H_0..H_N; b <= min(10, N) below
-    reports: List[IdentityReport] = []
+    reports: list[IdentityReport] = []
 
-    def fraction(value: RationalLike) -> Fraction:
+    def fraction(value: int | Fraction) -> Fraction:
         return value if isinstance(value, Fraction) else Fraction(value)
 
-    def add(identity: str, n: int, alpha: RationalLike,
-            lhs: RationalLike, rhs: RationalLike) -> None:
+    def add(identity: str, n: int, alpha: int | Fraction,
+            lhs: int | Fraction, rhs: int | Fraction) -> None:
         # an int becomes one Fraction, a Fraction is kept; sides that agree share one
         lhs = fraction(lhs)
         rhs = lhs if lhs == rhs else fraction(rhs)
@@ -185,13 +172,13 @@ def run_suite(table: StirlingTable, rows: Sequence[Sequence[Sequence[int]]],
 
 def structural_checks(by_recurrence: Iterable[Sequence[Sequence[int]]],
                       by_explicit: Iterable[Sequence[Sequence[int]]],
-                      table: StirlingTable) -> List[StructuralCheck]:
+                      table: StirlingTable) -> list[StructuralCheck]:
     """Exact structural checks over every entry of two triangles, read one row of each at a
     time: construction agreement, specialization at alpha=0, degree and leading-sign pattern,
     the k=0 and k=1 columns against the closed form table.noncentral, the diagonal
     s(n, n, alpha) = 1 and the classical rows against stirling_expansion_oracle. Row n must
     hold n + 1 entries, and zip raises ValueError unless both give table.n_max + 1 rows."""
-    checks: List[StructuralCheck] = []
+    checks: list[StructuralCheck] = []
 
     def add(name, n, k, ok, expected=None, actual=None):
         detail = "" if ok else "expected %r, got %r" % (expected, actual)

@@ -10,13 +10,12 @@ float rounding, so derivatives up to moderate order come out almost exact.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import List, NamedTuple, Sequence
 
-from .exact import RationalLike, horner
+from .exact import horner
 from .exact import format_rational  # noqa: F401  unused; perfbench/tracing.py patches this name
-
-Jet = List[float]
 
 RESIDUAL_FLOOR = 1e-300
 
@@ -33,7 +32,7 @@ class JetDomainError(ValueError):
     """Raised when ln/pow is applied to a jet whose constant term is not positive."""
 
 
-def jet_seed(x0: float, order: int) -> Jet:
+def jet_seed(x0: float, order: int) -> list[float]:
     """Jet of the identity function at x0: [x0, 1, 0, ..., 0]."""
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -44,7 +43,7 @@ def jet_seed(x0: float, order: int) -> Jet:
     return out
 
 
-def jet_mul(a: Sequence[float], b: Sequence[float]) -> Jet:
+def jet_mul(a: Sequence[float], b: Sequence[float]) -> list[float]:
     """Truncated Cauchy product; both jets must share one truncation order."""
     if len(a) != len(b):
         raise ValueError("jet orders differ: %d vs %d" % (len(a) - 1, len(b) - 1))
@@ -57,7 +56,7 @@ def jet_mul(a: Sequence[float], b: Sequence[float]) -> Jet:
     return out
 
 
-def jet_ln(a: Sequence[float]) -> Jet:
+def jet_ln(a: Sequence[float]) -> list[float]:
     """ln of a jet via b' = a'/a; requires a positive constant term."""
     if not a[0] > 0.0:
         raise JetDomainError("ln of a jet needs a positive constant term, got %r" % a[0])
@@ -71,7 +70,7 @@ def jet_ln(a: Sequence[float]) -> Jet:
     return out
 
 
-def jet_exp(a: Sequence[float]) -> Jet:
+def jet_exp(a: Sequence[float]) -> list[float]:
     """exp of a jet via b' = a' * b."""
     out = [0.0] * len(a)
     out[0] = math.exp(a[0])
@@ -83,7 +82,7 @@ def jet_exp(a: Sequence[float]) -> Jet:
     return out
 
 
-def jet_pow_real(a: Sequence[float], p: float) -> Jet:
+def jet_pow_real(a: Sequence[float], p: float) -> list[float]:
     """a**p truncated; requires a positive constant term.
 
     Small nonnegative integer exponents are multiplied out directly so that
@@ -111,7 +110,7 @@ def _check_point(x0: float, *exponents: float) -> None:
         raise ValueError("x0 must exceed 1, got %r" % (x0,))
 
 
-def _expansion_factors(x0: float, beta: float, order: int) -> List[tuple]:
+def _expansion_factors(x0: float, beta: float, order: int) -> list[tuple]:
     """[((beta)_i, ln(x0)^(beta-i)) for i <= order], the weights one running product,
     ending before the first zero weight: every later one is zero too."""
     log_x0 = math.log(x0)
@@ -124,7 +123,7 @@ def _expansion_factors(x0: float, beta: float, order: int) -> List[tuple]:
     return factors
 
 
-def _expansion_sum(row: Sequence, x0: float, alpha: RationalLike,
+def _expansion_sum(row: Sequence, x0: float, alpha: int | Fraction,
                    factors: Sequence[tuple]) -> float:
     """The expansion of order n = len(row) - 1 over its nonzero terms, one per factor
     (_expansion_factors up to order n); the row values past them are never rounded. The
@@ -138,7 +137,7 @@ def _expansion_sum(row: Sequence, x0: float, alpha: RationalLike,
     return total
 
 
-def evaluate_expansion(x0: float, alpha: RationalLike, beta: float,
+def evaluate_expansion(x0: float, alpha: int | Fraction, beta: float,
                        row: Sequence[Fraction]) -> float:
     """Evaluate the derivative expansion of order n = len(row) - 1
 
@@ -150,21 +149,13 @@ def evaluate_expansion(x0: float, alpha: RationalLike, beta: float,
     return _expansion_sum(row, x0, alpha, _expansion_factors(x0, float(beta), len(row) - 1))
 
 
-class ResidualReport(NamedTuple):
-    """One comparison of the jet derivative against the expansion value."""
-
-    n: int
-    alpha: Fraction
-    beta: float
-    x0: float
-    jet_value: float
-    expansion_value: float
-    rel_residual: float
-    passed: bool
+ResidualReport = namedtuple("ResidualReport", "n alpha beta x0 jet_value expansion_value "
+                                              "rel_residual passed")
+ResidualReport.__doc__ = """One comparison of the jet derivative against the expansion value."""
 
 
 def expansion_grid(rows: Sequence[Sequence[Sequence[int]]],
-                   rel_tol: float = 1e-6) -> List[ResidualReport]:
+                   rel_tol: float = 1e-6) -> list[ResidualReport]:
     """Run the validation grid on rows[n][i], the coefficients of s(n, i, alpha): every
     n up to min(GRID_MAX_ORDER, len(rows) - 1) against GRID_ALPHAS x GRID_BETAS x
     GRID_X0S. Each point's jet of the top order is one jet_mul of factor jets, each built

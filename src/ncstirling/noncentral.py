@@ -22,12 +22,11 @@ one pass (stirling reads a whole row of values and one entry off it, for eval).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence
 
 from .exact import (
     AlphaPoly,
-    RationalLike,
     binomial_rational,  # noqa: F401  unused; perfbench/tracing.py patches this name
     falling_factorial,  # noqa: F401  unused; perfbench/tracing.py patches this name
     horner,
@@ -57,7 +56,7 @@ class NoncentralTriangle:
         check_index(n, k, self.n_max)
         return AlphaPoly(self.rows[n][k])
 
-    def evaluate(self, n: int, k: int, alpha: RationalLike) -> Fraction:
+    def evaluate(self, n: int, k: int, alpha: int | Fraction) -> Fraction:
         """s(n, k, alpha) at a concrete rational alpha, exactly, as one Fraction: the one
         horner builds, or the int it gives at an int alpha or the zero polynomial, made one."""
         check_index(n, k, self.n_max)
@@ -121,13 +120,13 @@ def build_by_explicit(n_max: int) -> NoncentralTriangle:
     return NoncentralTriangle(explicit_rows(n_max))
 
 
-def alternating_sum_weights(n: int) -> List[int]:
+def alternating_sum_weights(n: int) -> list[int]:
     """[C(n, k) (n-k-1)! for k < n]: the integer weights of n! S(a, n), the same at
     every a, so one list serves every alpha at this n."""
     return [math.comb(n, k) * math.factorial(n - k - 1) for k in range(n)]
 
 
-def scaled_alternating_sum(weights: Sequence[int], alpha: RationalLike) -> int:
+def scaled_alternating_sum(weights: Sequence[int], alpha: int | Fraction) -> int:
     """n! q^(n-1) S(p/q, n) as an int, for n = len(weights) and alpha = p/q (an int
     has q = 1), where S(a, n) = sum_{k=0}^{n-1} (-1)^k C(-a, k) / (n - k).
 
@@ -146,8 +145,8 @@ def scaled_alternating_sum(weights: Sequence[int], alpha: RationalLike) -> int:
     return acc
 
 
-def s_n1_sum_formula(n: int, alpha: RationalLike,
-                     weights: Optional[Sequence[int]] = None) -> Fraction:
+def s_n1_sum_formula(n: int, alpha: int | Fraction,
+                     weights: Sequence[int] | None = None) -> Fraction:
     """s(n, 1, alpha) by the alternating binomial sum, independent of any triangle:
 
         n! * sum_{k=0}^{n-1} (-1)^(n-k-1) C(-alpha, k) / (n - k)
@@ -160,7 +159,7 @@ def s_n1_sum_formula(n: int, alpha: RationalLike,
     return Fraction(value if n % 2 else -value, alpha.denominator ** (n - 1))
 
 
-def s_n1_recurrence(n: int, alpha: RationalLike) -> List[Fraction]:
+def s_n1_recurrence(n: int, alpha: int | Fraction) -> list[Fraction]:
     """[s(0, 1, alpha), ..., s(n, 1, alpha)]: column 1 of scaled_rows(n, alpha, 1), with
     s(m, 1, alpha) = c(m, 1) / q^(m-1) at alpha = p/q: the recurrence run once on columns
     0 and 1 alone, O(n) integer steps for the whole column, independent of any triangle."""

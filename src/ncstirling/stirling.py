@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator, List
 
-from .exact import AlphaPoly, RationalLike
+from .exact import AlphaPoly
 
 
-def scaled_rows(n: int, alpha: RationalLike, top: int) -> Iterator[List[int]]:
+def scaled_rows(n: int, alpha: int | Fraction, top: int) -> Iterator[list[int]]:
     """Rows m = 0..n of the integers c(m, i) = q^(m-i) s(m, i, alpha), alpha = p/q, for
     i <= min(m, top), by c(m+1, i) = c(m, i-1) - (p + m q) c(m, i) from c(0, 0) = 1; the
     cap is exact, as column i reads only columns <= i. At alpha = 0, c(m, i) = s(m, i)."""
@@ -27,7 +27,7 @@ def scaled_rows(n: int, alpha: RationalLike, top: int) -> Iterator[List[int]]:
         yield row
 
 
-def evaluate_row(n: int, alpha: RationalLike) -> List[Fraction]:
+def evaluate_row(n: int, alpha: int | Fraction) -> list[Fraction]:
     """[s(n, 0, alpha), ..., s(n, n, alpha)], exactly: the coefficients of (x - alpha)...
     (x - alpha - n + 1), the last of scaled_rows(n, alpha, n), one row held at a time, O(n^2)."""
     q = Fraction(alpha).denominator
@@ -35,7 +35,7 @@ def evaluate_row(n: int, alpha: RationalLike) -> List[Fraction]:
     return [Fraction(value, q ** (n - i)) for i, value in enumerate(row)]
 
 
-def evaluate_entry(n: int, k: int, alpha: RationalLike) -> Fraction:
+def evaluate_entry(n: int, k: int, alpha: int | Fraction) -> Fraction:
     """s(n, k, alpha) alone, exactly: entry k of the last of scaled_rows(n, alpha, k),
     whose rows stop at column k, in O(n (k+1)) integer steps, not evaluate_row's O(n^2)."""
     if n < 0:

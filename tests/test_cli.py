@@ -751,7 +751,8 @@ LOADED_MODULES = [
                          ids=[" ".join(argv) for argv, _ in LOADED_MODULES])
 def test_each_command_loads_only_the_modules_it_runs(argv, deferred):
     # a process with no bytecode cache compiles every module it imports: eval and --help
-    # import none of noncentral, identities and jets, triangle no identities or jets
+    # import none of noncentral, identities and jets, triangle no identities or jets, and
+    # no command imports typing
     code = ("import contextlib, io, sys\n"
             "from ncstirling import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -759,13 +760,14 @@ def test_each_command_loads_only_the_modules_it_runs(argv, deferred):
             "        status = cli.main(%r)\n"
             "    except SystemExit as exc:\n"
             "        status = exc.code\n"
-            "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'ncstirling'))"
+            "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'ncstirling'),\n"
+            "      'typing' in sys.modules)"
             % (list(argv),))
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=_src_env())
     assert proc.returncode == 0, proc.stderr
     expected = sorted(BASE_MODULES + tuple("ncstirling." + m for m in deferred))
-    assert proc.stdout == "0 %s\n" % expected
+    assert proc.stdout == "0 %s False\n" % expected
 
 
 def test_every_global_a_function_reads_is_bound_at_import():
