@@ -108,8 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "O(N^4) explicit construction takes most of the time" % VERIFY_N_MAX)
     ver.add_argument("--with-oracle", action="store_true",
                      help="also run the numerical derivative-expansion grid")
-    ver.add_argument("--tol", type=float, default=1e-6,
-                     help="relative residual tolerance for the grid (default 1e-6)")
     ver.add_argument("--seed", type=int, default=0,
                      help="seed for the random rational sample (default 0)")
     ver.add_argument("--format", choices=("json", "csv"), default="json")
@@ -284,8 +282,6 @@ def cmd_verify(args) -> int:
         raise Refusal(2, "--n-max must be nonnegative")
     if args.n_max > VERIFY_N_MAX:
         raise Refusal(2, "--n-max must be at most %d" % VERIFY_N_MAX)
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise Refusal(2, "--tol must be finite and positive")
     if args.corrupt is not None:
         try:
             match = CORRUPT_RE.fullmatch(args.corrupt)
@@ -297,7 +293,7 @@ def cmd_verify(args) -> int:
             raise Refusal(2, "bad --corrupt argument %r: %s" % (args.corrupt, exc))
     whole = -1  # the last row that expansion_grid reads whole: none without --with-oracle
     if args.with_oracle:
-        from .jets import GRID_MAX_ORDER as whole
+        from .jets import GRID_MAX_ORDER as whole, GRID_REL_TOL as tol
     with _open_out(args.out) as out:
         table = StirlingTable(args.n_max)
         rows = recurrence_rows(args.n_max)
@@ -313,7 +309,7 @@ def cmd_verify(args) -> int:
 
         checks = structural_checks(keep(rows), explicit_rows(args.n_max), table)
         identity_reports = run_suite(table, kept, seed=args.seed)
-        oracle_reports = expansion_grid(kept, rel_tol=args.tol) if args.with_oracle else []
+        oracle_reports = expansion_grid(kept) if args.with_oracle else []
 
         failed_checks = [c for c in checks if not c.ok]
         failed_identities = [r for r in identity_reports if not r.holds]
@@ -326,7 +322,7 @@ def cmd_verify(args) -> int:
         if args.with_oracle:
             worst = max((r.rel_residual for r in oracle_reports), default=0.0)
             print("expansion grid:    %d points, %d over tol %g, max residual %.3e"
-                  % (len(oracle_reports), len(failed_oracle), args.tol, worst))
+                  % (len(oracle_reports), len(failed_oracle), tol, worst))
 
         for record in failing[:MAX_FAILURES_PRINTED]:
             print("FAIL %r" % (record,))

@@ -26,6 +26,7 @@ GRID_ALPHAS = (
 GRID_BETAS = (0.0, 0.5, 1.0, 2.0, 2.5)
 GRID_X0S = (1.5, 2.0, math.e, 5.0)
 GRID_MAX_ORDER = 8
+GRID_REL_TOL = 1e-6
 
 
 class JetDomainError(ValueError):
@@ -154,8 +155,7 @@ ResidualReport = namedtuple("ResidualReport", "n alpha beta x0 jet_value expansi
 ResidualReport.__doc__ = """One comparison of the jet derivative against the expansion value."""
 
 
-def expansion_grid(rows: Sequence[Sequence[Sequence[int]]],
-                   rel_tol: float = 1e-6) -> list[ResidualReport]:
+def expansion_grid(rows: Sequence[Sequence[Sequence[int]]]) -> list[ResidualReport]:
     """Run the validation grid on rows[n][i], the coefficients of s(n, i, alpha): every
     n up to min(GRID_MAX_ORDER, len(rows) - 1) against GRID_ALPHAS x GRID_BETAS x
     GRID_X0S. Each point's jet of the top order is one jet_mul of factor jets, each built
@@ -165,7 +165,7 @@ def expansion_grid(rows: Sequence[Sequence[Sequence[int]]],
     Each (n, alpha) row is rounded to float once, and each point's expansion value is
     evaluate_expansion's _expansion_sum over factors built once per (beta, x0). A point
     passes iff its relative residual |jet - expansion| / max(|jet|, 1e-300) is at most
-    rel_tol."""
+    GRID_REL_TOL."""
     order = min(GRID_MAX_ORDER, len(rows) - 1)
     points = [(beta, x0) for beta in GRID_BETAS for x0 in GRID_X0S]
     factors = [_expansion_factors(x0, beta, order) for beta, x0 in points]
@@ -185,5 +185,5 @@ def expansion_grid(rows: Sequence[Sequence[Sequence[int]]],
                 expansion_value = _expansion_sum(row, x0, alpha, terms)
                 rel = abs(jet_value - expansion_value) / max(abs(jet_value), RESIDUAL_FLOOR)
                 reports.append(ResidualReport(n, alpha, beta, x0, jet_value,
-                                              expansion_value, rel, rel <= rel_tol))
+                                              expansion_value, rel, rel <= GRID_REL_TOL))
     return reports

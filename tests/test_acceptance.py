@@ -127,9 +127,9 @@ def test_06_column_one_triple_agreement():
 def test_07_derivative_expansion_grid():
     started = time.monotonic()
     triangle = build_by_recurrence(8)
-    reports = expansion_grid(triangle.rows, rel_tol=1e-6)
+    reports = expansion_grid(triangle.rows)
     assert len(reports) == 9 * 7 * 5 * 4
-    failing = [r for r in reports if not r.passed]
+    failing = [r for r in reports if not (r.passed and r.rel_residual <= 1e-6)]
     assert not failing, failing[:5]
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, "took %.2fs" % elapsed
