@@ -46,7 +46,7 @@ triangle_to_json = _deferred("noncentral", "triangle_to_json")
 MAX_FAILURES_PRINTED = 25
 # The largest `triangle --n-max`: row n holds about n^2/2 coefficients of at most
 # log2((n+1)!) bits, within a budget of 64 MiB up to n = 520; (521)! has 1,191 digits,
-# under the default int-to-str limit (4,300) that "%d" would otherwise hit midway.
+# under the default int-to-str limit (4,300) that the str() called by "%s" would otherwise hit.
 TRIANGLE_N_MAX = 520
 # _emit writes pieces of about this many characters (bytes, since the output is ASCII): large
 # enough that a write costs little per byte, small enough that the pieces held are little memory.
@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     tri.add_argument("--n-max", type=int, default=64,
                      help="largest row N (default 64, at most %d); written as it is built, "
                           "so memory is one row of ints, about N^3 log N bits, plus about 1 MiB "
-                          "of text, and time grows as N^4 log N: 0.04 s, 17 MiB at N=64; "
-                          "0.29 s, 20 MiB at N=160; 2.1 s, 27 MiB at N=256" % TRIANGLE_N_MAX)
+                          "of text, and time grows as N^4 log N: 0.13 s, 16 MiB at N=64; "
+                          "1.2 s, 19 MiB at N=160; 6.8 s, 27 MiB at N=256" % TRIANGLE_N_MAX)
     tri.add_argument("--construction", choices=("recurrence", "explicit"),
                      default="recurrence", help="which construction to run")
     tri.add_argument("--format", choices=("json", "csv"), default="json")
@@ -208,9 +208,13 @@ def _write_behind(chunks, stream) -> None:
 def triangle_csv_chunks(rows):
     """CSV triangle dump, one chunk per entry: n,k,degree,coeffs, coefficients low to high."""
     yield "n,k,degree,coeffs\n"
+    formats = {}  # one whole format per coefficient count, its degree written in
     for n, row in enumerate(rows):
         for k, coeffs in enumerate(row):
-            yield "%d,%d,%d,%s\n" % (n, k, len(coeffs) - 1, " ".join(map(str, coeffs)))
+            if (fmt := formats.get(len(coeffs))) is None:
+                fmt = formats[len(coeffs)] = ("%%d,%%d,%d," % (len(coeffs) - 1)
+                                              + " ".join(["%s"] * len(coeffs)) + "\n")
+            yield fmt % (n, k, *coeffs)
 
 
 def triangle_to_csv(triangle) -> str:

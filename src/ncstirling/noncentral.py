@@ -174,12 +174,13 @@ def triangle_json_chunks(n_max: int, rows) -> Iterator[str]:
     coefficients survive; compact separators, keys in the order n_max, entries
     and n, k, coeffs, written directly: digits and '-' need no JSON escaping."""
     yield '{"n_max":"%d","entries":[' % n_max
-    separator = ""
+    separator, formats = "", {}  # one whole format per coefficient count; 0 gives "coeffs":[]
     for n, row in enumerate(rows):
         for k, coeffs in enumerate(row):
-            digits = '","'.join(map(str, coeffs))  # "" only for the zero polynomial's ()
-            yield '%s{"n":"%d","k":"%d","coeffs":[%s]}' % (separator, n, k,
-                                                          digits and '"%s"' % digits)
+            if (fmt := formats.get(len(coeffs))) is None:
+                fmt = formats[len(coeffs)] = ('%s{"n":"%d","k":"%d","coeffs":['
+                                              + ",".join(['"%s"'] * len(coeffs)) + "]}")
+            yield fmt % (separator, n, k, *coeffs)
             separator = ","
     yield "]}\n"
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ncstirling.cli import triangle_to_csv
+from ncstirling.cli import triangle_csv_chunks, triangle_to_csv
 from ncstirling.exact import AlphaPoly, falling_factorial
 from ncstirling.noncentral import (
     NoncentralTriangle,
@@ -23,6 +23,7 @@ from ncstirling.noncentral import (
     s_n1_sum_formula,
     scaled_alternating_sum,
     triangle_from_json,
+    triangle_json_chunks,
     triangle_to_json,
 )
 from ncstirling.stirling import (
@@ -412,6 +413,51 @@ def test_json_round_trip_any_triangle(triangle):
         {"n": str(n), "k": str(k), "coeffs": [str(c) for c in coeffs]}
         for n, row in enumerate(triangle.rows) for k, coeffs in enumerate(row)]}
     assert text == json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def joined_json(n_max, rows):
+    """triangle_json_chunks's text, written with one '","'.join(map(str, coeffs)) per entry."""
+    entries = ['{"n":"%d","k":"%d","coeffs":[%s]}' % (n, k, '"%s"' % '","'.join(map(str, c))
+                                                      if c else "")
+               for n, row in enumerate(rows) for k, c in enumerate(row)]
+    return '{"n_max":"%d","entries":[%s]}\n' % (n_max, ",".join(entries))
+
+
+def joined_csv(rows):
+    """triangle_csv_chunks's text, written with one " ".join(map(str, coeffs)) per entry."""
+    return "n,k,degree,coeffs\n" + "".join(
+        "%d,%d,%d,%s\n" % (n, k, len(c) - 1, " ".join(map(str, c)))
+        for n, row in enumerate(rows) for k, c in enumerate(row))
+
+
+@st.composite
+def entry_rows(draw):
+    """Rows of any width, whose entries take their coefficient counts (0-12) from a pool of
+    at most four, so that each count recurs across rows and in no particular order."""
+    counts = draw(st.lists(st.integers(0, 12), min_size=1, max_size=4))
+    coeff = st.integers(-10 ** 300, 10 ** 300)
+    entry = st.sampled_from(counts).flatmap(lambda count: st.tuples(*[coeff] * count))
+    return draw(st.lists(st.lists(entry, max_size=6), max_size=6))
+
+
+@given(st.integers(0, 10 ** 6), entry_rows())
+def test_renderers_write_what_joining_each_entry_writes(n_max, rows):
+    entries = sum(map(len, rows))
+    chunks = list(triangle_json_chunks(n_max, rows))
+    assert len(chunks) == entries + 2  # one chunk per entry, between an opening and a closing one
+    assert "".join(chunks) == joined_json(n_max, rows)
+    chunks = list(triangle_csv_chunks(rows))
+    assert len(chunks) == entries + 1
+    assert "".join(chunks) == joined_csv(rows)
+
+
+def test_renderers_write_any_coefficient_as_str_does():
+    rows = [[(Fraction(3, 2), True, -7)], [(), (Fraction(-1, 3),)]]
+    assert "".join(triangle_json_chunks(1, rows)) == joined_json(1, rows) == (
+        '{"n_max":"1","entries":[{"n":"0","k":"0","coeffs":["3/2","True","-7"]},'
+        '{"n":"1","k":"0","coeffs":[]},{"n":"1","k":"1","coeffs":["-1/3"]}]}\n')
+    assert "".join(triangle_csv_chunks(rows)) == joined_csv(rows) == (
+        "n,k,degree,coeffs\n0,0,2,3/2 True -7\n1,0,-1,\n1,1,0,-1/3\n")
 
 
 NEAR_INTEGERS = st.from_regex(r"\s?[+-]?[0-9\u0660-\u0669_]{0,3}\s?", fullmatch=True)
