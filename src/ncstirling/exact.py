@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: integer polynomials in one indeterminate as
-coefficient tuples, evaluated by horner (or by scaled_horner, as an integer
-over a power of the denominator); AlphaPoly, the product type of the
+coefficient tuples, evaluated by scaled_horner as an integer over a power of
+the denominator, which horner divides out; AlphaPoly, the product type of the
 classical-row oracle and the public polynomial view; exact rationals; and
 binomial coefficients with rational arguments (integer binomials are
 ``math.comb``).
@@ -33,16 +33,14 @@ def scaled_horner(coeffs: tuple, p: int, q: int) -> int:
 
 def horner(coeffs: tuple, x: int | Fraction) -> int | Fraction:
     """Evaluate the integer polynomial with coefficients coeffs (low to high) at
-    x by Horner's rule on ints, exactly. An int x gives an int. At a Fraction
-    x = p/q and nonempty coeffs it is scaled_horner's integer over q^d, d the
-    degree, as one Fraction."""
-    if isinstance(x, Fraction) and coeffs:
-        q = x.denominator
-        return Fraction(scaled_horner(coeffs, x.numerator, q), q ** (len(coeffs) - 1))
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    x = p/q exactly: scaled_horner's integer over q^d, d the degree. An int x has
+    q = 1 and gives that int; a Fraction x gives one Fraction. The empty tuple
+    gives the int 0."""
+    if not coeffs:
+        return 0
+    p, q = x.as_integer_ratio()
+    value = scaled_horner(coeffs, p, q)
+    return value if isinstance(x, int) else Fraction(value, q ** (len(coeffs) - 1))
 
 
 class AlphaPoly:

@@ -90,16 +90,15 @@ def run_suite(table: StirlingTable, rows: Sequence[Sequence[Sequence[int]]],
     The two sides are compared exactly, each built as few times as it can be. At
     a = p/q, binomial_stirling_sum compares two integers over the common
     denominator q^(n-1): scaled_alternating_sum, n! q^(n-1) S(a, n), with
-    scaled_horner of (-1)^(n-1) P_n, of degree n-1. Every other identity compares
-    its two sides as ints or Fractions. A report that holds stores one Fraction
-    as both lhs and rhs; one that fails stores both. Each H_m, m <= N, is summed
-    once.
+    scaled_horner of (-1)^(n-1) P_n, of degree n-1. Every identity, that one too,
+    records through one add, which makes an int side one Fraction: a report that
+    holds stores one Fraction as both lhs and rhs; one that fails stores both. Each
+    H_m, m <= N, is summed once.
     """
     n_max = len(rows) - 1
     rng = random.Random(seed)
-    # (alpha as reported, alpha as computed with): an integer alpha runs on ints
-    master_alphas = [(Fraction(a), a) for a in range(-n_max, n_max + 1)]
-    master_alphas += [(a, a) for a in random_rationals(MASTER_RANDOM_POINTS, rng)]
+    master_alphas = [Fraction(a) for a in range(-n_max, n_max + 1)]
+    master_alphas += random_rationals(MASTER_RANDOM_POINTS, rng)
     column_alphas = random_rationals(COLUMN_RANDOM_POINTS, rng)
     column = {n: table.noncentral(n, 1) for n in range(1, n_max + 1)}
     weights = [alternating_sum_weights(n) for n in range(n_max + 1)]
@@ -108,13 +107,13 @@ def run_suite(table: StirlingTable, rows: Sequence[Sequence[Sequence[int]]],
     reports: list[IdentityReport] = []
 
     def fraction(value: int | Fraction) -> Fraction:
-        return value if isinstance(value, Fraction) else Fraction(value)
+        return Fraction(value) if isinstance(value, int) else value
 
     def add(identity: str, n: int, alpha: int | Fraction,
             lhs: int | Fraction, rhs: int | Fraction) -> None:
         # an int becomes one Fraction, a Fraction is kept; sides that agree share one
         lhs = fraction(lhs)
-        rhs = lhs if lhs == rhs else fraction(rhs)
+        rhs = lhs if rhs is lhs or lhs == rhs else fraction(rhs)
         reports.append(IdentityReport(identity, n, fraction(alpha), lhs, rhs, lhs is rhs))
 
     for n in range(1, n_max + 1):
@@ -122,14 +121,14 @@ def run_suite(table: StirlingTable, rows: Sequence[Sequence[Sequence[int]]],
         sign = (-1) ** (n - 1)
         signed_p = tuple([sign * c for c in p])
         n_fact = math.factorial(n)
-        for alpha, a in master_alphas:
+        for alpha in master_alphas:
             # both sides as integers over q^(n-1): signed_p has degree n - 1
-            q = a.denominator
-            total = scaled_alternating_sum(weights[n], a)
-            value = scaled_horner(signed_p, a.numerator, q)
+            q = alpha.denominator
+            total = scaled_alternating_sum(weights[n], alpha)
+            value = scaled_horner(signed_p, alpha.numerator, q)
             lhs = Fraction(total, q ** (n - 1))
-            rhs = lhs if value == total else Fraction(value, q ** (n - 1))
-            reports.append(IdentityReport("binomial_stirling_sum", n, alpha, lhs, rhs, lhs is rhs))
+            add("binomial_stirling_sum", n, alpha, lhs,
+                lhs if value == total else Fraction(value, q ** (n - 1)))
         if n >= 2:
             add("factorial_from_stirling", n, -1, (-1) ** n * math.factorial(n - 2),
                 horner(p, -1))

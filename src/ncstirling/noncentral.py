@@ -63,7 +63,7 @@ class NoncentralTriangle:
         if not isinstance(alpha, (int, Fraction)):
             alpha = Fraction(alpha)
         value = horner(self.rows[n][k], alpha)
-        return value if isinstance(value, Fraction) else Fraction(value)
+        return Fraction(value) if isinstance(value, int) else value
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NoncentralTriangle):
@@ -133,13 +133,11 @@ def scaled_alternating_sum(weights: Sequence[int], alpha: int | Fraction) -> int
     Since (-1)^k C(-a, k) = a(a+1)...(a+k-1)/k!, the sum times n! has integer
     coefficients: n! S(a, n) = sum_k C(n, k) (n-k-1)! a(a+1)...(a+k-1). With
     R_k = p(p+q)...(p+(k-1)q) the scaled sum sum_k weights[k] R_k q^(n-1-k) is run
-    by Horner's rule in the factors p + kq. At a negative integer a = -b, R_k is 0
-    for k > b, so the sum stops at k = b.
+    by Horner's rule in the factors p + kq.
     """
     n, p, q = len(weights), alpha.numerator, alpha.denominator
-    top = min(n - 1, -p) if q == 1 and p <= 0 else n - 1
     acc, scale = 0, 1
-    for k in range(top, -1, -1):
+    for k in range(n - 1, -1, -1):
         acc = acc * (p + k * q) + weights[k] * scale
         scale *= q
     return acc

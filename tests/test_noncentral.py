@@ -242,7 +242,7 @@ def binomial_sum_by_formula(alpha, n):
 
 
 def test_binomial_sum_at_nonpositive_integers():
-    # at alpha = -b the sum stops at k = b; b = 0 leaves only the k = 0 term 1/n
+    # at alpha = -b the terms past k = b are 0; b = 0 leaves only the k = 0 term 1/n
     for b in range(41):
         for n in range(1, 41):
             assert binomial_sum_by_formula(-b, n) == fraction_binomial_sum(-b, n), (b, n)
@@ -259,7 +259,7 @@ def test_binomial_sum_at_nonpositive_integers():
 @example(n=40, p=60, q=25, b=45)
 def test_shared_weights_sum_matches_fraction_term_recurrence(n, p, q, b):
     # one weight list serves every alpha at this n: a rational, an integer, and a
-    # negative integer -b, where the scaled sum stops at k = b; without weights,
+    # negative integer -b, where the terms past k = b are 0; without weights,
     # s_n1_sum_formula builds its own list
     weights = alternating_sum_weights(n)
     for alpha in (Fraction(p, q), p, -b):
