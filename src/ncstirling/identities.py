@@ -88,9 +88,9 @@ def run_suite(table: StirlingTable, rows: Sequence[Sequence[Sequence[int]]],
     reproducible from (N, seed) alone.
 
     The two sides are compared exactly, each built as few times as it can be. At
-    a = p/q, binomial_stirling_sum compares two integers over the common
-    denominator q^(n-1): scaled_alternating_sum, n! q^(n-1) S(a, n), with
-    scaled_horner of (-1)^(n-1) P_n, of degree n-1. Every identity, that one too,
+    a = p/q, p and q read once per run, binomial_stirling_sum compares two integers
+    over the common denominator q^(n-1): scaled_alternating_sum, n! q^(n-1) S(a, n),
+    with scaled_horner of (-1)^(n-1) P_n, of degree n-1. Every identity, that one too,
     records through one add, which makes an int side one Fraction: a report that
     holds stores one Fraction as both lhs and rhs; one that fails stores both. Each
     H_m, m <= N, is summed once.
@@ -99,6 +99,7 @@ def run_suite(table: StirlingTable, rows: Sequence[Sequence[Sequence[int]]],
     rng = random.Random(seed)
     master_alphas = [Fraction(a) for a in range(-n_max, n_max + 1)]
     master_alphas += random_rationals(MASTER_RANDOM_POINTS, rng)
+    master_points = [(alpha, *alpha.as_integer_ratio()) for alpha in master_alphas]
     column_alphas = random_rationals(COLUMN_RANDOM_POINTS, rng)
     column = {n: table.noncentral(n, 1) for n in range(1, n_max + 1)}
     weights = [alternating_sum_weights(n) for n in range(n_max + 1)]
@@ -121,11 +122,10 @@ def run_suite(table: StirlingTable, rows: Sequence[Sequence[Sequence[int]]],
         sign = (-1) ** (n - 1)
         signed_p = tuple([sign * c for c in p])
         n_fact = math.factorial(n)
-        for alpha in master_alphas:
+        for alpha, a, q in master_points:
             # both sides as integers over q^(n-1): signed_p has degree n - 1
-            q = alpha.denominator
-            total = scaled_alternating_sum(weights[n], alpha)
-            value = scaled_horner(signed_p, alpha.numerator, q)
+            total = scaled_alternating_sum(weights[n], a, q)
+            value = scaled_horner(signed_p, a, q)
             lhs = Fraction(total, q ** (n - 1))
             add("binomial_stirling_sum", n, alpha, lhs,
                 lhs if value == total else Fraction(value, q ** (n - 1)))
@@ -135,12 +135,12 @@ def run_suite(table: StirlingTable, rows: Sequence[Sequence[Sequence[int]]],
         hn = harmonics[n]
         add("harmonic_sum", n, 1, n_fact * hn, sign * horner(p, 1))
         add("hn_binomial_form", n, n, hn,
-            Fraction(sign * scaled_alternating_sum(weights[n], -n), n_fact))
+            Fraction(sign * scaled_alternating_sum(weights[n], -n, 1), n_fact))
         add("hn_stirling_form", n, n, hn, Fraction(horner(p, -n), n_fact))
 
     for b in range(1, min(8, n_max - 1) + 1):
         for n in range(b + 1, n_max + 1):
-            total = (-1) ** b * scaled_alternating_sum(weights[n], -b)  # n! (-1)^b S(-b, n)
+            total = (-1) ** b * scaled_alternating_sum(weights[n], -b, 1)  # n! (-1)^b S(-b, n)
             closed = math.factorial(b) * math.factorial(n - b - 1)
             add("neg_alpha_factorial_form", n, -b, total, closed)
             add("neg_alpha_reciprocal_form", n, -b, Fraction((b + 1) * total, math.factorial(n)),
@@ -152,7 +152,7 @@ def run_suite(table: StirlingTable, rows: Sequence[Sequence[Sequence[int]]],
         for n in range(1, b + 1):
             direct = harmonics[b] - harmonics[b - n]
             add("harmonic_diff_sum_form", n, -b, direct,
-                Fraction((-1) ** (n + 1) * scaled_alternating_sum(weights[n], -b),
+                Fraction((-1) ** (n + 1) * scaled_alternating_sum(weights[n], -b, 1),
                          math.comb(b, n) * math.factorial(n)))
             # sum_k s(n,k) b^k is the falling factorial b!/(b-n)!, positive here
             add("harmonic_diff_ratio_form", n, -b, direct,

@@ -130,7 +130,7 @@ def _expansion_sum(row: Sequence, x0: float, alpha: int | Fraction,
     (_expansion_factors up to order n); the row values past them are never rounded. The
     exponent -alpha - n = (-p - nq)/q is one correctly rounded int division."""
     n = len(row) - 1
-    p, q = alpha.numerator, alpha.denominator
+    p, q = alpha.as_integer_ratio()
     power = float(x0) ** ((-p - n * q) / q)
     total = 0.0
     for value, (weight, log_power) in zip(row, factors):

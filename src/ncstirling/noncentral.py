@@ -15,7 +15,7 @@ explicit_rows), are provided and must agree exactly:
   expanded with classical numbers too.
 
 Specializing alpha = 0 recovers the classical signed numbers. A second use of
-the recurrence runs it at one rational alpha in integer arithmetic, by
+the recurrence runs it at one rational alpha = p/q in the ints p, q, by
 stirling.scaled_rows; s_n1_recurrence reads the k=1 column of every row off it in
 one pass (stirling reads a whole row of values and one entry off it, for eval).
 """
@@ -60,8 +60,6 @@ class NoncentralTriangle:
         """s(n, k, alpha) at a concrete rational alpha, exactly, as one Fraction: the one
         horner builds, or the int it gives at an int alpha or the zero polynomial, made one."""
         check_index(n, k, self.n_max)
-        if not isinstance(alpha, (int, Fraction)):
-            alpha = Fraction(alpha)
         value = horner(self.rows[n][k], alpha)
         return Fraction(value) if isinstance(value, int) else value
 
@@ -126,18 +124,17 @@ def alternating_sum_weights(n: int) -> list[int]:
     return [math.comb(n, k) * math.factorial(n - k - 1) for k in range(n)]
 
 
-def scaled_alternating_sum(weights: Sequence[int], alpha: int | Fraction) -> int:
-    """n! q^(n-1) S(p/q, n) as an int, for n = len(weights) and alpha = p/q (an int
-    has q = 1), where S(a, n) = sum_{k=0}^{n-1} (-1)^k C(-a, k) / (n - k).
+def scaled_alternating_sum(weights: Sequence[int], p: int, q: int) -> int:
+    """n! q^(n-1) S(p/q, n) as an int, for n = len(weights) and q > 0, where
+    S(a, n) = sum_{k=0}^{n-1} (-1)^k C(-a, k) / (n - k).
 
     Since (-1)^k C(-a, k) = a(a+1)...(a+k-1)/k!, the sum times n! has integer
     coefficients: n! S(a, n) = sum_k C(n, k) (n-k-1)! a(a+1)...(a+k-1). With
     R_k = p(p+q)...(p+(k-1)q) the scaled sum sum_k weights[k] R_k q^(n-1-k) is run
     by Horner's rule in the factors p + kq.
     """
-    n, p, q = len(weights), alpha.numerator, alpha.denominator
     acc, scale = 0, 1
-    for k in range(n - 1, -1, -1):
+    for k in range(len(weights) - 1, -1, -1):
         acc = acc * (p + k * q) + weights[k] * scale
         scale *= q
     return acc
@@ -153,15 +150,17 @@ def s_n1_sum_formula(n: int, alpha: int | Fraction,
     one Fraction; weights, if given, are alternating_sum_weights(n)."""
     if n < 1:
         raise ValueError("n must be positive")
-    value = scaled_alternating_sum(weights or alternating_sum_weights(n), alpha)
-    return Fraction(value if n % 2 else -value, alpha.denominator ** (n - 1))
+    p, q = alpha.as_integer_ratio()
+    value = scaled_alternating_sum(weights or alternating_sum_weights(n), p, q)
+    return Fraction(value if n % 2 else -value, q ** (n - 1))
 
 
 def s_n1_recurrence(n: int, alpha: int | Fraction) -> list[Fraction]:
-    """[s(0, 1, alpha), ..., s(n, 1, alpha)]: column 1 of scaled_rows(n, alpha, 1), with
+    """[s(0, 1, alpha), ..., s(n, 1, alpha)]: column 1 of scaled_rows(n, p, q, 1), with
     s(m, 1, alpha) = c(m, 1) / q^(m-1) at alpha = p/q: the recurrence run once on columns
     0 and 1 alone, O(n) integer steps for the whole column, independent of any triangle."""
-    q, rows = Fraction(alpha).denominator, scaled_rows(n, alpha, 1)
+    p, q = alpha.as_integer_ratio()
+    rows = scaled_rows(n, p, q, 1)
     next(rows)  # row 0 has no column 1: s(0, 1, alpha) = 0
     return [Fraction(0)] + [Fraction(row[1], q ** m) for m, row in enumerate(rows)]
 
@@ -198,7 +197,10 @@ def triangle_from_json(text: str) -> NoncentralTriangle:
     document with a huge n_max fails at once."""
     import json  # here, so that importing the CLI does not load it
 
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:  # nested past the limit: refused below as not a triangle document
+        doc = None
     entries = doc.get("entries") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise ValueError("not a triangle document: need an object with an entries list")

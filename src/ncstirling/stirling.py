@@ -1,5 +1,5 @@
-"""scaled_rows, the recurrence at one rational alpha in integers, and the row and the entry of
-s(n, ., alpha) read off its last row (evaluate_row, evaluate_entry: eval's values, with no
+"""scaled_rows, the recurrence at one rational alpha = p/q in the ints p, q, and the row and the
+entry of s(n, ., alpha) read off its last row (evaluate_row, evaluate_entry: eval's values, no
 triangle built); the classical signed numbers of the first kind, its rows at alpha = 0
 (|s(n, k)| = (-1)^(n-k) s(n, k) is not stored), with an oracle for them; the non-central
 numbers read off them by a closed form; harmonic numbers."""
@@ -13,13 +13,12 @@ from fractions import Fraction
 from .exact import AlphaPoly
 
 
-def scaled_rows(n: int, alpha: int | Fraction, top: int) -> Iterator[list[int]]:
-    """Rows m = 0..n of the integers c(m, i) = q^(m-i) s(m, i, alpha), alpha = p/q, for
+def scaled_rows(n: int, p: int, q: int, top: int) -> Iterator[list[int]]:
+    """Rows m = 0..n of the integers c(m, i) = q^(m-i) s(m, i, p/q), q > 0, for
     i <= min(m, top), by c(m+1, i) = c(m, i-1) - (p + m q) c(m, i) from c(0, 0) = 1; the
-    cap is exact, as column i reads only columns <= i. At alpha = 0, c(m, i) = s(m, i)."""
+    cap is exact, as column i reads only columns <= i. At p = 0, q = 1, c(m, i) = s(m, i)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p, q = Fraction(alpha).as_integer_ratio()
     row = [1]
     yield row
     for m, shift in enumerate(range(p, p + n * q, q)):  # shift = p + m q
@@ -29,20 +28,21 @@ def scaled_rows(n: int, alpha: int | Fraction, top: int) -> Iterator[list[int]]:
 
 def evaluate_row(n: int, alpha: int | Fraction) -> list[Fraction]:
     """[s(n, 0, alpha), ..., s(n, n, alpha)], exactly: the coefficients of (x - alpha)...
-    (x - alpha - n + 1), the last of scaled_rows(n, alpha, n), one row held at a time, O(n^2)."""
-    q = Fraction(alpha).denominator
-    row = deque(scaled_rows(n, alpha, n), maxlen=1).pop()
+    (x - alpha - n + 1), the last of scaled_rows(n, p, q, n), one row held at a time, O(n^2)."""
+    p, q = alpha.as_integer_ratio()
+    row = deque(scaled_rows(n, p, q, n), maxlen=1).pop()
     return [Fraction(value, q ** (n - i)) for i, value in enumerate(row)]
 
 
 def evaluate_entry(n: int, k: int, alpha: int | Fraction) -> Fraction:
-    """s(n, k, alpha) alone, exactly: entry k of the last of scaled_rows(n, alpha, k),
-    whose rows stop at column k, in O(n (k+1)) integer steps, not evaluate_row's O(n^2)."""
+    """s(n, k, alpha) alone, exactly: entry k of the last of scaled_rows(n, p, q, k), whose
+    rows stop at column k, in O(n (k+1)) integer steps, not evaluate_row's O(n^2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_index(n, k, n)
-    value = deque(scaled_rows(n, alpha, k), maxlen=1).pop()[k]
-    return Fraction(value, Fraction(alpha).denominator ** (n - k))
+    p, q = alpha.as_integer_ratio()
+    value = deque(scaled_rows(n, p, q, k), maxlen=1).pop()[k]
+    return Fraction(value, q ** (n - k))
 
 
 def check_index(n: int, k: int, n_max: int) -> None:
@@ -56,7 +56,7 @@ def check_index(n: int, k: int, n_max: int) -> None:
 class StirlingTable:
     """Triangle of signed first-kind Stirling numbers s(n, k), 0 <= k <= n <= n_max.
 
-    Built once as the rows of scaled_rows at alpha = 0, the classical recurrence
+    Built once as the rows of scaled_rows at p/q = 0/1, the classical recurrence
     s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k); immutable afterwards, so reads are thread-safe.
     """
 
@@ -64,7 +64,7 @@ class StirlingTable:
 
     def __init__(self, n_max: int) -> None:
         self.n_max = n_max  # scaled_rows rejects a negative n_max
-        self._rows = tuple(map(tuple, scaled_rows(n_max, 0, n_max)))
+        self._rows = tuple(map(tuple, scaled_rows(n_max, 0, 1, n_max)))
 
     def signed(self, n: int, k: int) -> int:
         check_index(n, k, self.n_max)

@@ -819,10 +819,10 @@ def test_a_failing_master_identity_keeps_both_sides(capsys, monkeypatch, tmp_pat
     hit = []
     real = identities.scaled_alternating_sum
 
-    def one_more(weights, alpha):
-        value = real(weights, alpha)
-        if not hit and len(weights) == 3 and alpha.denominator > 1:
-            hit.append(alpha)
+    def one_more(weights, p, q):
+        value = real(weights, p, q)
+        if not hit and len(weights) == 3 and q > 1:
+            hit.append(Fraction(p, q))
             return value + 1
         return value
 

@@ -52,6 +52,11 @@ def by_explicit():
     return build_by_explicit(N_MAX)
 
 
+@pytest.fixture(scope="module")
+def up_to_60():
+    return build_by_recurrence(60)
+
+
 def test_row_one(by_recurrence):
     assert by_recurrence.entry(1, 0) == AlphaPoly([0, -1])   # -alpha
     assert by_recurrence.entry(1, 1) == AlphaPoly([1])
@@ -193,13 +198,22 @@ ENTRIES = st.integers(0, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers
 @example(nk=(60, 0), p=7, q=3, b=30)
 @example(nk=(60, 60), p=-41, q=19, b=59)
 @example(nk=(60, 1), p=-5, q=2, b=60)
-def test_evaluate_entry_is_the_entry_of_evaluate_row(nk, p, q, b):
+def test_evaluate_entry_is_the_entry_of_evaluate_row(nk, p, q, b, up_to_60):
     # the rows capped at column k give entry k of the whole row: at a rational, an
     # integer and a negative integer -b, where a factor p + m q of the row vanishes
     n, k = nk
     for alpha in (Fraction(p, q), p, -b):
         value = evaluate_entry(n, k, alpha)
         assert type(value) is Fraction and value == evaluate_row(n, alpha)[k]
+    # each function reads alpha as p/q once: the float p / 2^q is the Fraction, exactly,
+    # and an int is its Fraction
+    for alpha, same in ((Fraction(p, 2 ** q), p / 2 ** q), (Fraction(p), p), (Fraction(-b), -b)):
+        assert evaluate_entry(n, k, same) == evaluate_entry(n, k, alpha)
+        assert evaluate_row(n, same) == evaluate_row(n, alpha)
+        assert up_to_60.evaluate(n, k, same) == up_to_60.evaluate(n, k, alpha)
+        assert s_n1_recurrence(n, same) == s_n1_recurrence(n, alpha)
+        if n:
+            assert s_n1_sum_formula(n, same) == s_n1_sum_formula(n, alpha)
 
 
 def test_evaluate_entry_rejects_orders_and_columns_outside_the_triangle():
@@ -264,7 +278,7 @@ def test_shared_weights_sum_matches_fraction_term_recurrence(n, p, q, b):
     weights = alternating_sum_weights(n)
     for alpha in (Fraction(p, q), p, -b):
         expected = fraction_binomial_sum(alpha, n)
-        scaled = scaled_alternating_sum(weights, alpha)
+        scaled = scaled_alternating_sum(weights, *alpha.as_integer_ratio())
         assert type(scaled) is int
         assert Fraction(scaled, math.factorial(n) * alpha.denominator ** (n - 1)) == expected
         value = (-1) ** (n - 1) * math.factorial(n) * expected
@@ -350,8 +364,11 @@ def test_json_rejects_bad_documents():
     '{"n_max":"0","entries":[{"n":"0","k":"0"}]}',
     '{"n_max":"0","entries":["x"]}',
     '{"n_max":"0","entries":[{"n":"0","k":"0","coeffs":{}}]}',
+    # nested past the recursion limit, whole and inside the entries list
+    "[" * 100000,
+    '{"n_max":"0","entries":[' + "[" * 100000 + "]}",
 ], ids=["array", "string", "no-entries", "no-n_max", "entries-object", "entries-string",
-        "no-coeffs", "entry-string", "coeffs-object"])
+        "no-coeffs", "entry-string", "coeffs-object", "deep-nesting", "deep-entries"])
 def test_json_rejects_malformed_shapes_with_value_error(text):
     with pytest.raises(ValueError):
         triangle_from_json(text)

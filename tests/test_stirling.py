@@ -54,7 +54,7 @@ def test_table_rows_match_expansion_oracle(table):
 
 def test_scaled_rows_and_the_table_reject_a_negative_order():
     with pytest.raises(ValueError):
-        next(scaled_rows(-1, 0, 0))
+        next(scaled_rows(-1, 0, 1, 0))
     with pytest.raises(ValueError):
         StirlingTable(-1)
 
@@ -63,8 +63,7 @@ def test_scaled_rows_and_the_table_reject_a_negative_order():
        top=st.integers(0, 42))
 def test_capped_rows_are_the_first_columns_of_whole_rows(n, p, q, top):
     # column i of the recurrence reads only columns <= i, so the cap loses nothing it keeps
-    alpha = Fraction(p, q)
-    capped, whole = list(scaled_rows(n, alpha, top)), list(scaled_rows(n, alpha, n))
+    capped, whole = list(scaled_rows(n, p, q, top)), list(scaled_rows(n, p, q, n))
     assert len(capped) == len(whole) == n + 1
     assert capped == [row[:top + 1] for row in whole]
 
