@@ -103,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument("--n-max", type=int, default=20,
                      help="largest row N (default 20, at most %d); rows are checked as they "
-                          "are built: with --with-oracle 0.06 s, 17 MiB at N=32; 0.19 s, 20 MiB "
-                          "at N=64; 1.7 s, 32 MiB at N=128, or 39 MiB with --out; past N=64 the "
-                          "O(N^4) explicit construction takes most of the time" % VERIFY_N_MAX)
+                          "are built: with --with-oracle 0.20 s, 16 MiB at N=32; 0.64 s, 19 MiB "
+                          "at N=64; 5.0 s, 32 MiB at N=128, or 38 MiB with --out; past N=64 the "
+                          "O(N^4) explicit sum and the identity suite dominate" % VERIFY_N_MAX)
     ver.add_argument("--with-oracle", action="store_true",
                      help="also run the numerical derivative-expansion grid")
     ver.add_argument("--seed", type=int, default=0,

@@ -12,7 +12,7 @@ explicit_rows), are provided and must agree exactly:
 * the explicit binomial sum over classical Stirling numbers
       s(n, i, a) = sum_k C(n, k) (-a)(-a-1)...(-a-k+1) s(n-k, i),
   whose falling factorial (-a)(-a-1)...(-a-k+1) = sum_j s(k, j) (-a)^j is
-  expanded with classical numbers too.
+  expanded with classical numbers too; each symmetric pair is summed once.
 
 Specializing alpha = 0 recovers the classical signed numbers. A second use of
 the recurrence runs it at one rational alpha = p/q in the ints p, q, by
@@ -93,25 +93,25 @@ def build_by_recurrence(n_max: int) -> NoncentralTriangle:
 
 
 def explicit_rows(n_max: int) -> Iterator[tuple]:
-    """Rows 0..n_max of the triangle, each entry assembled from the explicit
-    sum over classical Stirling numbers, with ff[k] = table.noncentral(k, 0),
-    whose coefficient of alpha^j is (-1)^j s(k, j), the expansion of
-    (-alpha)(-alpha-1)...(-alpha-k+1) in classical numbers. Only the k = n - i
-    term reaches degree n - i, so no coefficient is trimmed. StirlingTable
-    rejects a negative n_max."""
+    """Rows 0..n_max of the triangle from the explicit sum over classical numbers alone.
+    With (-alpha)...(-alpha-k+1) = sum_j s(k, j) (-alpha)^j, coefficient j of s(n, i, alpha)
+    is (-1)^j T(i, j), T(i, j) = sum_{k=j}^{n-i} C(n, k) s(n-k, i) s(k, j) = T(j, i) (put n - k
+    for k). So each pair i <= j, i + j <= n is summed once, over the weights w[k] of column i,
+    and fills both entries. The top coefficient, j = n - i, is C(n, i), so none is trimmed.
+    StirlingTable rejects a negative n_max."""
     table = StirlingTable(n_max)
-    ff = [table.noncentral(k, 0) for k in range(n_max + 1)]
+    classical = [table.row(m) for m in range(n_max + 1)]
     for n in range(n_max + 1):
-        row = []
-        for i in range(n + 1):
-            acc = [0] * (n - i + 1)
-            for k in range(n - i + 1):
-                scalar = math.comb(n, k) * table.signed(n - k, i)
-                if scalar:
-                    for j, c in enumerate(ff[k]):
-                        acc[j] += scalar * c
-            row.append(tuple(acc))
-        yield tuple(row)
+        row = [[0] * (n - i + 1) for i in range(n + 1)]
+        for i in range(n // 2 + 1):
+            w = [math.comb(n, k) * classical[n - k][i] for k in range(n - i + 1)]
+            for j in range(i, n - i + 1):
+                t = 0
+                for k in range(j, n - i + 1):
+                    t += w[k] * classical[k][j]
+                row[i][j] = -t if j % 2 else t
+                row[j][i] = -t if i % 2 else t
+        yield tuple(map(tuple, row))
 
 
 def build_by_explicit(n_max: int) -> NoncentralTriangle:

@@ -84,6 +84,15 @@ def test_constructions_agree(by_recurrence, by_explicit):
             assert by_recurrence.entry(n, k) == by_explicit.entry(n, k)
 
 
+def test_explicit_rows_equal_recurrence_rows_at_every_size_to_40():
+    # explicit_rows sums each pair {i, j} once and fills entries (n, i) and (n, j) with it;
+    # odd and even n both occur, so the diagonal i == j at 2i == n, filled once, is covered
+    for n_max in range(41):
+        for n, (explicit, recurrence) in enumerate(zip(explicit_rows(n_max),
+                                                       recurrence_rows(n_max), strict=True)):
+            assert explicit == recurrence, (n_max, n)
+
+
 def test_boundaries(by_recurrence):
     for n, oracle in enumerate(stirling_expansion_oracle(N_MAX)):
         assert by_recurrence.entry(n, 0) == at_minus_alpha(oracle)

@@ -107,3 +107,13 @@ def _package_imports(path):
 def test_jets_imports_no_package_module_but_exact():
     # the jet oracle reads the rows it checks; it needs neither construction's module
     assert _package_imports(PACKAGE / "jets.py") == {"ncstirling.exact"}
+
+
+
+def test_the_explicit_sum_reads_no_closed_form():
+    # StirlingTable.noncentral is Koutras's closed form for s(n, k, alpha), which the boundary
+    # and column-one checks read. The graph cannot forbid it to explicit_rows, which reaches
+    # the table and so every method of its class; the body must not name it.
+    body = next(node.body for node in ast.parse((PACKAGE / "noncentral.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "explicit_rows")
+    assert ".noncentral" not in _references(body)
