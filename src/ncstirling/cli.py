@@ -7,12 +7,14 @@ values survive a round trip; exit status is 0 exactly when every check passed.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import math
 import os
 import re
 import sys
 from decimal import Decimal
+from functools import partial
 from importlib import import_module
 from itertools import chain
 
@@ -31,8 +33,10 @@ def _deferred(module: str, name: str):
 # attribute, so a replacement set before a command runs (a tracer's wrapper) is the one it calls.
 corrupt_entry = _deferred("noncentral", "corrupt_entry")
 explicit_rows = _deferred("noncentral", "explicit_rows")
+json_renderer = _deferred("noncentral", "json_renderer")
 recurrence_rows = _deferred("noncentral", "recurrence_rows")
-triangle_json_chunks = _deferred("noncentral", "triangle_json_chunks")
+render_chunks = _deferred("noncentral", "render_chunks")
+write_in_turns = _deferred("turns", "write_in_turns")
 run_suite = _deferred("identities", "run_suite")
 structural_checks = _deferred("identities", "structural_checks")
 evaluate_expansion = _deferred("jets", "evaluate_expansion")
@@ -48,14 +52,25 @@ MAX_FAILURES_PRINTED = 25
 # log2((n+1)!) bits, within a budget of 64 MiB up to n = 520; (521)! has 1,191 digits,
 # under the default int-to-str limit (4,300) that the str() called by "%s" would otherwise hit.
 TRIANGLE_N_MAX = 520
+# The recurrence triangles written by two processes that take turns (ncstirling.turns). To a
+# reader that hashes 1 MiB reads, two processes against one from the same code, alternating
+# pairs, JSON and CSV (2-vCPU Intel Xeon VM, Python 3.11.7), two were faster in 10 of 20 pairs
+# at N=96, 19 of 40 at N=104 (2.4-2.6% slower in the JSON medians) and 27 of 40 at N=112
+# (0.1-9.7% faster in all four medians). They take more CPU time and memory than one: at
+# N=160, 1.2 s of CPU time and 29 MiB peak RSS each, 55 MiB together, against 0.7-0.9 s and
+# 19 MiB, so the path stops at 160, the largest size of the benchmark.
+TRIANGLE_TWO_PROCESS_N_MIN = 112
+TRIANGLE_TWO_PROCESS_N_MAX = 160
 # _emit writes pieces of about this many characters (bytes, since the output is ASCII): large
 # enough that a write costs little per byte, small enough that the pieces held are little memory.
 PIECE_SIZE = 1 << 18
 # The largest `verify --n-max`: twice the largest pinned size (64); time grows as N^4 past it.
 VERIFY_N_MAX = 128
-EVAL_N_MAX = 2000  # the largest `eval --n`: a whole row (k = n, or --beta) takes about 0.75 s
+EVAL_N_MAX = 2000  # the largest `eval --n`: a whole row (k = n, or --beta) takes about 2 s at 7/3
 # The most digits of p and q in eval's --alpha = p/q in lowest terms: a row's integers gain
-# their bits at every step, so a whole row at n = 2000 takes 0.75 s at 7/3 and 3.5 s here.
+# their bits at every step, so a whole row at n = 2000 takes 2.1 s at 7/3 and 8.5 s at
+# 13717421/109739369, or 2.4 s and 13 s with --beta, which makes a Fraction of each entry
+# (medians of 3 processes, 2-vCPU Intel Xeon VM, Python 3.11.7).
 EVAL_ALPHA_DIGITS = 9
 # verify --corrupt N,K: two integers in ASCII digits (the integer part of RATIONAL_RE); int()
 # alone would also read "1_0" and non-ASCII digits, which --alpha refuses.
@@ -89,8 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     tri.add_argument("--n-max", type=int, default=64,
                      help="largest row N (default 64, at most %d); written as it is built, "
                           "so memory is one row of ints, about N^3 log N bits, plus about 1 MiB "
-                          "of text, and time grows as N^4 log N: 0.13 s, 16 MiB at N=64; "
-                          "1.2 s, 19 MiB at N=160; 6.8 s, 27 MiB at N=256" % TRIANGLE_N_MAX)
+                          "of text, and time grows as N^4 log N: 0.11 s, 16 MiB at N=64; "
+                          "4.9 s, 27 MiB at N=256. From N=%d to %d two processes write the "
+                          "recurrence, taking turns, with more CPU time and memory: 0.75 s, "
+                          "1.2 s of CPU time and 29 MiB each (55 MiB in all) at N=160, where "
+                          "one process takes 0.9 s and 19 MiB"
+                          % (TRIANGLE_N_MAX, TRIANGLE_TWO_PROCESS_N_MIN,
+                             TRIANGLE_TWO_PROCESS_N_MAX))
     tri.add_argument("--construction", choices=("recurrence", "explicit"),
                      default="recurrence", help="which construction to run")
     tri.add_argument("--format", choices=("json", "csv"), default="json")
@@ -119,12 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", allow_abbrev=False, help="print s(n, k, alpha) exactly")
     ev.add_argument("--n", type=int, required=True,
                     help="at most %d; O(n (k+1)) integer steps, a whole row at k = n or with "
-                         "--beta: 0.75 s at n=2000" % EVAL_N_MAX)
+                         "--beta: 2.1-2.4 s at n=2000 and alpha 7/3" % EVAL_N_MAX)
     ev.add_argument("--k", type=int, required=True)
     ev.add_argument("--alpha", type=_rational_argument, required=True,
                     help='rational p/q, e.g. "-2", "7/3" or "-5/2"; in lowest terms p and q '
-                         'have at most %d digits, at which a whole row at n=2000 takes 3.5 s '
-                         '(0.75 s at 7/3)' % EVAL_ALPHA_DIGITS)
+                         'have at most %d digits, at which a whole row at n=2000 takes 8.5 s, '
+                         'or 13 s with --beta (2.1 s and 2.4 s at 7/3)' % EVAL_ALPHA_DIGITS)
     ev.add_argument("--beta", type=float, default=None,
                     help='with --x0: also evaluate the derivative expansion; a float, '
                          'e.g. "2.5" or "-1e3"')
@@ -142,15 +162,15 @@ def _open_out(path):
         raise Refusal(1, "cannot write %s: %s" % (path, exc))
 
 
-def _emit(chunks, out) -> None:
-    """Write the chunks to stdout when out is None, else to the open --out file, which it
-    then closes so that a failing flush is refused here too."""
+def _emit(write, out) -> None:
+    """Call write(stream) with stdout when out is None, else with the open --out file, which
+    it then closes so that a failing flush is refused here too."""
     if out is None:
-        _write_behind(chunks, sys.stdout)
+        write(sys.stdout)
         return
     try:
         with out:
-            _write_behind(chunks, out)
+            write(out)
     except OSError as exc:
         raise Refusal(1, "cannot write %s: %s" % (out.name, exc))
 
@@ -205,30 +225,56 @@ def _write_behind(chunks, stream) -> None:
         raise error
 
 
-def triangle_csv_chunks(rows):
-    """CSV triangle dump, one chunk per entry: n,k,degree,coeffs, coefficients low to high."""
-    yield "n,k,degree,coeffs\n"
+def csv_renderer():
+    """The CSV triangle as (head, row_chunks, tail), as noncentral.json_renderer gives the
+    JSON one: n,k,degree,coeffs, one chunk per entry, coefficients low to high."""
     formats = {}  # one whole format per coefficient count, its degree written in
-    for n, row in enumerate(rows):
+
+    def row_chunks(n, row):
         for k, coeffs in enumerate(row):
             if (fmt := formats.get(len(coeffs))) is None:
                 fmt = formats[len(coeffs)] = ("%%d,%%d,%d," % (len(coeffs) - 1)
                                               + " ".join(["%s"] * len(coeffs)) + "\n")
             yield fmt % (n, k, *coeffs)
 
+    return "n,k,degree,coeffs\n", row_chunks, ""
+
+
+def triangle_csv_chunks(rows):
+    return render_chunks(csv_renderer(), rows)
+
 
 def triangle_to_csv(triangle) -> str:
     return "".join(triangle_csv_chunks(triangle.rows))
+
+
+def _writes_in_turns(args, stream, out) -> bool:
+    """Whether triangle writes from two processes that take turns: the recurrence, --n-max
+    from TRIANGLE_TWO_PROCESS_N_MIN to TRIANGLE_TWO_PROCESS_N_MAX, and a stream the command
+    owns (the --out file, or stdout as the interpreter opened it) that gets ASCII text as its
+    own bytes, from a process that can fork, has one thread and may run on two CPUs."""
+    if (args.construction != "recurrence"
+            or not TRIANGLE_TWO_PROCESS_N_MIN <= args.n_max <= TRIANGLE_TWO_PROCESS_N_MAX
+            or not hasattr(os, "fork")):
+        return False
+    if out is None and sys.stdout is not sys.__stdout__:
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threading = sys.modules.get("threading")
+    return ((cpus or 1) >= 2 and (threading is None or threading.active_count() == 1)
+            and codecs.lookup(stream.encoding).name in ("utf-8", "ascii"))
 
 
 def cmd_triangle(args) -> int:
     if not 0 <= args.n_max <= TRIANGLE_N_MAX:
         raise Refusal(2, "--n-max must be in 0..%d" % TRIANGLE_N_MAX)
     with _open_out(args.out) as out:
+        renderer = json_renderer(args.n_max) if args.format == "json" else csv_renderer()
         rows = (explicit_rows if args.construction == "explicit" else recurrence_rows)(args.n_max)
-        chunks = (triangle_json_chunks(args.n_max, rows) if args.format == "json"
-                  else triangle_csv_chunks(rows))
-        _emit(chunks, out)
+        if _writes_in_turns(args, sys.stdout if out is None else out, out):
+            _emit(partial(write_in_turns, rows, renderer, args.n_max), out)
+        else:
+            _emit(partial(_write_behind, render_chunks(renderer, rows)), out)
     return 0
 
 
@@ -341,7 +387,7 @@ def cmd_verify(args) -> int:
                                [',"oracle":%s}\n' % residuals_to_json_records(oracle_reports)])
             else:
                 chunks = _verify_csv_chunks(checks, identity_reports, oracle_reports)
-            _emit(chunks, out)
+            _emit(partial(_write_behind, chunks), out)
 
     print("VERIFY: %s" % ("FAIL" if failing else "PASS"))
     return 1 if failing else 0

@@ -165,21 +165,42 @@ def s_n1_recurrence(n: int, alpha: int | Fraction) -> list[Fraction]:
     return [Fraction(0)] + [Fraction(row[1], q ** m) for m, row in enumerate(rows)]
 
 
-def triangle_json_chunks(n_max: int, rows) -> Iterator[str]:
-    """Canonical JSON for a triangle, one chunk per entry between an opening and
-    a closing chunk. Numbers are decimal strings so arbitrary-precision
-    coefficients survive; compact separators, keys in the order n_max, entries
-    and n, k, coeffs, written directly: digits and '-' need no JSON escaping."""
-    yield '{"n_max":"%d","entries":[' % n_max
-    separator, formats = "", {}  # one whole format per coefficient count; 0 gives "coeffs":[]
+def render_chunks(renderer, rows) -> Iterator[str]:
+    """The document of a (head, row_chunks, tail) renderer over rows 0, 1, ...: the head,
+    row_chunks(n, row) of each row n, and the tail if it is not empty."""
+    head, row_chunks, tail = renderer
+    yield head
     for n, row in enumerate(rows):
+        yield from row_chunks(n, row)
+    if tail:
+        yield tail
+
+
+def json_renderer(n_max: int):
+    """Canonical JSON for a triangle as (head, row_chunks, tail): row_chunks(n, row) yields
+    one chunk per entry of row n, each after a comma but the first entry it yields. Numbers
+    are decimal strings so arbitrary-precision coefficients survive; compact separators, keys
+    in the order n_max, entries and n, k, coeffs, written directly: digits and '-' need no
+    JSON escaping."""
+    formats = {}  # one whole format per coefficient count; 0 gives "coeffs":[]
+    separator = ""
+
+    def row_chunks(n: int, row) -> Iterator[str]:
+        nonlocal separator
         for k, coeffs in enumerate(row):
             if (fmt := formats.get(len(coeffs))) is None:
                 fmt = formats[len(coeffs)] = ('%s{"n":"%d","k":"%d","coeffs":['
                                               + ",".join(['"%s"'] * len(coeffs)) + "]}")
             yield fmt % (separator, n, k, *coeffs)
             separator = ","
-    yield "]}\n"
+
+    return '{"n_max":"%d","entries":[' % n_max, row_chunks, "]}\n"
+
+
+def triangle_json_chunks(n_max: int, rows) -> Iterator[str]:
+    """The JSON triangle of json_renderer, one chunk per entry between an opening and a
+    closing chunk."""
+    return render_chunks(json_renderer(n_max), rows)
 
 
 def triangle_to_json(triangle: NoncentralTriangle) -> str:

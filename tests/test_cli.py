@@ -742,6 +742,11 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 
 BASE_MODULES = ("ncstirling", "ncstirling.cli", "ncstirling.exact", "ncstirling.stirling")
+# a recurrence triangle of TRIANGLE_TWO_PROCESS_N_MIN rows to a file it owns adds turns, where
+# the host lets two processes write it
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+CAN_FORK = hasattr(os, "fork") and (CPUS or 1) >= 2
+IN_TURNS = ("turns",) if CAN_FORK else ()
 LOADED_MODULES = [
     (("--help",), ()),
     (("eval", "--n", "6", "--k", "2", "--alpha", "7/3"), ()),
@@ -750,6 +755,8 @@ LOADED_MODULES = [
     (("triangle", "--n-max", "4"), ("noncentral",)),
     (("triangle", "--n-max", "4", "--construction", "explicit", "--format", "csv"),
      ("noncentral",)),
+    (("triangle", "--n-max", str(cli.TRIANGLE_TWO_PROCESS_N_MIN), "--out", os.devnull),
+     ("noncentral",) + IN_TURNS),
     (("verify", "--n-max", "4"), ("noncentral", "identities")),
     (("verify", "--n-max", "4", "--with-oracle"), ("noncentral", "identities", "jets")),
 ]
@@ -759,8 +766,8 @@ LOADED_MODULES = [
                          ids=[" ".join(argv) for argv, _ in LOADED_MODULES])
 def test_each_command_loads_only_the_modules_it_runs(argv, deferred):
     # a process with no bytecode cache compiles every module it imports: eval and --help
-    # import none of noncentral, identities and jets, triangle no identities or jets, and
-    # no command imports typing
+    # import none of noncentral, turns, identities and jets, triangle no identities or jets,
+    # verify no turns, and no command imports typing
     code = ("import contextlib, io, sys\n"
             "from ncstirling import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
