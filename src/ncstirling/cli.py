@@ -32,8 +32,10 @@ def _deferred(module: str, name: str):
 # cache compiles every module it imports, and eval and --help need none of these. Each is a plain
 # attribute, so a replacement set before a command runs (a tracer's wrapper) is the one it calls.
 corrupt_entry = _deferred("noncentral", "corrupt_entry")
+csv_renderer = _deferred("noncentral", "csv_renderer")
 explicit_rows = _deferred("noncentral", "explicit_rows")
 json_renderer = _deferred("noncentral", "json_renderer")
+pieces = _deferred("noncentral", "pieces")
 recurrence_rows = _deferred("noncentral", "recurrence_rows")
 render_chunks = _deferred("noncentral", "render_chunks")
 write_in_turns = _deferred("turns", "write_in_turns")
@@ -61,9 +63,6 @@ TRIANGLE_N_MAX = 520
 # 19 MiB, so the path stops at 160, the largest size of the benchmark.
 TRIANGLE_TWO_PROCESS_N_MIN = 112
 TRIANGLE_TWO_PROCESS_N_MAX = 160
-# _emit writes pieces of about this many characters (bytes, since the output is ASCII): large
-# enough that a write costs little per byte, small enough that the pieces held are little memory.
-PIECE_SIZE = 1 << 18
 # The largest `verify --n-max`: twice the largest pinned size (64); time grows as N^4 past it.
 VERIFY_N_MAX = 128
 EVAL_N_MAX = 2000  # the largest `eval --n`: a whole row (k = n, or --beta) takes about 2 s at 7/3
@@ -175,19 +174,6 @@ def _emit(write, out) -> None:
         raise Refusal(1, "cannot write %s: %s" % (out.name, exc))
 
 
-def _pieces(chunks):
-    """The chunks joined into pieces of at least PIECE_SIZE characters, and a last, shorter one."""
-    held, size = [], 0
-    for chunk in chunks:
-        held.append(chunk)
-        size += len(chunk)
-        if size >= PIECE_SIZE:
-            yield "".join(held)
-            held, size = [], 0
-    if held:
-        yield "".join(held)
-
-
 def _write_behind(chunks, stream) -> None:
     """Write the chunks as pieces from one writer thread while the next piece is made here.
     Each piece goes through a single slot, and this thread waits for the writer's answer,
@@ -214,7 +200,7 @@ def _write_behind(chunks, stream) -> None:
     writer = threading.Thread(target=write, name="ncstirling-writer")
     writer.start()
     try:
-        for piece in _pieces(chunks):
+        for piece in pieces(chunks):
             slot.put(piece)
             if answers.get() is not None:
                 break
@@ -225,27 +211,8 @@ def _write_behind(chunks, stream) -> None:
         raise error
 
 
-def csv_renderer():
-    """The CSV triangle as (head, row_chunks, tail), as noncentral.json_renderer gives the
-    JSON one: n,k,degree,coeffs, one chunk per entry, coefficients low to high."""
-    formats = {}  # one whole format per coefficient count, its degree written in
-
-    def row_chunks(n, row):
-        for k, coeffs in enumerate(row):
-            if (fmt := formats.get(len(coeffs))) is None:
-                fmt = formats[len(coeffs)] = ("%%d,%%d,%d," % (len(coeffs) - 1)
-                                              + " ".join(["%s"] * len(coeffs)) + "\n")
-            yield fmt % (n, k, *coeffs)
-
-    return "n,k,degree,coeffs\n", row_chunks, ""
-
-
-def triangle_csv_chunks(rows):
-    return render_chunks(csv_renderer(), rows)
-
-
 def triangle_to_csv(triangle) -> str:
-    return "".join(triangle_csv_chunks(triangle.rows))
+    return "".join(render_chunks(csv_renderer(), triangle.rows))
 
 
 def _writes_in_turns(args, stream, out) -> bool:

@@ -176,36 +176,60 @@ def render_chunks(renderer, rows) -> Iterator[str]:
         yield tail
 
 
-def json_renderer(n_max: int):
-    """Canonical JSON for a triangle as (head, row_chunks, tail): row_chunks(n, row) yields
-    one chunk per entry of row n, each after a comma but the first entry it yields. Numbers
-    are decimal strings so arbitrary-precision coefficients survive; compact separators, keys
-    in the order n_max, entries and n, k, coeffs, written directly: digits and '-' need no
-    JSON escaping."""
-    formats = {}  # one whole format per coefficient count; 0 gives "coeffs":[]
-    separator = ""
+# Pieces of about this many characters (bytes, since the text is ASCII) go to each write: large
+# enough that a write costs little per byte, small enough that the pieces held are little memory.
+PIECE_SIZE = 1 << 18
+
+
+def pieces(chunks) -> Iterator[str]:
+    """The chunks joined into pieces of at least PIECE_SIZE characters, and a last, shorter one."""
+    held, size = [], 0
+    for chunk in chunks:
+        held.append(chunk)
+        size += len(chunk)
+        if size >= PIECE_SIZE:
+            yield "".join(held)
+            held, size = [], 0
+    if held:
+        yield "".join(held)
+
+
+def _renderer(head: str, entry_format, separator: str, tail: str):
+    """(head, row_chunks, tail): row_chunks(n, row) yields entry_format(count) % (separator, n,
+    k, *coeffs) for each entry of row n, the separator "" before the first entry it yields."""
+    formats = {}  # one whole format per coefficient count
+    before = ""
 
     def row_chunks(n: int, row) -> Iterator[str]:
-        nonlocal separator
+        nonlocal before
         for k, coeffs in enumerate(row):
             if (fmt := formats.get(len(coeffs))) is None:
-                fmt = formats[len(coeffs)] = ('%s{"n":"%d","k":"%d","coeffs":['
-                                              + ",".join(['"%s"'] * len(coeffs)) + "]}")
-            yield fmt % (separator, n, k, *coeffs)
-            separator = ","
+                fmt = formats[len(coeffs)] = entry_format(len(coeffs))
+            yield fmt % (before, n, k, *coeffs)
+            before = separator
 
-    return '{"n_max":"%d","entries":[' % n_max, row_chunks, "]}\n"
+    return head, row_chunks, tail
 
 
-def triangle_json_chunks(n_max: int, rows) -> Iterator[str]:
-    """The JSON triangle of json_renderer, one chunk per entry between an opening and a
-    closing chunk."""
-    return render_chunks(json_renderer(n_max), rows)
+def json_renderer(n_max: int):
+    """Canonical JSON for a triangle as a (head, row_chunks, tail) renderer. Numbers are decimal
+    strings so arbitrary-precision coefficients survive; compact separators, keys in the order
+    n_max, entries and n, k, coeffs, written directly: digits and '-' need no JSON escaping."""
+    return _renderer('{"n_max":"%d","entries":[' % n_max,
+                     lambda count: ('%s{"n":"%d","k":"%d","coeffs":['
+                                    + ",".join(['"%s"'] * count) + "]}"), ",", "]}\n")
+
+
+def csv_renderer():
+    """The CSV triangle as a (head, row_chunks, tail) renderer: n,k,degree,coeffs, one line per
+    entry, coefficients low to high."""
+    return _renderer("n,k,degree,coeffs\n", lambda count: "%%s%%d,%%d,%d," % (count - 1)
+                     + " ".join(["%s"] * count) + "\n", "", "")
 
 
 def triangle_to_json(triangle: NoncentralTriangle) -> str:
-    """The whole of triangle_json_chunks as one string."""
-    return "".join(triangle_json_chunks(triangle.n_max, triangle.rows))
+    """The JSON triangle of json_renderer as one string."""
+    return "".join(render_chunks(json_renderer(triangle.n_max), triangle.rows))
 
 
 def triangle_from_json(text: str) -> NoncentralTriangle:

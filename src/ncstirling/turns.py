@@ -2,13 +2,12 @@
 recurrence once and writes the head, one row in every CYCLE from row 0, and the tail; one
 forked helper writes the rows in between, which this process ships to it.
 
-Each process renders its next turn while the other writes: it holds up to AHEAD_SIZE
-characters of it, and renders and writes the rest in pieces once its turn comes. A one-byte
-token on a pair of pipes passes the turn, so the descriptor gets the bytes one process would
-write, in order. The rows of the helper's turn t go to it as one marshal record in shared
-memory buffer t % 2, and its length on a pipe of its own. The buffer held turn t - 2, which the
-helper read before it wrote that turn, and this process waits for that write before its turn
-t - 1.
+Each process renders its whole next turn while the other writes, and writes it in pieces once
+its turn comes; up to N = 160 a turn is under 4 MiB of text. A one-byte token on a pair of
+pipes passes the turn, so the descriptor gets the bytes one process would write, in order. The
+rows of the helper's turn t go to it as one marshal record in shared memory buffer t % 2, and
+its length on a pipe of its own. The buffer held turn t - 2, which the helper read before it
+wrote that turn, and this process waits for that write before its turn t - 1.
 
 A write error in either process ends both: the helper sends its errno in place of the token and
 this process raises it as its own OSError, and a helper that ends early is a ChildProcessError
@@ -26,16 +25,12 @@ import struct
 import sys
 from itertools import chain, islice
 
-from .cli import _pieces
+from .noncentral import pieces
 
 TURN = b"\0"  # any other byte read in its place is the errno of the helper's failed write
 # This process writes rows 0, CYCLE, 2 CYCLE, ... and also runs the recurrence and ships the
 # helper's rows, so the helper writes the CYCLE - 1 rows after each of them.
 CYCLE = 3
-# A process renders its next turn while the other writes, holding up to this many characters
-# (bytes, since the text is ASCII) of it; the rest waits for its turn. Up to N = 160, where a
-# row is 2.1 MB of JSON, a turn of CYCLE - 1 rows is whole.
-AHEAD_SIZE = 1 << 22
 _LENGTH = struct.Struct("=Q")  # of a shipped record, on the length pipe
 
 
@@ -95,21 +90,15 @@ def _ship(record: bytes, buffer, lengths_out: int) -> None:
 
 
 def _take_turn(fd: int, chunks, token_in: int, token_out: int) -> None:
-    """Render up to AHEAD_SIZE characters of the chunks, wait for the token on token_in, write
-    them and the rest to fd in pieces, and pass the token on token_out."""
-    chunks = iter(chunks)
-    held, size = [], 0
-    for chunk in chunks:
-        held.append(chunk)
-        size += len(chunk)
-        if size >= AHEAD_SIZE:
-            break
+    """Render the chunks, wait for the token on token_in, write them to fd in pieces, and pass
+    the token on token_out."""
+    held = list(chunks)
     token = os.read(token_in, 1)
     if token != TURN:
         if not token:
             raise ChildProcessError("the other writing process ended before its turn did")
         raise OSError(token[0], os.strerror(token[0]))
-    for piece in _pieces(chain(held, chunks)):
+    for piece in pieces(held):
         view = memoryview(piece.encode())
         while view:
             view = view[os.write(fd, view):]

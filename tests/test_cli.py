@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from ncstirling import cli, identities, jets
+from ncstirling import cli, identities, jets, noncentral
 from ncstirling.cli import main
 from ncstirling.exact import AlphaPoly
 from ncstirling.identities import IdentityReport, StructuralCheck
@@ -23,8 +23,9 @@ from ncstirling.jets import ResidualReport
 from ncstirling.noncentral import (
     NoncentralTriangle,
     build_by_recurrence,
+    json_renderer,
+    render_chunks,
     triangle_from_json,
-    triangle_json_chunks,
     triangle_to_json,
 )
 from ncstirling.stirling import StirlingTable, evaluate_entry, stirling_expansion_oracle
@@ -108,6 +109,16 @@ def _src_env():
                 PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def _stderr_at_end(proc):
+    """proc's stderr once it ends; a process still running after 120 s is killed, so that the
+    test fails where leaving its Popen block would wait for it forever."""
+    try:
+        return proc.communicate(timeout=120)[1]
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        pytest.fail("the command still ran after 120 s")
+
+
 def _refuse_rows(monkeypatch):
     def refuse(n_max):  # a generator, like the real ones: it fails when a row is asked for
         raise AssertionError("a triangle row was built")
@@ -186,7 +197,7 @@ def test_triangle_reader_closing_the_pipe_early():
                           env=_src_env()) as proc:
         assert proc.stdout.read(5) == b'{"n_m'
         proc.stdout.close()
-        _, err = proc.communicate(timeout=120)
+        err = _stderr_at_end(proc)
     assert proc.returncode == 1
     assert err.decode() == "ncstirling: triangle: stdout closed before the end\n"
 
@@ -224,8 +235,8 @@ def test_triangle_write_error_stops_the_writer_and_the_rows(capsys, monkeypatch,
     assert len(stream.writers) == 1 and stream.writers[0] is not threading.main_thread()
     assert set(threading.enumerate()) == before
     # every row but the last one asked for was rendered whole, into at most two pieces
-    chunks = [len(chunk) for chunk in triangle_json_chunks(160, yielded[:-1])]
-    assert 0 < sum(chunks) <= 2 * (cli.PIECE_SIZE + max(chunks))
+    chunks = [len(chunk) for chunk in render_chunks(json_renderer(160), yielded[:-1])]
+    assert 0 < sum(chunks) <= 2 * (noncentral.PIECE_SIZE + max(chunks))
 
 
 class _FullTextStream(io.TextIOBase):
@@ -260,7 +271,7 @@ def test_stdout_write_error_leaves_no_descriptor_open(capsys, monkeypatch, tmp_p
 def test_triangle_pieces_stay_whole_and_in_order_under_frequent_thread_switches(capsys,
                                                                                monkeypatch):
     # one piece per entry, and the interpreter switching threads every microsecond
-    monkeypatch.setattr(cli, "PIECE_SIZE", 1)
+    monkeypatch.setattr(noncentral, "PIECE_SIZE", 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -631,7 +642,7 @@ def test_reader_closing_the_pipe_before_reading(argv):
     with subprocess.Popen([sys.executable, "-m", "ncstirling", *argv], stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, env=_src_env()) as proc:
         proc.stdout.close()
-        _, err = proc.communicate(timeout=120)
+        err = _stderr_at_end(proc)
     assert proc.returncode == 1
     assert err.decode() == "ncstirling: %s: stdout closed before the end\n" % argv[0]
 
@@ -783,6 +794,25 @@ def test_each_command_loads_only_the_modules_it_runs(argv, deferred):
     assert proc.returncode == 0, proc.stderr
     expected = sorted(BASE_MODULES + tuple("ncstirling." + m for m in deferred))
     assert proc.stdout == "0 %s False\n" % expected
+
+
+def _imports_cli(node):
+    """Whether an import statement imports ncstirling.cli, by an absolute or a relative name."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "ncstirling.cli" for alias in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    module = "." * node.level + (node.module or "")
+    return module in (".cli", "ncstirling.cli") or (
+        module in (".", "ncstirling") and any(alias.name == "cli" for alias in node.names))
+
+
+def test_only_main_imports_cli():
+    # cli is the front end: no module it runs imports it back, so no import cycle runs through it
+    package = Path(cli.__file__).resolve().parent
+    importers = sorted(path.name for path in package.glob("*.py")
+                       if any(map(_imports_cli, ast.walk(ast.parse(path.read_text())))))
+    assert importers == ["__main__.py"]
 
 
 def test_every_global_a_function_reads_is_bound_at_import():

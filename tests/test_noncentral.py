@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ncstirling.cli import triangle_csv_chunks, triangle_to_csv
+from ncstirling.cli import triangle_to_csv
 from ncstirling.exact import AlphaPoly, falling_factorial
 from ncstirling.noncentral import (
     NoncentralTriangle,
@@ -17,13 +17,15 @@ from ncstirling.noncentral import (
     build_by_explicit,
     build_by_recurrence,
     corrupt_entry,
+    csv_renderer,
     explicit_rows,
+    json_renderer,
     recurrence_rows,
+    render_chunks,
     s_n1_recurrence,
     s_n1_sum_formula,
     scaled_alternating_sum,
     triangle_from_json,
-    triangle_json_chunks,
     triangle_to_json,
 )
 from ncstirling.stirling import (
@@ -442,7 +444,7 @@ def test_json_round_trip_any_triangle(triangle):
 
 
 def joined_json(n_max, rows):
-    """triangle_json_chunks's text, written with one '","'.join(map(str, coeffs)) per entry."""
+    """json_renderer's text, written with one '","'.join(map(str, coeffs)) per entry."""
     entries = ['{"n":"%d","k":"%d","coeffs":[%s]}' % (n, k, '"%s"' % '","'.join(map(str, c))
                                                       if c else "")
                for n, row in enumerate(rows) for k, c in enumerate(row)]
@@ -450,7 +452,7 @@ def joined_json(n_max, rows):
 
 
 def joined_csv(rows):
-    """triangle_csv_chunks's text, written with one " ".join(map(str, coeffs)) per entry."""
+    """csv_renderer's text, written with one " ".join(map(str, coeffs)) per entry."""
     return "n,k,degree,coeffs\n" + "".join(
         "%d,%d,%d,%s\n" % (n, k, len(c) - 1, " ".join(map(str, c)))
         for n, row in enumerate(rows) for k, c in enumerate(row))
@@ -469,20 +471,20 @@ def entry_rows(draw):
 @given(st.integers(0, 10 ** 6), entry_rows())
 def test_renderers_write_what_joining_each_entry_writes(n_max, rows):
     entries = sum(map(len, rows))
-    chunks = list(triangle_json_chunks(n_max, rows))
+    chunks = list(render_chunks(json_renderer(n_max), rows))
     assert len(chunks) == entries + 2  # one chunk per entry, between an opening and a closing one
     assert "".join(chunks) == joined_json(n_max, rows)
-    chunks = list(triangle_csv_chunks(rows))
+    chunks = list(render_chunks(csv_renderer(), rows))
     assert len(chunks) == entries + 1
     assert "".join(chunks) == joined_csv(rows)
 
 
 def test_renderers_write_any_coefficient_as_str_does():
     rows = [[(Fraction(3, 2), True, -7)], [(), (Fraction(-1, 3),)]]
-    assert "".join(triangle_json_chunks(1, rows)) == joined_json(1, rows) == (
+    assert "".join(render_chunks(json_renderer(1), rows)) == joined_json(1, rows) == (
         '{"n_max":"1","entries":[{"n":"0","k":"0","coeffs":["3/2","True","-7"]},'
         '{"n":"1","k":"0","coeffs":[]},{"n":"1","k":"1","coeffs":["-1/3"]}]}\n')
-    assert "".join(triangle_csv_chunks(rows)) == joined_csv(rows) == (
+    assert "".join(render_chunks(csv_renderer(), rows)) == joined_csv(rows) == (
         "n,k,degree,coeffs\n0,0,2,3/2 True -7\n1,0,-1,\n1,1,0,-1/3\n")
 
 

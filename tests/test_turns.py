@@ -10,11 +10,13 @@ import os
 import signal
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
 
 from ncstirling import cli, turns
+from ncstirling.noncentral import csv_renderer, json_renderer, recurrence_rows
 
 N_MIN, N_MAX = cli.TRIANGLE_TWO_PROCESS_N_MIN, cli.TRIANGLE_TWO_PROCESS_N_MAX
 # the host conditions of the two-process path; the command's own are set up by each test
@@ -134,6 +136,19 @@ def test_two_processes_write_the_bytes_of_one_from_row_zero(tmp_path):
         for fmt in ("json", "csv"):
             written = (tmp_path / ("%d.%s" % (n_max, fmt))).read_text()
             assert written == _one_process(n_max, fmt, io.StringIO()).getvalue()
+
+
+def test_a_turn_held_whole_stays_under_the_bound_turns_states():
+    # each process holds the text of its whole next turn: at N_MAX, CYCLE - 1 rows ending at
+    # row N_MAX bound a helper's turn, and row N_MAX and the tail this process's
+    bound = 4 << 20
+    assert "up to N = %d a turn is under 4 MiB of text" % N_MAX in " ".join(turns.__doc__.split())
+    last = deque(recurrence_rows(N_MAX), maxlen=turns.CYCLE - 1)
+    for _, row_chunks, tail in (json_renderer(N_MAX), csv_renderer()):
+        list(row_chunks(0, [(1,)]))  # row 0, rendered before the fork; JSON's commas go on
+        sizes = [sum(map(len, row_chunks(n, row)))
+                 for n, row in enumerate(last, N_MAX - len(last) + 1)]
+        assert sum(sizes) < bound and sizes[-1] + len(tail) < bound
 
 
 def _args(n_max, construction="recurrence"):
