@@ -6,7 +6,7 @@ around the k=1 column (factorials, harmonic numbers, binomial sums), and
 cross-checks the derivative expansion of x^(-alpha) * ln^beta(x) numerically
 with truncated-Taylor jets.
 
-Import from the submodules: exact, stirling, noncentral, identities, jets, cli.
+Import from the submodules: exact, stirling, noncentral, identities, jets, turns, cli.
 """
 
 __version__ = "0.1.0"

@@ -5,9 +5,9 @@ forked helper writes the rows in between, which this process ships to it.
 Each process renders its whole next turn while the other writes, and writes it in pieces once
 its turn comes; up to N = 160 a turn is under 4 MiB of text. A one-byte token on a pair of
 pipes passes the turn, so the descriptor gets the bytes one process would write, in order. The
-rows of the helper's turn t go to it as one marshal record in shared memory buffer t % 2, and
-its length on a pipe of its own. The buffer held turn t - 2, which the helper read before it
-wrote that turn, and this process waits for that write before its turn t - 1.
+rows of the helper's turn t go to it as one marshal record in shared memory buffer t % 2, its
+length on the token's pipe ahead of that turn's token. The buffer held turn t - 2, which the
+helper read before it wrote that turn, and this process waits for that write before turn t - 1.
 
 A write error in either process ends both: the helper sends its errno in place of the token and
 this process raises it as its own OSError, and a helper that ends early is a ChildProcessError
@@ -31,7 +31,7 @@ TURN = b"\0"  # any other byte read in its place is the errno of the helper's fa
 # This process writes rows 0, CYCLE, 2 CYCLE, ... and also runs the recurrence and ships the
 # helper's rows, so the helper writes the CYCLE - 1 rows after each of them.
 CYCLE = 3
-_LENGTH = struct.Struct("=Q")  # of a shipped record, on the length pipe
+_LENGTH = struct.Struct("=Q")  # of a shipped record, ahead of its turn's token
 
 
 def write_in_turns(rows, renderer, n_max: int, stream) -> None:
@@ -47,28 +47,30 @@ def write_in_turns(rows, renderer, n_max: int, stream) -> None:
     chunks = list(chain([head], row_chunks(0, next(rows))))
     buffers = [mmap.mmap(-1, _record_bound(n_max)) for _ in range(2)]  # shared by the fork
     (from_parent, to_helper), (from_helper, to_parent) = os.pipe(), os.pipe()
-    lengths_in, lengths_out = os.pipe()
     os.write(to_parent, TURN)  # this process has the first turn
     pid = os.fork()
     if pid == 0:
-        for end in (to_helper, from_helper, lengths_out):  # so that an end is read as one
+        for end in (to_helper, from_helper):  # so that an end is read as one
             os.close(end)
-        _helper(row_chunks, n_max, fd, buffers, lengths_in, from_parent, to_parent)
+        _helper(row_chunks, n_max, fd, buffers, from_parent, to_parent)
     try:
-        for end in (from_parent, to_parent, lengths_in):
+        for end in (from_parent, to_parent):
             os.close(end)
         for turn, n in enumerate(range(0, n_max + 1, CYCLE)):
             if n:
                 chunks = row_chunks(n, next(rows))
             if shipped := tuple(islice(rows, CYCLE - 1)):  # the rows of the helper's turn
-                _ship(marshal.dumps(shipped), buffers[turn % 2], lengths_out)
+                buffer = buffers[turn % 2]
+                buffer.seek(0)
+                marshal.dump(shipped, buffer)  # dumps' bytes would be held through the turn
+                _send(to_helper, _LENGTH.pack(buffer.tell()))
             _take_turn(fd, chain(chunks, [tail] if n == n_max else []), from_helper, to_helper)
         if n_max % CYCLE:  # the helper wrote the last row
             _take_turn(fd, [tail], from_helper, to_helper)
     finally:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-        for end in (to_helper, from_helper, lengths_out):
+        for end in (to_helper, from_helper):
             os.close(end)
         for buffer in buffers:
             buffer.close()
@@ -81,12 +83,6 @@ def _record_bound(n_max: int) -> int:
     header. Records of rows n - 1 and n took at most 69% of it for n up to 260."""
     digits = -(-math.factorial(n_max + 1).bit_length() // 15)
     return (n_max + 1) * (n_max + 2) * (5 + 2 * digits) + 5 * (2 * n_max + 5)
-
-
-def _ship(record: bytes, buffer, lengths_out: int) -> None:
-    """Put the record at the start of buffer and its length on lengths_out."""
-    buffer[:len(record)] = record
-    _send(lengths_out, _LENGTH.pack(len(record)))
 
 
 def _take_turn(fd: int, chunks, token_in: int, token_out: int) -> None:
@@ -113,15 +109,14 @@ def _send(pipe: int, data: bytes) -> None:
         raise ChildProcessError("the other writing process ended before its turn did") from None
 
 
-def _helper(row_chunks, n_max: int, fd: int, buffers, lengths_in: int, token_in: int,
-            token_out: int) -> None:
-    """The forked process: take the turns of the rows between this process's, then wait for
-    its last turn to pass, and leave through os._exit, never returning into the command. A
-    write error is sent to the parent as its errno; a defect prints its traceback."""
+def _helper(row_chunks, n_max: int, fd: int, buffers, token_in: int, token_out: int) -> None:
+    """The forked process: take the turns of the rows between this process's, each record's
+    length read ahead of its token, then wait for the last turn and leave through os._exit,
+    never into the command. A write error is sent as its errno; a defect prints its traceback."""
     status = 1
     try:
         for turn, n in enumerate(range(1, n_max + 1, CYCLE)):
-            length = os.read(lengths_in, _LENGTH.size)
+            length = os.read(token_in, _LENGTH.size)
             if not length:
                 raise ChildProcessError("the parent ended")
             rows = marshal.loads(buffers[turn % 2][:_LENGTH.unpack(length)[0]])

@@ -143,6 +143,7 @@ def test_08_cli_verify_contract(capsys):
          "--with-oracle"],
         capture_output=True,
         text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "VERIFY: PASS" in proc.stdout

@@ -7,9 +7,11 @@ import json
 import math
 import os
 import re
+import select
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +30,12 @@ from ncstirling.noncentral import (
     triangle_from_json,
     triangle_to_json,
 )
-from ncstirling.stirling import StirlingTable, evaluate_entry, stirling_expansion_oracle
+from ncstirling.stirling import (
+    StirlingTable,
+    evaluate_entry,
+    evaluate_row,
+    stirling_expansion_oracle,
+)
 
 
 def run_cli(*argv):
@@ -109,6 +116,20 @@ def _src_env():
                 PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def _read_stdout(proc, size):
+    """size bytes of proc's stdout (fewer at its end), read under select: a process that has
+    not written them within 120 s is killed, so that the test fails where a read would hang."""
+    deadline, data = time.monotonic() + 120, b""
+    while len(data) < size:
+        if not select.select([proc.stdout], [], [], max(0, deadline - time.monotonic()))[0]:
+            proc.kill()
+            pytest.fail("the command wrote %d of %d bytes in 120 s" % (len(data), size))
+        if not (chunk := os.read(proc.stdout.fileno(), size - len(data))):
+            break
+        data += chunk
+    return data
+
+
 def _stderr_at_end(proc):
     """proc's stderr once it ends; a process still running after 120 s is killed, so that the
     test fails where leaving its Popen block would wait for it forever."""
@@ -186,7 +207,7 @@ def test_triangle_streams_in_bounded_memory():
             " stdout=subprocess.DEVNULL, check=True); "
             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=_src_env())
+                          env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 50 * 1024
 
@@ -195,7 +216,7 @@ def test_triangle_reader_closing_the_pipe_early():
     argv = [sys.executable, "-m", "ncstirling", "triangle", "--n-max", "100"]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           env=_src_env()) as proc:
-        assert proc.stdout.read(5) == b'{"n_m'
+        assert _read_stdout(proc, 5) == b'{"n_m'
         proc.stdout.close()
         err = _stderr_at_end(proc)
     assert proc.returncode == 1
@@ -308,6 +329,22 @@ def test_eval_with_expansion(capsys):
     assert lines[0] == "1"
     assert lines[1].startswith("expansion n=1")
     assert "0.5" in lines[1]
+
+
+def test_eval_beta_rounds_only_the_terms_its_sum_keeps(capsys):
+    # at beta = 0 the sum keeps s(172, 0, alpha) alone, about 1.24e300, where s(172, 1, alpha)
+    # is past the float range: an eval that rounded the whole row would fail
+    alpha = Fraction(1, 999999999)
+    row = evaluate_row(172, alpha)
+    assert 1e300 < float(row[0]) < 1.3e300
+    with pytest.raises(OverflowError):
+        float(row[1])
+    assert run_cli("eval", "--n", "172", "--k", "0", "--alpha", "1/999999999",
+                   "--beta", "0", "--x0", "2") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[1] == ("expansion n=172 alpha=1/999999999 beta=0.0 x0=2.0 -> %r"
+                        % jets.evaluate_expansion(2.0, alpha, 0.0, row))
 
 
 def test_eval_alpha_accepts_a_separate_negative_fraction(capsys):
@@ -733,6 +770,7 @@ def test_module_entry_point_subprocess():
          "--alpha", "1"],
         capture_output=True,
         text=True,
+        timeout=120,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-3"
@@ -747,6 +785,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         capture_output=True,
         text=True,
         env=_src_env(),
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
@@ -790,7 +829,7 @@ def test_each_command_loads_only_the_modules_it_runs(argv, deferred):
             "      'typing' in sys.modules)"
             % (list(argv),))
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=_src_env())
+                          env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     expected = sorted(BASE_MODULES + tuple("ncstirling." + m for m in deferred))
     assert proc.stdout == "0 %s False\n" % expected
@@ -845,7 +884,7 @@ print(sorted(unbound), statuses, sorted(name for name in before.keys() | after.k
         ["verify", "--n-max", "6", "--corrupt", "3,1", "--with-oracle"],
         ["eval", "--n", "6", "--k", "2", "--alpha", "7/3", "--beta", "1.5", "--x0", "2"]],)
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=_src_env())
+                          env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[] [0, 1, 0] []\n"
 

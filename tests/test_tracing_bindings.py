@@ -133,7 +133,7 @@ print(statuses, sorted(called))""" % (deferred, SPIED_COMMANDS)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=env)
+                          env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     expected = set(deferred) & _names_read_by_cli() - (set() if IN_TURNS else {"write_in_turns"})
     assert proc.stdout == "[0, 0, 0, 0, 1, 0] %s\n" % sorted(expected)

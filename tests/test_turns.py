@@ -7,9 +7,11 @@ import contextlib
 import hashlib
 import io
 import os
+import select
 import signal
 import subprocess
 import sys
+import time
 from collections import deque
 from pathlib import Path
 
@@ -76,7 +78,7 @@ def _run_alone(argv, stdout=subprocess.PIPE, read=None, then=None):
                           start_new_session=True) as proc:
         try:
             if read is not None:
-                assert len(proc.stdout.read(read)) == read
+                assert len(_read_stdout(proc, read)) == read
                 if then is None:
                     proc.stdout.close()
                 else:
@@ -85,6 +87,19 @@ def _run_alone(argv, stdout=subprocess.PIPE, read=None, then=None):
         finally:
             left = _left_behind(proc.pid)
     return proc.returncode, out, err.decode(), left
+
+
+def _read_stdout(proc, size):
+    """size bytes of proc's stdout (fewer at its end), read under select: the test fails if
+    they have not come within 120 s, where a read would hang, and _run_alone kills the session."""
+    deadline, data = time.monotonic() + 120, b""
+    while len(data) < size:
+        if not select.select([proc.stdout], [], [], max(0, deadline - time.monotonic()))[0]:
+            pytest.fail("the command wrote %d of %d bytes in 120 s" % (len(data), size))
+        if not (chunk := os.read(proc.stdout.fileno(), size - len(data))):
+            break
+        data += chunk
+    return data
 
 
 def _left_behind(session):
