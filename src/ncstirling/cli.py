@@ -14,12 +14,13 @@ import os
 import re
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from functools import partial
 from importlib import import_module
 from itertools import chain
 
 from .exact import RATIONAL_RE, format_rational, parse_rational
-from .stirling import StirlingTable, check_index, evaluate_entry, evaluate_row
+from .stirling import StirlingTable, check_index, last_scaled_row
 
 def _deferred(module: str, name: str):
     """A function that imports ncstirling.<module> when it is called, then calls its name."""
@@ -66,10 +67,9 @@ TRIANGLE_TWO_PROCESS_N_MAX = 160
 # The largest `verify --n-max`: twice the largest pinned size (64); time grows as N^4 past it.
 VERIFY_N_MAX = 128
 EVAL_N_MAX = 2000  # the largest `eval --n`: a whole row (k = n, or --beta) takes about 2 s at 7/3
-# The most digits of p and q in eval's --alpha = p/q in lowest terms: a row's integers gain
-# their bits at every step, so a whole row at n = 2000 takes 2.1 s at 7/3 and 8.5 s at
-# 13717421/109739369, or 2.4 s and 13 s with --beta, which makes a Fraction of each entry
-# (medians of 3 processes, 2-vCPU Intel Xeon VM, Python 3.11.7).
+# The most digits of p and q in eval's --alpha = p/q in lowest terms: a whole row at n = 2000
+# (k = n, or --beta) takes 1.5-2.0 s at 7/3 and 5.5-5.7 s at 13717421/109739369, as its integers
+# gain bits at every step (medians of 3 processes, 2-vCPU Intel Xeon VM, Python 3.11.7).
 EVAL_ALPHA_DIGITS = 9
 # verify --corrupt N,K: two integers in ASCII digits (the integer part of RATIONAL_RE); int()
 # alone would also read "1_0" and non-ASCII digits, which --alpha refuses.
@@ -138,12 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", allow_abbrev=False, help="print s(n, k, alpha) exactly")
     ev.add_argument("--n", type=int, required=True,
                     help="at most %d; O(n (k+1)) integer steps, a whole row at k = n or with "
-                         "--beta: 2.1-2.4 s at n=2000 and alpha 7/3" % EVAL_N_MAX)
+                         "--beta: 1.5-2.0 s at n=2000 and alpha 7/3" % EVAL_N_MAX)
     ev.add_argument("--k", type=int, required=True)
     ev.add_argument("--alpha", type=_rational_argument, required=True,
-                    help='rational p/q, e.g. "-2", "7/3" or "-5/2"; in lowest terms p and q '
-                         'have at most %d digits, at which a whole row at n=2000 takes 8.5 s, '
-                         'or 13 s with --beta (2.1 s and 2.4 s at 7/3)' % EVAL_ALPHA_DIGITS)
+                    help='rational p/q, e.g. "-2", "7/3" or "-5/2"; in lowest terms p and q have '
+                         'at most %d digits (a whole row at n=2000: 5.5-5.7 s)' % EVAL_ALPHA_DIGITS)
     ev.add_argument("--beta", type=float, default=None,
                     help='with --x0: also evaluate the derivative expansion; a float, '
                          'e.g. "2.5" or "-1e3"')
@@ -377,13 +376,17 @@ def cmd_eval(args) -> int:
             raise Refusal(2, "--beta and --x0 must be finite")
         if not args.x0 > 1.0:
             raise Refusal(2, "--x0 must exceed 1")
-    row = None if args.beta is None else evaluate_row(args.n, args.alpha)
-    value = evaluate_entry(args.n, args.k, args.alpha) if row is None else row[args.k]
+    p, q = args.alpha.as_integer_ratio()
+    row = last_scaled_row(args.n, p, q, args.k if args.beta is None else args.n)
+    value = Fraction(row[args.k], q ** (args.n - args.k))
     # C decimal converts an int without the int-to-str digit limit and sets nothing process-wide
     numerator, denominator = map(Decimal, value.as_integer_ratio())
     print(numerator if denominator == 1 else "%s/%s" % (numerator, denominator))
-    if row is not None:
-        value = evaluate_expansion(args.x0, args.alpha, args.beta, row)
+    if args.beta is not None:
+        class Term(tuple):  # (i, c): c / q^(n-i), one division, rounded as float(Fraction) is
+            def __float__(self) -> float:  # called only for a term the expansion sum keeps
+                return self[1] / q ** (args.n - self[0])
+        value = evaluate_expansion(args.x0, args.alpha, args.beta, list(map(Term, enumerate(row))))
         print("expansion n=%d alpha=%s beta=%r x0=%r -> %r"
               % (args.n, format_rational(args.alpha), args.beta, args.x0, value))
     return 0

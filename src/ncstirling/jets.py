@@ -144,8 +144,8 @@ def evaluate_expansion(x0: float, alpha: int | Fraction, beta: float,
 
         sum_{i=0}^{n} s(n, i, alpha) * (beta)_i * x0^(-alpha-n) * ln(x0)^(beta-i)
 
-    with row[i] = s(n, i, alpha), exact or already rounded to float: the sum the
-    validation grid runs."""
+    with row[i] = s(n, i, alpha): exact, already rounded to float, or a value that float()
+    rounds when the sum reads it, as eval's are. The sum the validation grid runs."""
     _check_point(x0, beta)
     return _expansion_sum(row, x0, alpha, _expansion_factors(x0, float(beta), len(row) - 1))
 

@@ -1,8 +1,7 @@
-"""scaled_rows, the recurrence at one rational alpha = p/q in the ints p, q, and the row and the
-entry of s(n, ., alpha) read off its last row (evaluate_row, evaluate_entry: eval's values, no
-triangle built); the classical signed numbers of the first kind, its rows at alpha = 0
-(|s(n, k)| = (-1)^(n-k) s(n, k) is not stored), with an oracle for them; the non-central
-numbers read off them by a closed form; harmonic numbers."""
+"""scaled_rows, the recurrence at one rational alpha = p/q in the ints p, q; last_scaled_row, its
+last row (eval's integers), and evaluate_row and evaluate_entry, its Fractions; the classical
+signed numbers of the first kind, its rows at alpha = 0 (|s(n, k)| is not stored), with an oracle
+for them; the non-central numbers read off them by a closed form; harmonic numbers."""
 from __future__ import annotations
 
 import math
@@ -26,23 +25,26 @@ def scaled_rows(n: int, p: int, q: int, top: int) -> Iterator[list[int]]:
         yield row
 
 
+def last_scaled_row(n: int, p: int, q: int, top: int) -> list[int]:
+    """The last of scaled_rows(n, p, q, top), one row held at a time: eval's integers."""
+    return deque(scaled_rows(n, p, q, top), maxlen=1).pop()
+
+
 def evaluate_row(n: int, alpha: int | Fraction) -> list[Fraction]:
     """[s(n, 0, alpha), ..., s(n, n, alpha)], exactly: the coefficients of (x - alpha)...
-    (x - alpha - n + 1), the last of scaled_rows(n, p, q, n), one row held at a time, O(n^2)."""
+    (x - alpha - n + 1), last_scaled_row(n, p, q, n) over powers of q, O(n^2)."""
     p, q = alpha.as_integer_ratio()
-    row = deque(scaled_rows(n, p, q, n), maxlen=1).pop()
-    return [Fraction(value, q ** (n - i)) for i, value in enumerate(row)]
+    return [Fraction(value, q ** (n - i)) for i, value in enumerate(last_scaled_row(n, p, q, n))]
 
 
 def evaluate_entry(n: int, k: int, alpha: int | Fraction) -> Fraction:
-    """s(n, k, alpha) alone, exactly: entry k of the last of scaled_rows(n, p, q, k), whose
-    rows stop at column k, in O(n (k+1)) integer steps, not evaluate_row's O(n^2)."""
+    """s(n, k, alpha) alone, exactly: entry k of last_scaled_row(n, p, q, k), whose rows
+    stop at column k, in O(n (k+1)) integer steps, not evaluate_row's O(n^2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_index(n, k, n)
     p, q = alpha.as_integer_ratio()
-    value = deque(scaled_rows(n, p, q, k), maxlen=1).pop()[k]
-    return Fraction(value, q ** (n - k))
+    return Fraction(last_scaled_row(n, p, q, k)[k], q ** (n - k))
 
 
 def check_index(n: int, k: int, n_max: int) -> None:

@@ -34,6 +34,7 @@ from ncstirling.stirling import (
     StirlingTable,
     evaluate_entry,
     evaluate_row,
+    last_scaled_row,
     stirling_expansion_oracle,
 )
 
@@ -345,6 +346,42 @@ def test_eval_beta_rounds_only_the_terms_its_sum_keeps(capsys):
     assert len(lines) == 2
     assert lines[1] == ("expansion n=172 alpha=1/999999999 beta=0.0 x0=2.0 -> %r"
                         % jets.evaluate_expansion(2.0, alpha, 0.0, row))
+
+
+@pytest.mark.parametrize("alpha", ["7/3", "-5/2", "41/19", "-48", "13717421/109739369"])
+def test_eval_floats_each_term_as_float_of_its_fraction(capsys, monkeypatch, alpha):
+    # eval floats s(n, i, alpha) as c(n, i) / q^(n-i), one int division of its integer row;
+    # CPython rounds that division correctly, as it does float() of the reduced Fraction, so
+    # every float is the same, and an entry beyond binary64 raises OverflowError in both; the
+    # terms eval hands its expansion sum float to the same values
+    handed = []
+
+    def recording(x0, point_alpha, beta, row):
+        handed.append(row)
+        return 0.0
+
+    monkeypatch.setattr(cli, "evaluate_expansion", recording)
+    fraction = Fraction(alpha)
+    p, q = fraction.as_integer_ratio()
+    beyond = 0
+    for n in (40, 150, 300):
+        assert run_cli("eval", "--n", str(n), "--k", "0", "--alpha=" + alpha,
+                       "--beta", "2.5", "--x0", "2") == 0
+        terms, exact_row = handed.pop(), evaluate_row(n, fraction)
+        assert len(terms) == len(exact_row) == n + 1
+        for i, (c, term, exact) in enumerate(zip(last_scaled_row(n, p, q, n), terms, exact_row)):
+            try:
+                expected = repr(float(exact))
+            except OverflowError:
+                beyond += 1
+                with pytest.raises(OverflowError):
+                    c / q ** (n - i)
+                with pytest.raises(OverflowError):
+                    float(term)
+            else:
+                assert repr(c / q ** (n - i)) == repr(float(term)) == expected
+    capsys.readouterr()
+    assert beyond > 0
 
 
 def test_eval_alpha_accepts_a_separate_negative_fraction(capsys):
@@ -662,7 +699,7 @@ def test_every_refusal_is_one_line_before_anything_is_built(capsys, monkeypatch,
         raise AssertionError("a refused command built something")
 
     for name in ("StirlingTable", "build_by_recurrence", "build_by_explicit",
-                 "recurrence_rows", "explicit_rows", "evaluate_row", "evaluate_entry"):
+                 "recurrence_rows", "explicit_rows", "last_scaled_row"):
         monkeypatch.setattr(cli, name, refuse)
     missing = str(tmp_path / "missing" / "r.json")
     assert run_cli(*[arg.replace("{missing}", missing) for arg in argv]) == status
@@ -699,10 +736,10 @@ def test_stdout_write_error_is_one_line(argv):
 
 def test_main_lets_an_unexpected_exception_through(monkeypatch):
     # only refusals and stdout write errors are handled; a bug keeps its traceback
-    def broken(n, k, alpha):
+    def broken(n, p, q, top):
         raise RuntimeError("not a refusal")
 
-    monkeypatch.setattr(cli, "evaluate_entry", broken)
+    monkeypatch.setattr(cli, "last_scaled_row", broken)
     with pytest.raises(RuntimeError):
         run_cli("eval", "--n", "2", "--k", "1", "--alpha", "1")
 
@@ -1126,10 +1163,12 @@ def test_verify_bound_sits_above_every_pinned_size(capsys, monkeypatch):
 # sha256 of `eval` stdout, pinned before `eval` stopped building the
 # triangle: k = 0, k = n and middle k; integer, negative and fractional
 # alpha; n up to 300; and expansion points from the oracle grid's beta and
-# x0 values; the last two, pinned before the weights (beta)_i became one
-# running product, weight n = 120 and 150 with a non-integer beta. The
-# expansion lines print float reprs, so like the oracle part of the verify
-# report they assume a libm that rounds log and pow alike.
+# x0 values. The two after those, pinned before the weights (beta)_i became
+# one running product, weight n = 120 and 150 with a non-integer beta; the
+# last, pinned while --beta still made a Fraction of each entry, has a
+# 9-digit alpha, so its denominators q^(n-i) are large. The expansion lines
+# print float reprs, so like the oracle part of the verify report they
+# assume a libm that rounds log and pow alike.
 GOLDEN_EVAL = [
     (("--n", "0", "--k", "0", "--alpha", "0"),
      "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
@@ -1162,6 +1201,9 @@ GOLDEN_EVAL = [
      "6417c946ce255b1ab5c190e13cffa4672d5b75ffdd3f767d9e903503c3aad533"),
     (("--n", "150", "--k", "75", "--alpha=-7", "--beta", "1.5", "--x0", "2"),
      "4537fa053325f36262d44c1492d1c5c0a290bff2feb531151043a1c64d67a3e5"),
+    (("--n", "150", "--k", "75", "--alpha=13717421/109739369", "--beta", "2.5",
+      "--x0", "2.718281828459045"),
+     "b161e38f6d59055744f10615338ac01ac3cda276c6aba55279b45b3b8dc9fe14"),
 ]
 
 
@@ -1172,14 +1214,20 @@ def test_eval_matches_golden_digests(capsys, argv, digest):
 
 
 def test_eval_without_beta_never_builds_a_whole_row(capsys, monkeypatch):
-    def refuse(n, alpha):
-        raise AssertionError("eval without --beta built a whole row")
+    # eval takes one row, capped at column k (top == k) unless --beta reads the whole row
+    tops = []
 
-    monkeypatch.setattr(cli, "evaluate_row", refuse)
+    def recording(n, p, q, top):
+        tops.append((n, top))
+        return last_scaled_row(n, p, q, top)
+
+    monkeypatch.setattr(cli, "last_scaled_row", recording)
     for argv, digest in GOLDEN_EVAL:
-        if "--beta" not in argv:
-            assert run_cli("eval", *argv) == 0
-            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        n, k = int(argv[1]), int(argv[3])
+        assert run_cli("eval", *argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        assert tops == [(n, n if "--beta" in argv else k)]
+        tops.clear()
 
 
 def test_eval_bound_sits_above_every_pinned_n(capsys):
