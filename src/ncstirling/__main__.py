@@ -1,6 +1,17 @@
+import os
 import sys
 
 from .cli import main
 
+
+def run() -> None:
+    """Run main(), flush stdout and stderr, and os._exit(status): teardown frees only what the OS
+    frees. SystemExit (--help, usage errors) and uncaught exceptions take the interpreter's exit."""
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -422,12 +422,13 @@ def _attach_signed_values(argv) -> list:
 def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
-        status = COMMANDS[args.command](args)
+        try:
+            status = COMMANDS[args.command](args)
+        except Refusal as exc:
+            status, message = exc.args
+            sys.stdout.flush()  # what the command printed goes first, as if stdout were unbuffered
+            print("ncstirling: %s: %s" % (args.command, message), file=sys.stderr)
         sys.stdout.flush()
-    except Refusal as exc:
-        status, message = exc.args
-        print("ncstirling: %s: %s" % (args.command, message), file=sys.stderr)
-        return status
     except OSError as exc:  # from stdout, since --out errors are Refusals
         try:
             fd = sys.stdout.fileno()

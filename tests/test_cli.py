@@ -709,16 +709,22 @@ def test_every_refusal_is_one_line_before_anything_is_built(capsys, monkeypatch,
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
-@pytest.mark.parametrize("argv", [("verify", "--n-max", "4"),
-                                  ("eval", "--n", "6", "--k", "2", "--alpha", "7/3")],
-                         ids=["verify", "eval"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n-max", "4"),
+    ("eval", "--n", "6", "--k", "2", "--alpha", "7/3"),
+    # verify prints its summary lines, then cannot write --out: the refusal flushes them first
+    pytest.param(("verify", "--n-max", "4", "--out", "/dev/full"), marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="needs /dev/full")),
+], ids=["verify", "eval", "verify-out-full"])
 def test_reader_closing_the_pipe_before_reading(argv):
-    with subprocess.Popen([sys.executable, "-m", "ncstirling", *argv], stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, env=_src_env()) as proc:
-        proc.stdout.close()
-        err = _stderr_at_end(proc)
-    assert proc.returncode == 1
-    assert err.decode() == "ncstirling: %s: stdout closed before the end\n" % argv[0]
+    for unbuffered in ("", "1"):  # an empty PYTHONUNBUFFERED leaves stdout buffered
+        with subprocess.Popen([sys.executable, "-m", "ncstirling", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=dict(_src_env(), PYTHONUNBUFFERED=unbuffered)) as proc:
+            proc.stdout.close()
+            err = _stderr_at_end(proc)
+        assert proc.returncode == 1
+        assert err.decode() == "ncstirling: %s: stdout closed before the end\n" % argv[0]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
