@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from test_cli import _src_env
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
@@ -129,11 +131,8 @@ for name in %r:
 with contextlib.redirect_stdout(io.StringIO()):
     statuses = [cli.main(argv) for argv in %r]
 print(statuses, sorted(called))""" % (deferred, SPIED_COMMANDS)
-    src = str(ROOT / "src")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     expected = set(deferred) & _names_read_by_cli() - (set() if IN_TURNS else {"write_in_turns"})
     assert proc.stdout == "[0, 0, 0, 0, 1, 0] %s\n" % sorted(expected)

@@ -7,11 +7,9 @@ import contextlib
 import hashlib
 import io
 import os
-import select
 import signal
 import subprocess
 import sys
-import time
 from collections import deque
 from pathlib import Path
 
@@ -19,18 +17,13 @@ import pytest
 
 from ncstirling import cli, turns
 from ncstirling.noncentral import csv_renderer, json_renderer, recurrence_rows
+from test_cli import GOLDEN_TRIANGLE, _read_stdout, _src_env
 
 N_MIN, N_MAX = cli.TRIANGLE_TWO_PROCESS_N_MIN, cli.TRIANGLE_TWO_PROCESS_N_MAX
 # the host conditions of the two-process path; the command's own are set up by each test
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 CAN_FORK = hasattr(os, "fork") and (CPUS or 1) >= 2
 pytestmark = pytest.mark.skipif(not hasattr(os, "killpg"), reason="counts a process group")
-
-
-def _src_env():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    return dict(os.environ,
-                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def _argv(n_max, fmt="json", *more):
@@ -55,11 +48,12 @@ class _HashingStream(io.TextIOBase):
         return len(text)
 
 
-_DIGESTS = {}
+_DIGESTS = {(int(n_max), fmt): digest for (n_max, fmt), digest in GOLDEN_TRIANGLE.items()}
 
 
 def one_process_digest(n_max, fmt):
-    """The sha256 of the one-process path's text, hashed as it is written, not held."""
+    """The sha256 of the one-process path's text: test_cli's golden digest where one is pinned,
+    else hashed as it is written, not held."""
     if (n_max, fmt) not in _DIGESTS:
         _DIGESTS[n_max, fmt] = _one_process(n_max, fmt, _HashingStream()).digest.hexdigest()
     return _DIGESTS[n_max, fmt]
@@ -89,19 +83,6 @@ def _run_alone(argv, stdout=subprocess.PIPE, read=None, then=None):
     return proc.returncode, out, err.decode(), left
 
 
-def _read_stdout(proc, size):
-    """size bytes of proc's stdout (fewer at its end), read under select: the test fails if
-    they have not come within 120 s, where a read would hang, and _run_alone kills the session."""
-    deadline, data = time.monotonic() + 120, b""
-    while len(data) < size:
-        if not select.select([proc.stdout], [], [], max(0, deadline - time.monotonic()))[0]:
-            pytest.fail("the command wrote %d of %d bytes in 120 s" % (len(data), size))
-        if not (chunk := os.read(proc.stdout.fileno(), size - len(data))):
-            break
-        data += chunk
-    return data
-
-
 def _left_behind(session):
     try:
         os.killpg(session, signal.SIGKILL)
@@ -115,9 +96,12 @@ def _left_behind(session):
 BYTE_RUNS = [(N_MIN - 1, "json", "stdout"), (N_MIN - 1, "csv", "out"),
              (N_MIN, "json", "stdout"), (N_MIN, "json", "out"),
              (N_MIN, "csv", "stdout"), (N_MIN, "csv", "out"),
-             (N_MIN + 1, "json", "out"), (N_MIN + 1, "csv", "stdout"),
-             (N_MIN + 2, "json", "stdout"), (N_MIN + 2, "csv", "out"),
-             (160, "json", "stdout"), (160, "csv", "out")]
+             (N_MIN + 1, "json", "stdout"), (N_MIN + 1, "json", "out"),
+             (N_MIN + 1, "csv", "stdout"),
+             (N_MIN + 2, "json", "stdout"), (N_MIN + 2, "csv", "stdout"),
+             (N_MIN + 2, "csv", "out"),
+             (160, "json", "stdout"), (160, "json", "out"),
+             (160, "csv", "stdout"), (160, "csv", "out")]
 
 
 @pytest.mark.parametrize("n_max, fmt, to", BYTE_RUNS)

@@ -1,10 +1,10 @@
 """Run named steps of the CI workflow on this checkout, each `run:` block as GitHub runs it.
 
-    python3 tools/ci_steps.py "Console script" "Triangle bytes" "Verify report bytes"
+    python3 tools/ci_steps.py "Console script" "Verify memory bound" "Traced benchmark run"
     python3 tools/ci_steps.py            # list the steps that have a run: block
 
 Each step's `run:` block is read from .github/workflows/tests.yml by indentation, with no YAML
-library, so the workflow stays the one source of every pinned digest. A block runs under
+library, so the workflow stays the one source of each step's checks. A block runs under
 `bash --noprofile --norc -eo pipefail` (GitHub's shell for `run:`) in the repository root.
 In place of CI's "Install the package", this checkout's src/ leads PYTHONPATH and PATH starts
 with a directory that holds an `ncstirling` shim, which runs `python3 -m ncstirling`.
