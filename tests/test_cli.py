@@ -139,14 +139,14 @@ def _read_stdout(proc, size):
     return data
 
 
-def _stderr_at_end(proc):
-    """proc's stderr once it ends; a process still running after 120 s is killed, so that the
-    test fails where leaving its Popen block would wait for it forever."""
+def _stderr_at_end(proc, seconds=120):
+    """proc's stderr once it ends; a process still running after `seconds` is killed, so that
+    the test fails where leaving its Popen block would wait for it forever."""
     try:
-        return proc.communicate(timeout=120)[1]
+        return proc.communicate(timeout=seconds)[1]
     except subprocess.TimeoutExpired:
         proc.kill()
-        pytest.fail("the command still ran after 120 s")
+        pytest.fail("the command still ran after %d s" % seconds)
 
 
 def _refuse_rows(monkeypatch):
@@ -205,29 +205,46 @@ def test_triangle_unwritable_out_exits_1_before_building(capsys, monkeypatch, tm
     assert err == "ncstirling: triangle: cannot write %s: %s\n" % (tmp_path, excinfo.value)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_triangle_streams_in_bounded_memory():
-    # The CLI runs under a small intermediate process that reports its child's
-    # max RSS: a child spawned from pytest itself would report pytest's own
-    # high-water mark. Streamed, N=160 takes about 24 MiB; holding every row
-    # took 85 MiB, and every row plus its JSON strings 314 MiB.
+def _peak_rss_kib(argv):
+    """The peak RSS, in KiB, of `python -m ncstirling *argv` with its stdout discarded. The
+    command runs under a small intermediate process that reads RUSAGE_CHILDREN, its child's
+    alone: a child spawned from pytest itself would report pytest's own high-water mark."""
+    if sys.platform != "linux":
+        pytest.skip("ru_maxrss is in KiB on Linux")
     code = ("import resource, subprocess, sys; "
-            "subprocess.run([sys.executable, '-m', 'ncstirling', 'triangle', '--n-max', '160'],"
+            "subprocess.run([sys.executable, '-m', 'ncstirling', *sys.argv[1:]],"
             " stdout=subprocess.DEVNULL, check=True); "
             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                           env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 50 * 1024
+    return int(proc.stdout)
 
 
-def test_triangle_reader_closing_the_pipe_early():
-    argv = [sys.executable, "-m", "ncstirling", "triangle", "--n-max", "100"]
+def test_triangle_streams_in_bounded_memory():
+    # Streamed, N=160 takes about 24 MiB; holding every row took 85 MiB, and every row plus
+    # its JSON strings 314 MiB.
+    assert _peak_rss_kib(["triangle", "--n-max", "160"]) < 50 * 1024
+
+
+def test_verify_streams_in_bounded_memory(tmp_path):
+    # verify reads its rows as they are made and writes its report as it goes: at N=128 with
+    # --with-oracle and --out it peaks near 38 MiB, where holding both triangles and the whole
+    # report took 136 MiB, and keeping every row whole 67 MiB. The report goes to a fresh path.
+    assert _peak_rss_kib(["verify", "--n-max", "128", "--with-oracle", "--seed", "1",
+                          "--out", str(tmp_path / "memory128.json")]) <= 64 * 1024
+
+
+@pytest.mark.parametrize("n_max, seconds", [(100, 120), (cli.TRIANGLE_N_MAX, 60)],
+                         ids=["100", "bound"])
+def test_triangle_reader_closing_the_pipe_early(n_max, seconds):
+    # a reader that leaves early ends the writer thread too, even at the largest --n-max
+    argv = [sys.executable, "-m", "ncstirling", "triangle", "--n-max", str(n_max)]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           env=_src_env()) as proc:
         assert _read_stdout(proc, 5) == b'{"n_m'
         proc.stdout.close()
-        err = _stderr_at_end(proc)
+        err = _stderr_at_end(proc, seconds)
     assert proc.returncode == 1
     assert err.decode() == "ncstirling: triangle: stdout closed before the end\n"
 
@@ -397,7 +414,7 @@ def test_eval_alpha_accepts_a_separate_negative_fraction(capsys):
     separate = capsys.readouterr().out
     assert run_cli("eval", "--n", "6", "--k", "2", "--alpha=-5/2") == 0
     assert capsys.readouterr().out == separate
-    assert separate.strip() != ""
+    assert separate == "259/16\n"
 
 
 @pytest.mark.parametrize("beta", ["-1e3", "-1E-1", "-1_0", "-2.5"])
@@ -557,7 +574,7 @@ def test_verify_has_no_option_that_loosens_the_grid(capsys, argv):
     assert excinfo.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "unrecognized arguments" in err
+    assert "unrecognized arguments: --tol" in err
 
 
 def test_verify_fails_a_doubled_expansion_sum(capsys, monkeypatch):
@@ -1269,6 +1286,13 @@ def test_eval_bound_sits_above_every_pinned_n(capsys):
     assert cli.EVAL_N_MAX > max(pinned + list(bench))
     assert run_cli("eval", "--n", str(cli.EVAL_N_MAX), "--k", "0", "--alpha", "0") == 0
     assert capsys.readouterr() == ("0\n", "")
+    # at the bound a small k takes milliseconds, and its 7,651-byte value, past the int-to-str
+    # limit, is printed in full
+    assert run_cli("eval", "--n", str(cli.EVAL_N_MAX), "--k", "2", "--alpha", "7/3") == 0
+    out, err = capsys.readouterr()
+    assert (err, out.count("\n")) == ("", 1)
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "1d07fca2062ea2eae6dceadb758a8c91e77c16b5534eb69bb34a26f90835914f")
 
 
 def test_eval_alpha_bound_sits_above_every_pinned_alpha(capsys):

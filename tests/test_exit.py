@@ -74,6 +74,11 @@ OUTPUT_RUNS = [
     ["verify", "--n-max", "8", "--corrupt", "5,1", "--format", "csv", "--out", "{out}"],
     ["eval", "--n", "40", "--k", "7", "--alpha", "-5/2"],
     ["eval", "--n", "40", "--k", "7", "--alpha", "-5/2", "--beta", "1.5", "--x0", "3"],
+    # a separate --beta in exponent form, and refusals: status 2, one stderr line
+    ["eval", "--n", "3", "--k", "1", "--alpha", "1", "--beta", "-1e3", "--x0", "2"],
+    ["eval", "--n", "2", "--k", "3", "--alpha", "1"],
+    ["eval", "--n", str(cli.EVAL_N_MAX + 1), "--k", "0", "--alpha", "0"],
+    ["eval", "--n", "2", "--k", "1", "--alpha", "1234567890/7"],
 ]
 
 

@@ -1,8 +1,10 @@
 """The benchmark's traced run wraps functions by (module, attribute) name;
 every name it wraps must resolve in the package, so that a rename fails here
-rather than partway through `perfbench/run.py --trace 1`."""
+rather than partway through `perfbench/run.py --trace 1`, and that run itself
+checks its outputs and counts."""
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -136,3 +138,22 @@ print(statuses, sorted(called))""" % (deferred, SPIED_COMMANDS)
     assert proc.returncode == 0, proc.stderr
     expected = set(deferred) & _names_read_by_cli() - (set() if IN_TURNS else {"write_in_turns"})
     assert proc.stdout == "[0, 0, 0, 0, 1, 0] %s\n" % sorted(expected)
+
+
+@pytest.mark.parametrize("workload, counts", [
+    # seed 0 fixes the points, and no record is added to these lists: exact counts
+    ("verify", {"identities.reports": 31857, "identities.checks": 10790, "jets.points": 17640}),
+    ("eval", {}),
+], ids=["verify", "eval"])
+def test_the_traced_benchmark_run_is_correct(workload, counts):
+    # The traced spans of run_suite, structural_checks and expansion_grid (verify), and of
+    # evaluate_expansion (eval's --beta points), wrap cli's deferred functions, which import
+    # their modules when first called. A known-defect failure leaves "correct" true. The run
+    # writes its trace under .perfbench_out/ in the repository root, which git ignores.
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+                           "--seed", "0", "--seconds", "1", "--trace", "1"],
+                          capture_output=True, text=True, cwd=ROOT, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, result
+    assert {name: result["metrics"][name]["value"] for name in counts} == counts

@@ -10,6 +10,8 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 from collections import deque
 from pathlib import Path
 
@@ -155,8 +157,6 @@ def _args(n_max, construction="recurrence"):
 
 
 def test_the_two_process_path_takes_the_recurrence_from_n_min_to_n_max(tmp_path):
-    import threading
-
     forks = CAN_FORK and threading.active_count() == 1
     with open(tmp_path / "t", "w") as out:
         chosen = [cli._writes_in_turns(_args(n_max), out, out)
@@ -199,6 +199,27 @@ def test_the_two_process_path_runs_where_the_command_owns_its_output(tmp_path, s
         assert (written, digest) == (b"", one_process_digest(n_max, "json"))
     else:
         assert _sha(written) == one_process_digest(n_max, "json")
+
+
+def test_a_slow_reader_gets_every_byte():
+    # a slow reader (64 KiB reads, 0.5 ms apart) holds the writers back but gets every byte;
+    # N=160 runs the two-process path, so a deadlock there ends when the session is killed at
+    # the 120 s limit
+    digest = hashlib.sha256()
+    with subprocess.Popen(_argv(160), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_src_env(), start_new_session=True) as proc:
+        limit = threading.Timer(120, _left_behind, [proc.pid])
+        limit.start()
+        try:
+            while chunk := proc.stdout.read(1 << 16):
+                digest.update(chunk)
+                time.sleep(0.0005)
+            err = proc.communicate()[1]
+        finally:
+            limit.cancel()
+            left = _left_behind(proc.pid)
+    assert (proc.returncode, err, left) == (0, b"", False)
+    assert digest.hexdigest() == GOLDEN_TRIANGLE["160", "json"]
 
 
 @pytest.mark.parametrize("n_max, read", [(N_MIN, 0), (N_MIN, 5), (N_MIN + 1, 1 << 16)])
