@@ -51,9 +51,10 @@ triangle_to_json = _deferred("noncentral", "triangle_to_json")
 
 
 MAX_FAILURES_PRINTED = 25
-# The largest `triangle --n-max`: row n holds about n^2/2 coefficients of at most
-# log2((n+1)!) bits, within a budget of 64 MiB up to n = 520; (521)! has 1,191 digits,
-# under the default int-to-str limit (4,300) that the str() called by "%s" would otherwise hit.
+# The largest `triangle --n-max`: the last n whose row, about n^2/2 coefficients of at most
+# log2((n+1)!) bits, packs into 64 MiB. The process holds two rows of ints while the recurrence
+# makes the next: peak RSS 27.1 MiB at n = 256, 99.5 MiB at 520 (JSON to /dev/null). (521)!
+# has 1,191 digits, under the default int-to-str limit (4,300) that str() in "%s" would hit.
 TRIANGLE_N_MAX = 520
 # The recurrence triangles written by two processes that take turns (ncstirling.turns). To a
 # reader that hashes 1 MiB reads, two processes against one from the same code, alternating
@@ -101,13 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     tri = sub.add_parser("triangle", allow_abbrev=False,
                          help="emit the polynomial triangle")
     tri.add_argument("--n-max", type=int, default=64,
-                     help="largest row N (default 64, at most %d); written as it is built, "
-                          "so memory is one row of ints, about N^3 log N bits, plus about 1 MiB "
-                          "of text, and time grows as N^4 log N: 0.11 s, 16 MiB at N=64; "
-                          "4.9 s, 27 MiB at N=256. From N=%d to %d two processes write the "
-                          "recurrence, taking turns, with more CPU time and memory: 0.75 s, "
-                          "1.2 s of CPU time and 29 MiB each (55 MiB in all) at N=160, where "
-                          "one process takes 0.9 s and 19 MiB"
+                     help="largest row N (default 64, at most %d); written as it is built, so "
+                          "memory is two rows of ints, about N^3 log N bits, plus about 1 MiB of "
+                          "text, and time grows as N^4 log N: 0.11 s, 16 MiB at N=64; 5.2 s, 27 "
+                          "MiB at N=256; 117 s, 100 MiB at N=520. From N=%d to %d two processes "
+                          "write the recurrence, taking turns, with more CPU time and memory: "
+                          "0.75 s, 1.2 s of CPU time and 29 MiB each (55 MiB in all) at N=160, "
+                          "where one process takes 0.9 s and 19 MiB"
                           % (TRIANGLE_N_MAX, TRIANGLE_TWO_PROCESS_N_MIN,
                              TRIANGLE_TWO_PROCESS_N_MAX))
     tri.add_argument("--construction", choices=("recurrence", "explicit"),

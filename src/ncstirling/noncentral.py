@@ -167,13 +167,12 @@ def s_n1_recurrence(n: int, alpha: int | Fraction) -> list[Fraction]:
 
 def render_chunks(renderer, rows) -> Iterator[str]:
     """The document of a (head, row_chunks, tail) renderer over rows 0, 1, ...: the head,
-    row_chunks(n, row) of each row n, and the tail if it is not empty."""
+    row_chunks(n, row) of each row n, and the tail."""
     head, row_chunks, tail = renderer
     yield head
     for n, row in enumerate(rows):
         yield from row_chunks(n, row)
-    if tail:
-        yield tail
+    yield tail
 
 
 # Pieces of about this many characters (bytes, since the text is ASCII) go to each write: large
@@ -195,18 +194,18 @@ def pieces(chunks) -> Iterator[str]:
 
 
 def _renderer(head: str, entry_format, separator: str, tail: str):
-    """(head, row_chunks, tail): row_chunks(n, row) yields entry_format(count) % (separator, n,
-    k, *coeffs) for each entry of row n, the separator "" before the first entry it yields."""
+    """(head, row_chunks, tail) for a triangle's rows: row_chunks(n, row) yields one
+    entry_format(count) % (before, n, k, *coeffs) per entry of row n, where before is "" in row
+    0, whose one entry is (0, 0), and the separator in every other row. So any row renders on
+    its own, as it reads in the whole document."""
     formats = {}  # one whole format per coefficient count
-    before = ""
 
     def row_chunks(n: int, row) -> Iterator[str]:
-        nonlocal before
+        before = separator if n else ""
         for k, coeffs in enumerate(row):
             if (fmt := formats.get(len(coeffs))) is None:
                 fmt = formats[len(coeffs)] = entry_format(len(coeffs))
             yield fmt % (before, n, k, *coeffs)
-            before = separator
 
     return head, row_chunks, tail
 
@@ -214,7 +213,8 @@ def _renderer(head: str, entry_format, separator: str, tail: str):
 def json_renderer(n_max: int):
     """Canonical JSON for a triangle as a (head, row_chunks, tail) renderer. Numbers are decimal
     strings so arbitrary-precision coefficients survive; compact separators, keys in the order
-    n_max, entries and n, k, coeffs, written directly: digits and '-' need no JSON escaping."""
+    n_max, entries and n, k, coeffs, written directly: digits and '-' need no JSON escaping.
+    Every entry but (0, 0) starts with its comma, so any row renders on its own."""
     return _renderer('{"n_max":"%d","entries":[' % n_max,
                      lambda count: ('%s{"n":"%d","k":"%d","coeffs":['
                                     + ",".join(['"%s"'] * count) + "]}"), ",", "]}\n")

@@ -1,6 +1,7 @@
 """A recurrence triangle written by two processes that take turns. This process runs the
 recurrence once and writes the head, one row in every CYCLE from row 0, and the tail; one
-forked helper writes the rows in between, which this process ships to it.
+forked helper writes the rows in between, which this process ships to it. Any row renders on
+its own, so the helper is forked before anything is rendered.
 
 Each process renders its whole next turn while the other writes, and writes it in pieces once
 its turn comes; up to N = 160 a turn is under 4 MiB of text. A one-byte token on a pair of
@@ -42,13 +43,10 @@ def write_in_turns(rows, renderer, n_max: int, stream) -> None:
     stream.flush()
     sys.stderr.flush()  # so that a traceback the helper prints repeats nothing held here
     head, row_chunks, tail = renderer
-    # the head and row 0, rendered before the fork, so that the helper's renderer goes on from
-    # them as this one does (JSON puts a comma before every entry but the first)
-    chunks = list(chain([head], row_chunks(0, next(rows))))
     buffers = [mmap.mmap(-1, _record_bound(n_max)) for _ in range(2)]  # shared by the fork
     (from_parent, to_helper), (from_helper, to_parent) = os.pipe(), os.pipe()
     os.write(to_parent, TURN)  # this process has the first turn
-    pid = os.fork()
+    pid = os.fork()  # before anything is rendered: each process renders its own rows
     if pid == 0:
         for end in (to_helper, from_helper):  # so that an end is read as one
             os.close(end)
@@ -57,14 +55,14 @@ def write_in_turns(rows, renderer, n_max: int, stream) -> None:
         for end in (from_parent, to_parent):
             os.close(end)
         for turn, n in enumerate(range(0, n_max + 1, CYCLE)):
-            if n:
-                chunks = row_chunks(n, next(rows))
+            chunks = chain([head] if n == 0 else [], row_chunks(n, next(rows)),
+                           [tail] if n == n_max else [])
             if shipped := tuple(islice(rows, CYCLE - 1)):  # the rows of the helper's turn
                 buffer = buffers[turn % 2]
                 buffer.seek(0)
                 marshal.dump(shipped, buffer)  # dumps' bytes would be held through the turn
                 _send(to_helper, _LENGTH.pack(buffer.tell()))
-            _take_turn(fd, chain(chunks, [tail] if n == n_max else []), from_helper, to_helper)
+            _take_turn(fd, chunks, from_helper, to_helper)
         if n_max % CYCLE:  # the helper wrote the last row
             _take_turn(fd, [tail], from_helper, to_helper)
     finally:

@@ -460,23 +460,36 @@ def joined_csv(rows):
 
 @st.composite
 def entry_rows(draw):
-    """Rows of any width, whose entries take their coefficient counts (0-12) from a pool of
-    at most four, so that each count recurs across rows and in no particular order."""
+    """Row 0 of one entry, (0, 0) as in every triangle, then up to five rows of any width,
+    whose entries take their coefficient counts (0-12) from a pool of at most four, so that
+    each count recurs across rows and in no particular order."""
     counts = draw(st.lists(st.integers(0, 12), min_size=1, max_size=4))
     coeff = st.integers(-10 ** 300, 10 ** 300)
     entry = st.sampled_from(counts).flatmap(lambda count: st.tuples(*[coeff] * count))
-    return draw(st.lists(st.lists(entry, max_size=6), max_size=6))
+    return [[draw(entry)]] + draw(st.lists(st.lists(entry, max_size=6), max_size=5))
 
 
 @given(st.integers(0, 10 ** 6), entry_rows())
 def test_renderers_write_what_joining_each_entry_writes(n_max, rows):
     entries = sum(map(len, rows))
-    chunks = list(render_chunks(json_renderer(n_max), rows))
-    assert len(chunks) == entries + 2  # one chunk per entry, between an opening and a closing one
-    assert "".join(chunks) == joined_json(n_max, rows)
-    chunks = list(render_chunks(csv_renderer(), rows))
-    assert len(chunks) == entries + 1
-    assert "".join(chunks) == joined_csv(rows)
+    for renderer, joined in ((json_renderer(n_max), joined_json(n_max, rows)),
+                             (csv_renderer(), joined_csv(rows))):
+        chunks = list(render_chunks(renderer, rows))
+        assert len(chunks) == entries + 2  # one chunk per entry, between the head and the tail
+        assert "".join(chunks) == joined
+
+
+@pytest.mark.parametrize("renderer", [json_renderer, lambda n_max: csv_renderer()],
+                         ids=["json", "csv"])
+def test_a_fresh_renderer_writes_any_row_as_the_whole_document_does(renderer):
+    # as ncstirling.turns renders them: each process renders only its own rows, after the fork
+    for n_max in range(21):
+        rows = list(recurrence_rows(n_max))
+        chunks = list(render_chunks(renderer(n_max), rows))  # the head, one per entry, the tail
+        for n, row in enumerate(rows):
+            _, row_chunks, _ = renderer(n_max)
+            assert "".join(row_chunks(n, row)) == "".join(
+                chunks[1 + n * (n + 1) // 2:1 + (n + 1) * (n + 2) // 2])
 
 
 def test_renderers_write_any_coefficient_as_str_does():

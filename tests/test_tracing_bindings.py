@@ -6,6 +6,7 @@ import ast
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -145,14 +146,19 @@ print(statuses, sorted(called))""" % (deferred, SPIED_COMMANDS)
     ("verify", {"identities.reports": 31857, "identities.checks": 10790, "jets.points": 17640}),
     ("eval", {}),
 ], ids=["verify", "eval"])
-def test_the_traced_benchmark_run_is_correct(workload, counts):
+def test_the_traced_benchmark_run_is_correct(tmp_path, workload, counts):
     # The traced spans of run_suite, structural_checks and expansion_grid (verify), and of
     # evaluate_expansion (eval's --beta points), wrap cli's deferred functions, which import
     # their modules when first called. A known-defect failure leaves "correct" true. The run
-    # writes its trace under .perfbench_out/ in the repository root, which git ignores.
-    proc = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
-                           "--seed", "0", "--seconds", "1", "--trace", "1"],
-                          capture_output=True, text=True, cwd=ROOT, timeout=600)
+    # writes its scratch files and trace under the root of its checkout, so it runs from a copy
+    # of perfbench/, src/ and BENCHMARK.json, and the repository is left as it was.
+    for name in ("perfbench", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    proc = subprocess.run([sys.executable, str(tmp_path / "perfbench" / "run.py"), "--workload",
+                           workload, "--seed", "0", "--seconds", "1", "--trace", "1"],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, result

@@ -146,7 +146,6 @@ def test_a_turn_held_whole_stays_under_the_bound_turns_states():
     assert "up to N = %d a turn is under 4 MiB of text" % N_MAX in " ".join(turns.__doc__.split())
     last = deque(recurrence_rows(N_MAX), maxlen=turns.CYCLE - 1)
     for _, row_chunks, tail in (json_renderer(N_MAX), csv_renderer()):
-        list(row_chunks(0, [(1,)]))  # row 0, rendered before the fork; JSON's commas go on
         sizes = [sum(map(len, row_chunks(n, row)))
                  for n, row in enumerate(last, N_MAX - len(last) + 1)]
         assert sum(sizes) < bound and sizes[-1] + len(tail) < bound
