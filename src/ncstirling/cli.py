@@ -384,10 +384,7 @@ def cmd_eval(args) -> int:
     numerator, denominator = map(Decimal, value.as_integer_ratio())
     print(numerator if denominator == 1 else "%s/%s" % (numerator, denominator))
     if args.beta is not None:
-        class Term(tuple):  # (i, c): c / q^(n-i), one division, rounded as float(Fraction) is
-            def __float__(self) -> float:  # called only for a term the expansion sum keeps
-                return self[1] / q ** (args.n - self[0])
-        value = evaluate_expansion(args.x0, args.alpha, args.beta, list(map(Term, enumerate(row))))
+        value = evaluate_expansion(args.x0, args.alpha, args.beta, row)
         print("expansion n=%d alpha=%s beta=%r x0=%r -> %r"
               % (args.n, format_rational(args.alpha), args.beta, args.x0, value))
     return 0

@@ -14,7 +14,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .exact import horner
+from .exact import scaled_horner
 from .exact import format_rational  # noqa: F401  unused; perfbench/tracing.py patches this name
 
 RESIDUAL_FLOOR = 1e-300
@@ -124,28 +124,29 @@ def _expansion_factors(x0: float, beta: float, order: int) -> list[tuple]:
     return factors
 
 
-def _expansion_sum(row: Sequence, x0: float, alpha: int | Fraction,
+def _expansion_sum(row: Sequence[int], x0: float, alpha: int | Fraction,
                    factors: Sequence[tuple]) -> float:
-    """The expansion of order n = len(row) - 1 over its nonzero terms, one per factor
-    (_expansion_factors up to order n); the row values past them are never rounded. The
-    exponent -alpha - n = (-p - nq)/q is one correctly rounded int division."""
+    """The expansion of order n = len(row) - 1 from row[i] = q^(n-i) s(n, i, p/q), over its
+    nonzero terms, one per factor (_expansion_factors to order n); the rest are never read. Each
+    row[i] / q^(n-i), and the exponent (-p - nq)/q, is one int division, rounded correctly as
+    float() of the Fraction is: the same float, or the same OverflowError past binary64."""
     n = len(row) - 1
     p, q = alpha.as_integer_ratio()
     power = float(x0) ** ((-p - n * q) / q)
     total = 0.0
-    for value, (weight, log_power) in zip(row, factors):
-        total += float(value) * weight * power * log_power
+    for i, (value, (weight, log_power)) in enumerate(zip(row, factors)):
+        total += value / q ** (n - i) * weight * power * log_power
     return total
 
 
 def evaluate_expansion(x0: float, alpha: int | Fraction, beta: float,
-                       row: Sequence[Fraction]) -> float:
+                       row: Sequence[int]) -> float:
     """Evaluate the derivative expansion of order n = len(row) - 1
 
         sum_{i=0}^{n} s(n, i, alpha) * (beta)_i * x0^(-alpha-n) * ln(x0)^(beta-i)
 
-    with row[i] = s(n, i, alpha): exact, already rounded to float, or a value that float()
-    rounds when the sum reads it, as eval's are. The sum the validation grid runs."""
+    with row[i] = q^(n-i) s(n, i, alpha) at alpha = p/q, as stirling.last_scaled_row(n, p, q, n)
+    returns it for eval (at an int alpha, row[i] = s(n, i, alpha)). The sum the grid runs."""
     _check_point(x0, beta)
     return _expansion_sum(row, x0, alpha, _expansion_factors(x0, float(beta), len(row) - 1))
 
@@ -162,8 +163,9 @@ def expansion_grid(rows: Sequence[Sequence[Sequence[int]]]) -> list[ResidualRepo
     once: x^(-alpha) per (alpha, x0) and ln^beta(x) per (beta, x0), from one seed per x0.
     Coefficient k of every jet operation depends only on coefficients <= k, so every n's
     derivative read off it is bit for bit that of the same product built at order n.
-    Each (n, alpha) row is rounded to float once, and each point's expansion value is
-    evaluate_expansion's _expansion_sum over factors built once per (beta, x0). A point
+    Each (n, alpha) row is scaled_horner of each entry at p/q: q^(n-i) s(n, i, alpha), as entry
+    (n, i) has degree n - i (structural_checks' degree record checks that of every entry in the
+    same run); each point's value is _expansion_sum over factors built once per (beta, x0). A point
     passes iff its relative residual |jet - expansion| / max(|jet|, 1e-300) is at most
     GRID_REL_TOL."""
     order = min(GRID_MAX_ORDER, len(rows) - 1)
@@ -179,7 +181,8 @@ def expansion_grid(rows: Sequence[Sequence[Sequence[int]]]) -> list[ResidualRepo
     for n in range(order + 1):
         scale = math.factorial(n)
         for alpha, alpha_jets in zip(GRID_ALPHAS, jets):
-            row = [float(horner(coeffs, alpha)) for coeffs in rows[n]]
+            p, q = alpha.as_integer_ratio()
+            row = [scaled_horner(coeffs, p, q) for coeffs in rows[n]]
             for (beta, x0), jet, terms in zip(points, alpha_jets, factors):
                 jet_value = scale * jet[n]
                 expansion_value = _expansion_sum(row, x0, alpha, terms)

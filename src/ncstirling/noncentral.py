@@ -14,10 +14,9 @@ explicit_rows), are provided and must agree exactly:
   whose falling factorial (-a)(-a-1)...(-a-k+1) = sum_j s(k, j) (-a)^j is
   expanded with classical numbers too; each symmetric pair is summed once.
 
-Specializing alpha = 0 recovers the classical signed numbers. A second use of
-the recurrence runs it at one rational alpha = p/q in the ints p, q, by
-stirling.scaled_rows; s_n1_recurrence reads the k=1 column of every row off it in
-one pass (stirling reads a whole row of values and one entry off it, for eval).
+Specializing alpha = 0 recovers the classical signed numbers. stirling.scaled_rows runs the
+recurrence at one rational alpha = p/q in the ints p, q: s_n1_recurrence reads its column 1 in one
+pass, eval its last row (last_scaled_row), and evaluate_row and evaluate_entry its Fractions.
 """
 from __future__ import annotations
 

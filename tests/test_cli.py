@@ -35,7 +35,6 @@ from ncstirling.noncentral import (
 from ncstirling.stirling import (
     StirlingTable,
     evaluate_entry,
-    evaluate_row,
     last_scaled_row,
     stirling_expansion_oracle,
 )
@@ -361,10 +360,11 @@ def test_eval_beta_rounds_only_the_terms_its_sum_keeps(capsys):
     # at beta = 0 the sum keeps s(172, 0, alpha) alone, about 1.24e300, where s(172, 1, alpha)
     # is past the float range: an eval that rounded the whole row would fail
     alpha = Fraction(1, 999999999)
-    row = evaluate_row(172, alpha)
-    assert 1e300 < float(row[0]) < 1.3e300
+    q = alpha.denominator
+    row = last_scaled_row(172, 1, q, 172)
+    assert 1e300 < row[0] / q ** 172 < 1.3e300
     with pytest.raises(OverflowError):
-        float(row[1])
+        row[1] / q ** 171
     assert run_cli("eval", "--n", "172", "--k", "0", "--alpha", "1/999999999",
                    "--beta", "0", "--x0", "2") == 0
     lines = capsys.readouterr().out.splitlines()
@@ -374,39 +374,30 @@ def test_eval_beta_rounds_only_the_terms_its_sum_keeps(capsys):
 
 
 @pytest.mark.parametrize("alpha", ["7/3", "-5/2", "41/19", "-48", "13717421/109739369"])
-def test_eval_floats_each_term_as_float_of_its_fraction(capsys, monkeypatch, alpha):
-    # eval floats s(n, i, alpha) as c(n, i) / q^(n-i), one int division of its integer row;
-    # CPython rounds that division correctly, as it does float() of the reduced Fraction, so
-    # every float is the same, and an entry beyond binary64 raises OverflowError in both; the
-    # terms eval hands its expansion sum float to the same values
-    handed = []
+def test_eval_hands_the_expansion_the_row_last_scaled_row_returns(capsys, monkeypatch, alpha):
+    # eval's --beta passes the integer row c(n, i) = q^(n-i) s(n, i, alpha) that it printed
+    # entry k from to evaluate_expansion as it is: the very list, not a copy or a view of it
+    returned, handed = [], []
+
+    def returning(n, p, q, top):
+        returned.append(last_scaled_row(n, p, q, top))
+        return returned[-1]
 
     def recording(x0, point_alpha, beta, row):
-        handed.append(row)
+        handed.append((x0, point_alpha, beta, row))
         return 0.0
 
+    monkeypatch.setattr(cli, "last_scaled_row", returning)
     monkeypatch.setattr(cli, "evaluate_expansion", recording)
-    fraction = Fraction(alpha)
-    p, q = fraction.as_integer_ratio()
-    beyond = 0
-    for n in (40, 150, 300):
+    for n in (0, 40, 150):
         assert run_cli("eval", "--n", str(n), "--k", "0", "--alpha=" + alpha,
                        "--beta", "2.5", "--x0", "2") == 0
-        terms, exact_row = handed.pop(), evaluate_row(n, fraction)
-        assert len(terms) == len(exact_row) == n + 1
-        for i, (c, term, exact) in enumerate(zip(last_scaled_row(n, p, q, n), terms, exact_row)):
-            try:
-                expected = repr(float(exact))
-            except OverflowError:
-                beyond += 1
-                with pytest.raises(OverflowError):
-                    c / q ** (n - i)
-                with pytest.raises(OverflowError):
-                    float(term)
-            else:
-                assert repr(c / q ** (n - i)) == repr(float(term)) == expected
-    capsys.readouterr()
-    assert beyond > 0
+        (row,), ((x0, point_alpha, beta, handed_row),) = returned, handed
+        assert handed_row is row and len(row) == n + 1
+        assert (x0, point_alpha, beta) == (2.0, Fraction(alpha), 2.5)
+        assert capsys.readouterr().out.endswith(" -> 0.0\n")
+        returned.clear()
+        handed.clear()
 
 
 def test_eval_alpha_accepts_a_separate_negative_fraction(capsys):

@@ -19,7 +19,7 @@ from ncstirling.jets import (
     jet_seed,
 )
 from ncstirling.noncentral import build_by_recurrence
-from ncstirling.stirling import StirlingTable, evaluate_row
+from ncstirling.stirling import StirlingTable, evaluate_row, last_scaled_row
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +28,12 @@ def triangle():
 
 
 def row_of(triangle, n, alpha):
-    """The exact row [s(n, 0, alpha), ..., s(n, n, alpha)] read from the triangle."""
-    return [triangle.evaluate(n, i, alpha) for i in range(n + 1)]
+    """The integer row [q^(n-i) s(n, i, alpha) for i <= n] at alpha = p/q, each s(n, i, alpha)
+    read from the triangle as a Fraction, so each product has denominator 1."""
+    q = Fraction(alpha).denominator
+    scaled = [triangle.evaluate(n, i, alpha) * q ** (n - i) for i in range(n + 1)]
+    assert all(value.denominator == 1 for value in scaled)
+    return [value.numerator for value in scaled]
 
 
 def derivative_by_jets(x0: float, alpha: float, beta: float, n: int) -> float:
@@ -141,12 +145,12 @@ def test_expansion_only_constant_log_power_survives(triangle):
 
 def test_expansion_skips_zero_weight_terms_before_rounding(triangle):
     # integer beta = 2: the terms i > 2 have weight (2)_i = 0, so their row
-    # values are never converted to float; 10**400 would overflow if they were
+    # values are never divided; 10**400 / 2**(6-i) would overflow if they were
     alpha, x0 = Fraction(1, 2), 2.0
     row = row_of(triangle, 6, alpha)
-    huge = row[:3] + [Fraction(10 ** 400)] * 4
+    huge = row[:3] + [10 ** 400] * 4
     assert evaluate_expansion(x0, alpha, 2.0, huge) == evaluate_expansion(x0, alpha, 2.0, row)
-    # fractional beta keeps every term, so the same row must reach float()
+    # fractional beta keeps every term, so the same row must be divided
     with pytest.raises(OverflowError):
         evaluate_expansion(x0, alpha, 2.5, huge)
 
@@ -200,9 +204,51 @@ def _outcome(evaluate, *args):
 def test_expansion_weights_match_per_term_falling_factorials(n, alpha, beta, x0):
     # the running product (beta)_i runs the same float operations in the same
     # order as a falling factorial per term, so value or exception is the same
-    row = evaluate_row(n, alpha)
-    assert (_outcome(evaluate_expansion, x0, alpha, beta, row)
-            == _outcome(_expansion_by_falling_factorials, x0, alpha, beta, row))
+    p, q = alpha.as_integer_ratio()
+    expected = _outcome(_expansion_by_falling_factorials, x0, alpha, beta, evaluate_row(n, alpha))
+    assert _outcome(evaluate_expansion, x0, alpha, beta, last_scaled_row(n, p, q, n)) == expected
+
+
+def _expansion_of_floats(x0, alpha, beta, row):
+    """The sum over a row of exact values, row[i] = s(n, i, alpha), each term it keeps
+    rounded by float(): the expansion as evaluate_expansion read it before it read the
+    integer row, the same factors and the same order of operations."""
+    _check_point(x0, beta)
+    n = len(row) - 1
+    p, q = alpha.as_integer_ratio()
+    power = float(x0) ** ((-p - n * q) / q)
+    total = 0.0
+    for value, (weight, log_power) in zip(row, jets._expansion_factors(x0, float(beta), n)):
+        total += float(value) * weight * power * log_power
+    return total
+
+
+@settings(deadline=None)
+@given(n=st.integers(0, 200),
+       alpha=st.one_of(st.integers(-60, 60),
+                       st.builds(Fraction, st.integers(-60, 60), st.integers(1, 25)),
+                       st.builds(Fraction, st.integers(-10 ** 9 + 1, 10 ** 9 - 1),
+                                 st.integers(10 ** 8, 10 ** 9 - 1))),
+       beta=st.one_of(st.integers(-8, 210).map(float),
+                      st.integers(-17, 421).map(lambda m: m / 2),
+                      st.floats(-300.0, 300.0)),
+       x0=st.one_of(st.sampled_from([1.000001, 1.5, 2.0, math.e, 5.0, 1e6]),
+                    st.floats(1.0, 1e6, exclude_min=True)))
+@example(n=172, alpha=Fraction(1, 999999999), beta=0.0, x0=2.0)
+@example(n=172, alpha=Fraction(1, 999999999), beta=0.5, x0=2.0)
+@example(n=150, alpha=Fraction(13717421, 109739369), beta=2.5, x0=math.e)
+@example(n=200, alpha=Fraction(7, 3), beta=0.5, x0=1.5)
+@example(n=200, alpha=-48, beta=2.5, x0=1e6)
+@example(n=40, alpha=1, beta=0.5, x0=1.0000000000000002)
+def test_expansion_of_the_integer_row_is_the_sum_of_the_floats_of_the_exact_row(n, alpha, beta,
+                                                                                 x0):
+    # row[i] / q^(n-i) is one int division, which CPython rounds correctly, as it rounds
+    # float() of the reduced Fraction s(n, i, alpha): the sum over eval's integer row gives
+    # the bits of the sum over the floats of the exact values, or the same exception, also
+    # where a kept term is past binary64 (n = 200 at 7/3, or 172 at a 9-digit alpha)
+    p, q = alpha.as_integer_ratio()
+    assert (_outcome(evaluate_expansion, x0, alpha, beta, last_scaled_row(n, p, q, n))
+            == _outcome(_expansion_of_floats, x0, alpha, beta, evaluate_row(n, alpha)))
 
 
 def _expansion_with_fraction_exponent(x0, alpha, beta, row):
@@ -230,9 +276,8 @@ def test_expansion_exponent_is_the_float_of_the_fraction(n, alpha, beta, x0):
     # at int and Fraction alphas of both signs, so the sum is the same bit for bit
     p, q = alpha.numerator, alpha.denominator
     assert ((-p - n * q) / q).hex() == float(-Fraction(alpha) - n).hex()
-    row = evaluate_row(n, alpha)
-    assert (evaluate_expansion(x0, alpha, beta, row).hex()
-            == _expansion_with_fraction_exponent(x0, alpha, beta, row).hex())
+    assert (evaluate_expansion(x0, alpha, beta, last_scaled_row(n, p, q, n)).hex()
+            == _expansion_with_fraction_exponent(x0, alpha, beta, evaluate_row(n, alpha)).hex())
 
 
 
@@ -248,8 +293,8 @@ def test_expansion_factors_end_at_the_first_zero_weight(order, alpha, beta, x0):
     # (beta)_i is zero for every i > m at an integer beta = m >= 0 and for no i otherwise,
     # so the factors hold m + 1 or order + 1 pairs, and their sum is, bit for bit, the one
     # over the whole running product that skips each zero weight
-    row = evaluate_row(order, alpha)
-    expected = _outcome(_expansion_with_fraction_exponent, x0, alpha, beta, row)
+    expected = _outcome(_expansion_with_fraction_exponent, x0, alpha, beta,
+                        evaluate_row(order, alpha))
     try:
         factors = jets._expansion_factors(x0, beta, order)
     except OverflowError as exc:  # ln(x0)^(beta-i) out of range, in both
@@ -258,6 +303,8 @@ def test_expansion_factors_end_at_the_first_zero_weight(order, alpha, beta, x0):
     assert all(weight != 0.0 for weight, _ in factors)
     integer = beta.is_integer() and 0 <= beta <= order
     assert len(factors) == (int(beta) if integer else order) + 1
+    p, q = alpha.as_integer_ratio()
+    row = last_scaled_row(order, p, q, order)
     assert _outcome(jets._expansion_sum, row, x0, alpha, factors) == expected
 
 
@@ -328,14 +375,13 @@ def test_grid_reads_the_same_floats_as_derivative_by_jets(grid):
 
 @pytest.mark.parametrize("n_max", [12, 5])
 def test_grid_expansion_values_are_evaluate_expansion_bit_for_bit(n_max):
-    # the grid builds its float factors once; each point's value must still be, bit for
-    # bit, evaluate_expansion's on the same row rounded to float
-    triangle = build_by_recurrence(n_max)
-    reports = expansion_grid(triangle.rows)
+    # the grid builds its float factors once and its integer rows from the triangle; each
+    # point's value must still be, bit for bit, evaluate_expansion's on the row eval reads
+    reports = expansion_grid(build_by_recurrence(n_max).rows)
     assert len(reports) == (min(8, n_max) + 1) * 7 * 5 * 4
     for r in reports:
-        row = [float(triangle.evaluate(r.n, i, r.alpha)) for i in range(r.n + 1)]
-        expected = evaluate_expansion(r.x0, r.alpha, r.beta, row)
+        p, q = r.alpha.as_integer_ratio()
+        expected = evaluate_expansion(r.x0, r.alpha, r.beta, last_scaled_row(r.n, p, q, r.n))
         assert r.expansion_value.hex() == expected.hex(), (r.n, r.alpha, r.beta, r.x0)
 
 

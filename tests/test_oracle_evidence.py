@@ -1,6 +1,8 @@
 """ORACLE_EVIDENCE.json, the measured reach of the numerical oracle that
-tools/oracle_evidence.py writes, parses with the stated keys, and every order the grid
-runs lies within the grid's bound on the grid's points and on the sample."""
+tools/oracle_evidence.py writes, parses with the stated keys, every order the grid
+runs lies within the grid's bound on the grid's points and on the sample, and the
+file holds what the tool computes from the code as it stands."""
+import importlib.util
 import json
 from pathlib import Path
 
@@ -24,3 +26,17 @@ def test_oracle_evidence_covers_the_grid_orders_within_the_bound():
             assert isinstance(record["at"], str) and isinstance(record["cond_at"], str)
             if order["n"] <= GRID_MAX_ORDER:
                 assert record["max_rel_residual"] <= GRID_REL_TOL, (order["n"], name)
+
+
+def test_oracle_evidence_is_what_the_tool_computes():
+    # the document built in memory, through a JSON round trip as the file is written, is the
+    # committed one on every key but the two that name the host that wrote it
+    spec = importlib.util.spec_from_file_location("oracle_evidence",
+                                                  ROOT / "tools" / "oracle_evidence.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    computed = json.loads(json.dumps(tool.evidence()))
+    committed = json.loads((ROOT / "ORACLE_EVIDENCE.json").read_text())
+    for doc in (computed, committed):
+        del doc["python"], doc["machine"]
+    assert computed == committed

@@ -26,7 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from ncstirling.exact import format_rational, horner  # noqa: E402
+from ncstirling.exact import format_rational, scaled_horner  # noqa: E402
 from ncstirling.jets import (  # noqa: E402
     GRID_ALPHAS, GRID_BETAS, GRID_MAX_ORDER, GRID_REL_TOL, GRID_X0S, RESIDUAL_FLOOR,
     _expansion_factors, _expansion_sum, jet_ln, jet_mul, jet_pow_real, jet_seed,
@@ -55,8 +55,9 @@ def measure(points, rows):
         jet = jet_mul(jet_pow_real(x, -float(alpha)), jet_pow_real(jet_ln(x), beta))
         factors = _expansion_factors(x0, beta, MAX_ORDER)
         point = "alpha=%s beta=%r x0=%r" % (format_rational(alpha), beta, x0)
+        p, q = alpha.as_integer_ratio()
         for n, record in enumerate(worst):
-            row = [float(horner(coeffs, alpha)) for coeffs in rows[n]]
+            row = [scaled_horner(coeffs, p, q) for coeffs in rows[n]]  # q^(n-i) s(n, i, alpha)
             jet_value = math.factorial(n) * jet[n]
             value = _expansion_sum(row, x0, alpha, factors)
             rel = abs(jet_value - value) / max(abs(jet_value), RESIDUAL_FLOOR)
@@ -73,11 +74,12 @@ def measure(points, rows):
     return worst
 
 
-def main():
+def evidence():
+    """The document ORACLE_EVIDENCE.json holds; only its python and machine depend on the host."""
     rows = list(recurrence_rows(MAX_ORDER))
     grid = [(alpha, beta, x0) for alpha in GRID_ALPHAS for beta in GRID_BETAS for x0 in GRID_X0S]
     sets = {"grid": measure(grid, rows), "sample": measure(sample_points(random.Random(SEED)), rows)}
-    doc = {
+    return {
         "description": " ".join(__doc__.split("\n\nRun")[0].split()),
         "command": "python3 tools/oracle_evidence.py",
         "python": platform.python_version(),
@@ -90,6 +92,10 @@ def main():
         "orders": [dict(n=n, **{name: worst[n] for name, worst in sets.items()})
                    for n in range(MAX_ORDER + 1)],
     }
+
+
+def main():
+    doc = evidence()
     with open(ROOT / "ORACLE_EVIDENCE.json", "w") as out:
         json.dump(doc, out, indent=1)
         out.write("\n")
