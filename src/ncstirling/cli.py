@@ -29,19 +29,23 @@ def _deferred(module: str, name: str):
     return call
 
 
-# The functions cli takes from the modules that not every command runs: a process with no bytecode
-# cache compiles every module it imports, and eval and --help need none of these. Each is a plain
-# attribute, so a replacement set before a command runs (a tracer's wrapper) is the one it calls.
+# The work and the text of the commands, from modules that not every command runs: a process with
+# no bytecode cache compiles every module it imports, and eval and --help need none of them. Each
+# is a plain attribute, so a replacement set before a command runs (a tracer's wrapper) is called.
 corrupt_entry = _deferred("noncentral", "corrupt_entry")
 csv_renderer = _deferred("noncentral", "csv_renderer")
 explicit_rows = _deferred("noncentral", "explicit_rows")
 json_renderer = _deferred("noncentral", "json_renderer")
-pieces = _deferred("noncentral", "pieces")
 recurrence_rows = _deferred("noncentral", "recurrence_rows")
 render_chunks = _deferred("noncentral", "render_chunks")
+write_behind = _deferred("noncentral", "write_behind")
 write_in_turns = _deferred("turns", "write_in_turns")
+reports_to_json_records = _deferred("identities", "reports_to_json_records")
+residuals_to_json_records = _deferred("identities", "residuals_to_json_records")
 run_suite = _deferred("identities", "run_suite")
 structural_checks = _deferred("identities", "structural_checks")
+structural_json_records = _deferred("identities", "structural_json_records")
+verify_csv_chunks = _deferred("identities", "verify_csv_chunks")
 evaluate_expansion = _deferred("jets", "evaluate_expansion")
 expansion_grid = _deferred("jets", "expansion_grid")
 # No command calls these three; they are here for perfbench/tracing.py, which wraps them.
@@ -174,45 +178,8 @@ def _emit(write, out) -> None:
         raise Refusal(1, "cannot write %s: %s" % (out.name, exc))
 
 
-def _write_behind(chunks, stream) -> None:
-    """Write the chunks as pieces from one writer thread while the next piece is made here.
-    Each piece goes through a single slot, and this thread waits for the writer's answer,
-    sent as it takes the piece, before it writes it: the wait hands it the interpreter lock at
-    once, and at most two pieces are held. The writer calls stream.write(text), which any text
-    stream has; an answer carries the first error of the writes before it, no piece is made
-    after one, and it is raised here after the join."""
-    import threading  # here, so that --help and eval import neither
-    from queue import SimpleQueue
-
-    slot, answers = SimpleQueue(), SimpleQueue()
-
-    def write():
-        error = None
-        for piece in iter(slot.get, None):
-            answers.put(error)
-            if error is None:
-                try:
-                    stream.write(piece)
-                except BaseException as exc:  # raised in the main thread below
-                    error = exc
-        answers.put(error)  # the answer to the end of the pieces
-
-    writer = threading.Thread(target=write, name="ncstirling-writer")
-    writer.start()
-    try:
-        for piece in pieces(chunks):
-            slot.put(piece)
-            if answers.get() is not None:
-                break
-    finally:
-        slot.put(None)
-        writer.join()
-    if (error := answers.get()) is not None:
-        raise error
-
-
 def triangle_to_csv(triangle) -> str:
-    return "".join(render_chunks(csv_renderer(), triangle.rows))
+    return "".join(render_chunks(csv_renderer(triangle.n_max), triangle.rows))
 
 
 def _writes_in_turns(args, stream, out) -> bool:
@@ -236,62 +203,13 @@ def cmd_triangle(args) -> int:
     if not 0 <= args.n_max <= TRIANGLE_N_MAX:
         raise Refusal(2, "--n-max must be in 0..%d" % TRIANGLE_N_MAX)
     with _open_out(args.out) as out:
-        renderer = json_renderer(args.n_max) if args.format == "json" else csv_renderer()
+        renderer = (json_renderer if args.format == "json" else csv_renderer)(args.n_max)
         rows = (explicit_rows if args.construction == "explicit" else recurrence_rows)(args.n_max)
         if _writes_in_turns(args, sys.stdout if out is None else out, out):
             _emit(partial(write_in_turns, rows, renderer, args.n_max), out)
         else:
-            _emit(partial(_write_behind, render_chunks(renderer, rows)), out)
+            _emit(partial(write_behind, render_chunks(renderer, rows)), out)
     return 0
-
-
-def _json_string(text: str) -> str:
-    """json.dumps(text); json is imported only for a nonempty text, a failing check's detail."""
-    if not text:
-        return '""'
-    import json
-
-    return json.dumps(text)
-
-
-# verify's JSON records as the text json.dumps writes with separators (",", ":"): numbers are
-# decimal strings; names, digits, "/" and float reprs need no escaping, detail goes through it.
-def _structural_json_records(checks) -> str:
-    return "[%s]" % ",".join([
-        '{"check":"%s","n":"%d","k":%s,"ok":%s,"detail":%s}'
-        % (c.check, c.n, "null" if c.k is None else '"%d"' % c.k, "true" if c.ok else "false",
-           _json_string(c.detail)) for c in checks])
-
-
-# One chunk per record; a report whose lhs is its rhs (run_suite's holding ones) formats it once.
-def reports_to_json_records(reports):
-    yield "["
-    for i, r in enumerate(reports):
-        yield ('%s{"identity":"%s","n":"%d","alpha":"%s","lhs":"%s","rhs":"%s","holds":%s}'
-               % ("," if i else "", r.identity, r.n, format_rational(r.alpha),
-                  (lhs := format_rational(r.lhs)), lhs if r.rhs is r.lhs
-                  else format_rational(r.rhs), "true" if r.holds else "false"))
-    yield "]"
-
-
-def residuals_to_json_records(reports) -> str:
-    return "[%s]" % ",".join([
-        '{"n":"%d","alpha":"%s","beta":"%r","x0":"%r","jet_value":"%r","expansion_value":"%r",'
-        '"rel_residual":"%r","pass":%s}'
-        % (r.n, format_rational(r.alpha), r.beta, r.x0, r.jet_value, r.expansion_value,
-           r.rel_residual, "true" if r.passed else "false") for r in reports])
-
-
-def _verify_csv_chunks(checks, identity_reports, oracle_reports):
-    yield "identity,n,alpha,holds\n"
-    for c in checks:
-        yield "%s,%d,,%s\n" % (c.check, c.n, "true" if c.ok else "false")
-    for r in identity_reports:
-        yield "%s,%d,%s,%s\n" % (r.identity, r.n, format_rational(r.alpha),
-                                 "true" if r.holds else "false")
-    for r in oracle_reports:
-        yield "derivative_expansion,%d,%s,%s\n" % (r.n, format_rational(r.alpha),
-                                                   "true" if r.passed else "false")
 
 
 def cmd_verify(args) -> int:
@@ -349,12 +267,12 @@ def cmd_verify(args) -> int:
         if out is not None:
             if args.format == "json":
                 chunks = chain(['{"seed":"%d","n_max":"%d","structural":%s,"identities":'
-                                % (args.seed, args.n_max, _structural_json_records(checks))],
+                                % (args.seed, args.n_max, structural_json_records(checks))],
                                reports_to_json_records(identity_reports),
                                [',"oracle":%s}\n' % residuals_to_json_records(oracle_reports)])
             else:
-                chunks = _verify_csv_chunks(checks, identity_reports, oracle_reports)
-            _emit(partial(_write_behind, chunks), out)
+                chunks = verify_csv_chunks(checks, identity_reports, oracle_reports)
+            _emit(partial(write_behind, chunks), out)
 
     print("VERIFY: %s" % ("FAIL" if failing else "PASS"))
     return 1 if failing else 0

@@ -1,10 +1,10 @@
 """Exact verification of the identity catalogue tied to the k=1 column of the
 non-central triangle (the master binomial/Stirling identity, its factorial and harmonic
-specializations and the closed forms at negative integer alpha), and the structural
-checks that tie the two triangle constructions together, read one row at a time.
+specializations and the closed forms at negative integer alpha), the structural checks
+that tie the two triangle constructions together, read one row at a time, and the text
+of verify's report: the JSON and CSV records of these checks and of the jets grid.
 
-Every comparison in this module is exact rational arithmetic; there is no
-tolerance anywhere.
+Every comparison in this module is exact rational arithmetic; there is no tolerance anywhere.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from itertools import accumulate
 from .exact import (
     AlphaPoly,
     binomial_rational,  # noqa: F401  unused; perfbench/tracing.py patches this name
-    format_rational,  # noqa: F401  unused; perfbench/tracing.py patches this name
+    format_rational,
     horner,
     scaled_horner,
 )
@@ -43,6 +43,54 @@ IdentityReport.__doc__ = """Outcome of one exact identity check at a parameter p
 StructuralCheck = namedtuple("StructuralCheck", "check n k ok detail", defaults=("",))
 StructuralCheck.__doc__ = """Outcome of one exact structural check on triangle entry (n, k), or
 on row n where k is None."""
+
+
+def _json_string(text: str) -> str:
+    """json.dumps(text); json is imported only for a nonempty text, a failing check's detail."""
+    if not text:
+        return '""'
+    import json
+    return json.dumps(text)
+
+
+# verify's JSON records as the text json.dumps writes with separators (",", ":"): numbers are
+# decimal strings; names, digits, "/" and float reprs need no escaping, detail goes through it.
+def structural_json_records(checks) -> str:
+    return "[%s]" % ",".join([
+        '{"check":"%s","n":"%d","k":%s,"ok":%s,"detail":%s}'
+        % (c.check, c.n, "null" if c.k is None else '"%d"' % c.k, "true" if c.ok else "false",
+           _json_string(c.detail)) for c in checks])
+
+
+# One chunk per record; a report whose lhs is its rhs (run_suite's holding ones) formats it once.
+def reports_to_json_records(reports):
+    yield "["
+    for i, r in enumerate(reports):
+        yield ('%s{"identity":"%s","n":"%d","alpha":"%s","lhs":"%s","rhs":"%s","holds":%s}'
+               % ("," if i else "", r.identity, r.n, format_rational(r.alpha),
+                  (lhs := format_rational(r.lhs)), lhs if r.rhs is r.lhs
+                  else format_rational(r.rhs), "true" if r.holds else "false"))
+    yield "]"
+
+
+def residuals_to_json_records(reports) -> str:
+    return "[%s]" % ",".join([
+        '{"n":"%d","alpha":"%s","beta":"%r","x0":"%r","jet_value":"%r","expansion_value":"%r",'
+        '"rel_residual":"%r","pass":%s}'
+        % (r.n, format_rational(r.alpha), r.beta, r.x0, r.jet_value, r.expansion_value,
+           r.rel_residual, "true" if r.passed else "false") for r in reports])
+
+
+def verify_csv_chunks(checks, identity_reports, oracle_reports):
+    yield "identity,n,alpha,holds\n"
+    for c in checks:
+        yield "%s,%d,,%s\n" % (c.check, c.n, "true" if c.ok else "false")
+    for r in identity_reports:
+        yield "%s,%d,%s,%s\n" % (r.identity, r.n, format_rational(r.alpha),
+                                 "true" if r.holds else "false")
+    for r in oracle_reports:
+        yield "derivative_expansion,%d,%s,%s\n" % (r.n, format_rational(r.alpha),
+                                                   "true" if r.passed else "false")
 
 
 def random_rationals(count: int, rng: random.Random) -> list[Fraction]:

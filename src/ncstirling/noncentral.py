@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from itertools import chain, count
 
 from .exact import (
     AlphaPoly,
@@ -164,14 +165,9 @@ def s_n1_recurrence(n: int, alpha: int | Fraction) -> list[Fraction]:
     return [Fraction(0)] + [Fraction(row[1], q ** m) for m, row in enumerate(rows)]
 
 
-def render_chunks(renderer, rows) -> Iterator[str]:
-    """The document of a (head, row_chunks, tail) renderer over rows 0, 1, ...: the head,
-    row_chunks(n, row) of each row n, and the tail."""
-    head, row_chunks, tail = renderer
-    yield head
-    for n, row in enumerate(rows):
-        yield from row_chunks(n, row)
-    yield tail
+def render_chunks(row_chunks, rows) -> Iterator[str]:
+    """The document of a renderer over rows 0, 1, ..., n_max: row_chunks(n, row) of each row n."""
+    return chain.from_iterable(map(row_chunks, count(), rows))
 
 
 # Pieces of about this many characters (bytes, since the text is ASCII) go to each write: large
@@ -192,37 +188,77 @@ def pieces(chunks) -> Iterator[str]:
         yield "".join(held)
 
 
-def _renderer(head: str, entry_format, separator: str, tail: str):
-    """(head, row_chunks, tail) for a triangle's rows: row_chunks(n, row) yields one
+def write_behind(chunks, stream) -> None:
+    """Write the chunks as pieces from one writer thread while the next piece is made here.
+    Each piece goes through a single slot, and this thread waits for the writer's answer,
+    sent as it takes the piece, before it writes it: the wait hands it the interpreter lock at
+    once, and at most two pieces are held. The writer calls stream.write(text), which any text
+    stream has; an answer carries the first error of the writes before it, no piece is made
+    after one, and it is raised here after the join."""
+    import threading  # here, so that a process that writes nothing behind imports neither
+    from queue import SimpleQueue
+
+    slot, answers = SimpleQueue(), SimpleQueue()
+
+    def write():
+        error = None
+        for piece in iter(slot.get, None):
+            answers.put(error)
+            if error is None:
+                try:
+                    stream.write(piece)
+                except BaseException as exc:  # raised in the main thread below
+                    error = exc
+        answers.put(error)  # the answer to the end of the pieces
+
+    writer = threading.Thread(target=write, name="ncstirling-writer")
+    writer.start()
+    try:
+        for piece in pieces(chunks):
+            slot.put(piece)
+            if answers.get() is not None:
+                break
+    finally:
+        slot.put(None)
+        writer.join()
+    if (error := answers.get()) is not None:
+        raise error
+
+
+def _renderer(n_max: int, head: str, entry_format, separator: str, tail: str):
+    """row_chunks(n, row) for rows 0..n_max of a triangle: the head before row 0, one
     entry_format(count) % (before, n, k, *coeffs) per entry of row n, where before is "" in row
-    0, whose one entry is (0, 0), and the separator in every other row. So any row renders on
-    its own, as it reads in the whole document."""
+    0, whose one entry is (0, 0), and the separator in every other row, and the tail after row
+    n_max. So any row renders on its own, as it reads in the whole document."""
     formats = {}  # one whole format per coefficient count
 
     def row_chunks(n: int, row) -> Iterator[str]:
+        if n == 0:
+            yield head
         before = separator if n else ""
         for k, coeffs in enumerate(row):
             if (fmt := formats.get(len(coeffs))) is None:
                 fmt = formats[len(coeffs)] = entry_format(len(coeffs))
             yield fmt % (before, n, k, *coeffs)
+        if n == n_max:
+            yield tail
 
-    return head, row_chunks, tail
+    return row_chunks
 
 
 def json_renderer(n_max: int):
-    """Canonical JSON for a triangle as a (head, row_chunks, tail) renderer. Numbers are decimal
+    """Canonical JSON for a triangle as a renderer row_chunks(n, row). Numbers are decimal
     strings so arbitrary-precision coefficients survive; compact separators, keys in the order
-    n_max, entries and n, k, coeffs, written directly: digits and '-' need no JSON escaping.
-    Every entry but (0, 0) starts with its comma, so any row renders on its own."""
-    return _renderer('{"n_max":"%d","entries":[' % n_max,
+    n_max, entries and n, k, coeffs, written directly: digits and '-' need no JSON escaping."""
+    return _renderer(n_max, '{"n_max":"%d","entries":[' % n_max,
                      lambda count: ('%s{"n":"%d","k":"%d","coeffs":['
                                     + ",".join(['"%s"'] * count) + "]}"), ",", "]}\n")
 
 
-def csv_renderer():
-    """The CSV triangle as a (head, row_chunks, tail) renderer: n,k,degree,coeffs, one line per
+def csv_renderer(n_max: int):
+    """The CSV triangle as a renderer row_chunks(n, row): n,k,degree,coeffs, one line per
     entry, coefficients low to high."""
-    return _renderer("n,k,degree,coeffs\n", lambda count: "%%s%%d,%%d,%d," % (count - 1)
+    return _renderer(n_max, "n,k,degree,coeffs\n", lambda count: "%%s%%d,%%d,%d," % (count - 1)
                      + " ".join(["%s"] * count) + "\n", "", "")
 
 

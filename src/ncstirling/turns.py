@@ -1,7 +1,7 @@
 """A recurrence triangle written by two processes that take turns. This process runs the
-recurrence once and writes the head, one row in every CYCLE from row 0, and the tail; one
-forked helper writes the rows in between, which this process ships to it. Any row renders on
-its own, so the helper is forked before anything is rendered.
+recurrence once and writes one row in every CYCLE from row 0; one forked helper writes the rows
+in between, which this process ships to it. Any row renders on its own, the head with row 0 and
+the tail with row n_max, so the helper is forked before anything is rendered.
 
 Each process renders its whole next turn while the other writes, and writes it in pieces once
 its turn comes; up to N = 160 a turn is under 4 MiB of text. A one-byte token on a pair of
@@ -35,14 +35,13 @@ CYCLE = 3
 _LENGTH = struct.Struct("=Q")  # of a shipped record, ahead of its turn's token
 
 
-def write_in_turns(rows, renderer, n_max: int, stream) -> None:
-    """Write rows 0..n_max of the triangle, from the iterator rows, as the (head, row_chunks,
-    tail) renderer writes them, to the descriptor of stream, after flushing it. Raises the
+def write_in_turns(rows, row_chunks, n_max: int, stream) -> None:
+    """Write rows 0..n_max of the triangle, from the iterator rows, as the renderer
+    row_chunks(n, row) writes them, to the descriptor of stream, after flushing it. Raises the
     OSError of a failed write of either process."""
     fd = stream.fileno()
     stream.flush()
     sys.stderr.flush()  # so that a traceback the helper prints repeats nothing held here
-    head, row_chunks, tail = renderer
     buffers = [mmap.mmap(-1, _record_bound(n_max)) for _ in range(2)]  # shared by the fork
     (from_parent, to_helper), (from_helper, to_parent) = os.pipe(), os.pipe()
     os.write(to_parent, TURN)  # this process has the first turn
@@ -55,16 +54,15 @@ def write_in_turns(rows, renderer, n_max: int, stream) -> None:
         for end in (from_parent, to_parent):
             os.close(end)
         for turn, n in enumerate(range(0, n_max + 1, CYCLE)):
-            chunks = chain([head] if n == 0 else [], row_chunks(n, next(rows)),
-                           [tail] if n == n_max else [])
+            chunks = row_chunks(n, next(rows))
             if shipped := tuple(islice(rows, CYCLE - 1)):  # the rows of the helper's turn
                 buffer = buffers[turn % 2]
                 buffer.seek(0)
                 marshal.dump(shipped, buffer)  # dumps' bytes would be held through the turn
                 _send(to_helper, _LENGTH.pack(buffer.tell()))
             _take_turn(fd, chunks, from_helper, to_helper)
-        if n_max % CYCLE:  # the helper wrote the last row
-            _take_turn(fd, [tail], from_helper, to_helper)
+        if n_max % CYCLE:  # the helper wrote the last row: wait for that write
+            _take_turn(fd, (), from_helper, to_helper)
     finally:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)

@@ -187,11 +187,14 @@ def test_triangle_outside_the_bound_exits_2_before_building(capsys, monkeypatch,
 
 
 def test_triangle_at_the_bound_is_accepted(capsys, monkeypatch):
+    # row 0 alone: the head comes with it, and the tail would come with row TRIANGLE_N_MAX
     calls = []
-    monkeypatch.setattr(cli, "recurrence_rows", lambda n_max: calls.append(n_max) or iter(()))
+    monkeypatch.setattr(cli, "recurrence_rows",
+                        lambda n_max: calls.append(n_max) or iter([((1,),)]))
     assert run_cli("triangle", "--n-max", str(cli.TRIANGLE_N_MAX)) == 0
     assert calls == [cli.TRIANGLE_N_MAX]
-    assert capsys.readouterr().out == '{"n_max":"%d","entries":[]}\n' % cli.TRIANGLE_N_MAX
+    assert capsys.readouterr().out == ('{"n_max":"%d","entries":[{"n":"0","k":"0","coeffs":["1"]}'
+                                       % cli.TRIANGLE_N_MAX)
 
 
 def test_triangle_unwritable_out_exits_1_before_building(capsys, monkeypatch, tmp_path):
@@ -837,17 +840,28 @@ def test_module_entry_point_subprocess():
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # -S keeps site hooks out; the package is found on PYTHONPATH. json is loaded only
-    # for a failing check's detail and by triangle_from_json, which the CLI never calls.
+    # for a failing check's detail and by triangle_from_json, which the CLI never calls;
+    # threading and queue only by a command that writes its output behind, which eval and
+    # --help do not.
+    code = """import contextlib, io, sys
+import ncstirling.cli
+modules = {'dataclasses', 'inspect', 'json', 'queue', 'threading'}
+loaded = [sorted(modules & set(sys.modules))]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    ncstirling.cli.main(['eval', '--n', '6', '--k', '2', '--alpha', '7/3'])
+    loaded.append(sorted(modules & set(sys.modules)))
+    ncstirling.cli.main(['--help'])
+loaded.append(sorted(modules & set(sys.modules)))
+print(loaded)"""
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", "import ncstirling.cli, sys; "
-         "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"],
+        [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
         env=_src_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[[], [], []]\n"
 
 
 BASE_MODULES = ("ncstirling", "ncstirling.cli", "ncstirling.exact", "ncstirling.stirling")
@@ -982,7 +996,7 @@ def test_a_failing_master_identity_keeps_both_sides(capsys, monkeypatch, tmp_pat
     assert (report.n, report.alpha, report.lhs, report.rhs) == (3, alpha, lhs, rhs)
     assert report.lhs != report.rhs and report.lhs is not report.rhs
     assert all(r.lhs is r.rhs for r in reports if r.holds)
-    assert "".join(cli.reports_to_json_records([report])) == (
+    assert "".join(identities.reports_to_json_records([report])) == (
         '[{"identity":"binomial_stirling_sum","n":"3","alpha":"%s","lhs":"%s","rhs":"%s",'
         '"holds":false}]' % (cli.format_rational(alpha), record["lhs"], record["rhs"]))
 
@@ -1175,7 +1189,7 @@ def test_json_records_escape_detail_as_json_dumps_does():
               StructuralCheck("degree", 4, 2, True)]
     expected = [{"check": c.check, "n": str(c.n), "k": None if c.k is None else str(c.k),
                  "ok": c.ok, "detail": c.detail} for c in checks]
-    assert cli._structural_json_records(checks) == json.dumps(expected, separators=(",", ":"))
+    assert identities.structural_json_records(checks) == json.dumps(expected, separators=(",", ":"))
 
 
 def test_verify_bound_sits_above_every_pinned_size(capsys, monkeypatch):

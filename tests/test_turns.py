@@ -141,14 +141,14 @@ def test_two_processes_write_the_bytes_of_one_from_row_zero(tmp_path):
 
 def test_a_turn_held_whole_stays_under_the_bound_turns_states():
     # each process holds the text of its whole next turn: at N_MAX, CYCLE - 1 rows ending at
-    # row N_MAX bound a helper's turn, and row N_MAX and the tail this process's
+    # row N_MAX, whose text ends with the tail, bound a helper's turn, and row N_MAX this process's
     bound = 4 << 20
     assert "up to N = %d a turn is under 4 MiB of text" % N_MAX in " ".join(turns.__doc__.split())
     last = deque(recurrence_rows(N_MAX), maxlen=turns.CYCLE - 1)
-    for _, row_chunks, tail in (json_renderer(N_MAX), csv_renderer()):
+    for row_chunks in (json_renderer(N_MAX), csv_renderer(N_MAX)):
         sizes = [sum(map(len, row_chunks(n, row)))
                  for n, row in enumerate(last, N_MAX - len(last) + 1)]
-        assert sum(sizes) < bound and sizes[-1] + len(tail) < bound
+        assert sum(sizes) < bound and sizes[-1] < bound
 
 
 def _args(n_max, construction="recurrence"):
