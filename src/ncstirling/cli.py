@@ -202,6 +202,12 @@ def _writes_in_turns(args, stream, out) -> bool:
 def cmd_triangle(args) -> int:
     if not 0 <= args.n_max <= TRIANGLE_N_MAX:
         raise Refusal(2, "--n-max must be in 0..%d" % TRIANGLE_N_MAX)
+    # log10 (N+1)!, the sum of row N's absolute coefficients, bounds the digits of each one up to
+    # row N: str() of one past a lowered int-to-str limit would end the text in a traceback.
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit in this Python
+    if limit and math.lgamma(args.n_max + 2) / math.log(10) >= limit:
+        raise Refusal(2, "--n-max %d may write coefficients longer than the int-to-str limit "
+                      "of %d digits (PYTHONINTMAXSTRDIGITS)" % (args.n_max, limit))
     with _open_out(args.out) as out:
         renderer = (json_renderer if args.format == "json" else csv_renderer)(args.n_max)
         rows = (explicit_rows if args.construction == "explicit" else recurrence_rows)(args.n_max)
@@ -337,6 +343,9 @@ def _attach_signed_values(argv) -> list:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
+    if sys.stdout is None:  # the interpreter found descriptor 1 closed at start
+        print("ncstirling: %s: stdout is closed" % args.command, file=sys.stderr)
+        return 1
     try:
         try:
             status = COMMANDS[args.command](args)

@@ -1,8 +1,9 @@
 """Exact verification of the identity catalogue tied to the k=1 column of the
 non-central triangle (the master binomial/Stirling identity, its factorial and harmonic
-specializations and the closed forms at negative integer alpha), the structural checks
-that tie the two triangle constructions together, read one row at a time, and the text
-of verify's report: the JSON and CSV records of these checks and of the jets grid.
+specializations and the closed forms at negative integer alpha), the column's point formulas
+(the alternating binomial sum and the recurrence at one alpha, which read no triangle), the
+structural checks that tie the two triangle constructions together, read one row at a time,
+and the text of verify's report: the JSON and CSV records of these checks and of the jets grid.
 
 Every comparison in this module is exact rational arithmetic; there is no tolerance anywhere.
 """
@@ -22,13 +23,7 @@ from .exact import (
     horner,
     scaled_horner,
 )
-from .noncentral import (
-    alternating_sum_weights,
-    s_n1_recurrence,
-    s_n1_sum_formula,
-    scaled_alternating_sum,
-)
-from .stirling import StirlingTable, stirling_expansion_oracle
+from .stirling import StirlingTable, scaled_rows, stirling_expansion_oracle
 from .stirling import harmonic  # noqa: F401  unused; perfbench/tracing.py patches this name
 
 RANDOM_NUMERATOR_RANGE = (-50, 50)
@@ -101,6 +96,53 @@ def random_rationals(count: int, rng: random.Random) -> list[Fraction]:
         Fraction(rng.randint(lo_n, hi_n), rng.randint(lo_d, hi_d))
         for _ in range(count)
     ]
+
+
+def alternating_sum_weights(n: int) -> list[int]:
+    """[C(n, k) (n-k-1)! for k < n]: the integer weights of n! S(a, n), the same at
+    every a, so one list serves every alpha at this n."""
+    return [math.comb(n, k) * math.factorial(n - k - 1) for k in range(n)]
+
+
+def scaled_alternating_sum(weights: Sequence[int], p: int, q: int) -> int:
+    """n! q^(n-1) S(p/q, n) as an int, for n = len(weights) and q > 0, where
+    S(a, n) = sum_{k=0}^{n-1} (-1)^k C(-a, k) / (n - k).
+
+    Since (-1)^k C(-a, k) = a(a+1)...(a+k-1)/k!, the sum times n! has integer
+    coefficients: n! S(a, n) = sum_k C(n, k) (n-k-1)! a(a+1)...(a+k-1). With
+    R_k = p(p+q)...(p+(k-1)q) the scaled sum sum_k weights[k] R_k q^(n-1-k) is run
+    by Horner's rule in the factors p + kq.
+    """
+    acc, scale = 0, 1
+    for k in range(len(weights) - 1, -1, -1):
+        acc = acc * (p + k * q) + weights[k] * scale
+        scale *= q
+    return acc
+
+
+def s_n1_sum_formula(n: int, alpha: int | Fraction,
+                     weights: Sequence[int] | None = None) -> Fraction:
+    """s(n, 1, alpha) by the alternating binomial sum, independent of any triangle:
+
+        n! * sum_{k=0}^{n-1} (-1)^(n-k-1) C(-alpha, k) / (n - k)
+            = (-1)^(n-1) n! S(alpha, n),
+
+    one Fraction; weights, if given, are alternating_sum_weights(n)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    p, q = alpha.as_integer_ratio()
+    value = scaled_alternating_sum(weights or alternating_sum_weights(n), p, q)
+    return Fraction(value if n % 2 else -value, q ** (n - 1))
+
+
+def s_n1_recurrence(n: int, alpha: int | Fraction) -> list[Fraction]:
+    """[s(0, 1, alpha), ..., s(n, 1, alpha)]: column 1 of scaled_rows(n, p, q, 1), with
+    s(m, 1, alpha) = c(m, 1) / q^(m-1) at alpha = p/q: the recurrence run once on columns
+    0 and 1 alone, O(n) integer steps for the whole column, independent of any triangle."""
+    p, q = alpha.as_integer_ratio()
+    rows = scaled_rows(n, p, q, 1)
+    next(rows)  # row 0 has no column 1: s(0, 1, alpha) = 0
+    return [Fraction(0)] + [Fraction(row[1], q ** m) for m, row in enumerate(rows)]
 
 
 def run_suite(table: StirlingTable, rows: Sequence[Sequence[Sequence[int]]],

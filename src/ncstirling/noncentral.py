@@ -14,14 +14,13 @@ explicit_rows), are provided and must agree exactly:
   whose falling factorial (-a)(-a-1)...(-a-k+1) = sum_j s(k, j) (-a)^j is
   expanded with classical numbers too; each symmetric pair is summed once.
 
-Specializing alpha = 0 recovers the classical signed numbers. stirling.scaled_rows runs the
-recurrence at one rational alpha = p/q in the ints p, q: s_n1_recurrence reads its column 1 in one
-pass, eval its last row (last_scaled_row), and evaluate_row and evaluate_entry its Fractions.
+Specializing alpha = 0 recovers the classical signed numbers. The module also holds the
+triangle's text (renderers, writer and strict JSON parser) and verify's corrupt hook.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain, count
 
@@ -32,7 +31,7 @@ from .exact import (
     horner,
     parse_canonical_int,
 )
-from .stirling import StirlingTable, check_index, scaled_rows
+from .stirling import StirlingTable, check_index
 
 
 class NoncentralTriangle:
@@ -116,53 +115,6 @@ def explicit_rows(n_max: int) -> Iterator[tuple]:
 
 def build_by_explicit(n_max: int) -> NoncentralTriangle:
     return NoncentralTriangle(explicit_rows(n_max))
-
-
-def alternating_sum_weights(n: int) -> list[int]:
-    """[C(n, k) (n-k-1)! for k < n]: the integer weights of n! S(a, n), the same at
-    every a, so one list serves every alpha at this n."""
-    return [math.comb(n, k) * math.factorial(n - k - 1) for k in range(n)]
-
-
-def scaled_alternating_sum(weights: Sequence[int], p: int, q: int) -> int:
-    """n! q^(n-1) S(p/q, n) as an int, for n = len(weights) and q > 0, where
-    S(a, n) = sum_{k=0}^{n-1} (-1)^k C(-a, k) / (n - k).
-
-    Since (-1)^k C(-a, k) = a(a+1)...(a+k-1)/k!, the sum times n! has integer
-    coefficients: n! S(a, n) = sum_k C(n, k) (n-k-1)! a(a+1)...(a+k-1). With
-    R_k = p(p+q)...(p+(k-1)q) the scaled sum sum_k weights[k] R_k q^(n-1-k) is run
-    by Horner's rule in the factors p + kq.
-    """
-    acc, scale = 0, 1
-    for k in range(len(weights) - 1, -1, -1):
-        acc = acc * (p + k * q) + weights[k] * scale
-        scale *= q
-    return acc
-
-
-def s_n1_sum_formula(n: int, alpha: int | Fraction,
-                     weights: Sequence[int] | None = None) -> Fraction:
-    """s(n, 1, alpha) by the alternating binomial sum, independent of any triangle:
-
-        n! * sum_{k=0}^{n-1} (-1)^(n-k-1) C(-alpha, k) / (n - k)
-            = (-1)^(n-1) n! S(alpha, n),
-
-    one Fraction; weights, if given, are alternating_sum_weights(n)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    p, q = alpha.as_integer_ratio()
-    value = scaled_alternating_sum(weights or alternating_sum_weights(n), p, q)
-    return Fraction(value if n % 2 else -value, q ** (n - 1))
-
-
-def s_n1_recurrence(n: int, alpha: int | Fraction) -> list[Fraction]:
-    """[s(0, 1, alpha), ..., s(n, 1, alpha)]: column 1 of scaled_rows(n, p, q, 1), with
-    s(m, 1, alpha) = c(m, 1) / q^(m-1) at alpha = p/q: the recurrence run once on columns
-    0 and 1 alone, O(n) integer steps for the whole column, independent of any triangle."""
-    p, q = alpha.as_integer_ratio()
-    rows = scaled_rows(n, p, q, 1)
-    next(rows)  # row 0 has no column 1: s(0, 1, alpha) = 0
-    return [Fraction(0)] + [Fraction(row[1], q ** m) for m, row in enumerate(rows)]
 
 
 def render_chunks(row_chunks, rows) -> Iterator[str]:

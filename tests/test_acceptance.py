@@ -15,14 +15,9 @@ import pytest
 
 from ncstirling.cli import main
 from ncstirling.exact import AlphaPoly
-from ncstirling.identities import random_rationals, run_suite
+from ncstirling.identities import random_rationals, run_suite, s_n1_recurrence, s_n1_sum_formula
 from ncstirling.jets import expansion_grid
-from ncstirling.noncentral import (
-    build_by_explicit,
-    build_by_recurrence,
-    s_n1_recurrence,
-    s_n1_sum_formula,
-)
+from ncstirling.noncentral import build_by_explicit, build_by_recurrence
 from ncstirling.stirling import StirlingTable, stirling_expansion_oracle
 
 SEED = 0

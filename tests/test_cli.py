@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
+import argparse
 import ast
+import contextlib
 import errno
 import functools
 import hashlib
@@ -195,6 +197,78 @@ def test_triangle_at_the_bound_is_accepted(capsys, monkeypatch):
     assert calls == [cli.TRIANGLE_N_MAX]
     assert capsys.readouterr().out == ('{"n_max":"%d","entries":[{"n":"0","k":"0","coeffs":["1"]}'
                                        % cli.TRIANGLE_N_MAX)
+
+
+@contextlib.contextmanager
+def _int_max_str_digits(limit):
+    """Python's int-to-str digit limit set to `limit` inside the block, and restored after."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                       reason="this Python has no int-to-str digit limit")
+
+
+@NEEDS_DIGIT_LIMIT
+def test_triangle_past_the_digit_limit_exits_2_before_building(capsys, monkeypatch, tmp_path):
+    # (311)! has 642 digits: row 310 may hold a coefficient that str() refuses at 640
+    _refuse_rows(monkeypatch)
+    out = tmp_path / "triangle.json"
+    with _int_max_str_digits(640):
+        assert run_cli("triangle", "--n-max", "310") == 2
+        assert run_cli("triangle", "--n-max", "310", "--format", "csv", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    line = ("ncstirling: triangle: --n-max 310 may write coefficients longer than the int-to-str "
+            "limit of 640 digits (PYTHONINTMAXSTRDIGITS)\n")
+    assert captured.err == line * 2
+
+
+@NEEDS_DIGIT_LIMIT
+def test_triangle_under_the_digit_limit_is_accepted(capsys, monkeypatch):
+    # (310)! has 640 digits, so no coefficient up to row 309 has more
+    calls = []
+    monkeypatch.setattr(cli, "recurrence_rows",
+                        lambda n_max: calls.append(n_max) or iter([((1,),)]))
+    with _int_max_str_digits(640):
+        assert run_cli("triangle", "--n-max", "309") == 0
+    assert calls == [309]
+    assert capsys.readouterr().out == '{"n_max":"309","entries":[{"n":"0","k":"0","coeffs":["1"]}'
+
+
+@NEEDS_DIGIT_LIMIT
+def test_triangle_refuses_exactly_where_n_plus_one_factorial_passes_the_digit_limit(monkeypatch):
+    # cmd_triangle itself, stopped where an accepted size would open its output
+    class Accepted(Exception):
+        pass
+
+    def accepted(path):
+        raise Accepted
+
+    monkeypatch.setattr(cli, "_open_out", accepted)
+    with _int_max_str_digits(0):
+        digits = [len(str(math.factorial(n + 1))) for n in range(cli.TRIANGLE_N_MAX + 1)]
+    refused = []
+    for limit in range(640, 1201):
+        with _int_max_str_digits(limit):
+            for n_max, n_digits in enumerate(digits):
+                args = argparse.Namespace(n_max=n_max, construction="recurrence", format="json",
+                                          out=None)
+                try:
+                    cli.cmd_triangle(args)
+                except Accepted:
+                    decision = False
+                except cli.Refusal as exc:
+                    assert exc.args[0] == 2, exc
+                    decision = True
+                assert decision == (n_digits > limit), (n_max, limit)
+                refused.append(decision)
+    assert any(refused) and not all(refused)
 
 
 def test_triangle_unwritable_out_exits_1_before_building(capsys, monkeypatch, tmp_path):

@@ -3,6 +3,7 @@ by os._exit, without the interpreter's teardown, and loses no output on the way;
 SystemExit and an uncaught exception keep the interpreter's exit."""
 import ast
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,22 @@ def test_an_uncaught_exception_keeps_its_traceback_and_the_teardown():
     assert err.startswith("Traceback (most recent call last):\n")
     assert err.endswith("OverflowError: integer division result too large for a float\n%s\n"
                         % MARKER)
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="closes descriptor 1 through sh")
+@pytest.mark.parametrize("argv", [["triangle", "--n-max", "120"],
+                                  ["verify", "--n-max", "4", "--out", "{out}"],
+                                  ["eval", "--n", "6", "--k", "2", "--alpha", "7/3"]],
+                         ids=["triangle", "verify", "eval"])
+def test_a_command_started_with_stdout_closed_ends_with_one_line(tmp_path, argv):
+    # the interpreter sets sys.stdout to None when descriptor 1 is closed at start
+    out = tmp_path / "report.json"
+    proc = subprocess.run(["sh", "-c", '"$@" >&-', "sh", sys.executable, "-m", "ncstirling",
+                           *[arg.replace("{out}", str(out)) for arg in argv]],
+                          capture_output=True, env=_env(), timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == "ncstirling: %s: stdout is closed\n" % argv[0]
+    assert proc.stdout == b"" and not out.exists()
 
 
 OUTPUT_RUNS = [

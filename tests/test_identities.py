@@ -10,6 +10,7 @@ from ncstirling.exact import AlphaPoly
 from ncstirling.identities import (
     random_rationals,
     run_suite,
+    s_n1_recurrence,
     structural_checks,
 )
 from ncstirling.noncentral import (
@@ -17,7 +18,6 @@ from ncstirling.noncentral import (
     build_by_explicit,
     build_by_recurrence,
     corrupt_entry,
-    s_n1_recurrence,
     triangle_from_json,
 )
 from ncstirling.stirling import StirlingTable, harmonic

@@ -11,9 +11,14 @@ from hypothesis import example, given, strategies as st
 
 from ncstirling.cli import triangle_to_csv
 from ncstirling.exact import AlphaPoly, falling_factorial
+from ncstirling.identities import (
+    alternating_sum_weights,
+    s_n1_recurrence,
+    s_n1_sum_formula,
+    scaled_alternating_sum,
+)
 from ncstirling.noncentral import (
     NoncentralTriangle,
-    alternating_sum_weights,
     build_by_explicit,
     build_by_recurrence,
     corrupt_entry,
@@ -22,9 +27,6 @@ from ncstirling.noncentral import (
     json_renderer,
     recurrence_rows,
     render_chunks,
-    s_n1_recurrence,
-    s_n1_sum_formula,
-    scaled_alternating_sum,
     triangle_from_json,
     triangle_to_json,
 )

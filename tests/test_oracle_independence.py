@@ -75,12 +75,15 @@ def test_the_reachability_sees_real_paths():
 
 
 # each oracle and what it must not reach: no construction, classical table or expansion
-# reaches another, and no jets function reaches a construction or the classical table
+# reaches another, neither point formula of the k=1 column reaches the constructions whose
+# rows[n][1] it checks, and no jets function reaches a construction or the classical table
 RULES = [
     ("noncentral.recurrence_rows", TABLE | {"noncentral.explicit_rows", "exact.AlphaPoly"}),
     ("noncentral.explicit_rows",
      {"noncentral.recurrence_rows", "stirling.stirling_expansion_oracle"}),
     ("stirling.stirling_expansion_oracle", TABLE | CONSTRUCTIONS),
+    ("identities.s_n1_sum_formula", CONSTRUCTIONS),
+    ("identities.s_n1_recurrence", CONSTRUCTIONS),
 ] + [(key, TABLE | CONSTRUCTIONS) for key in sorted(GRAPH) if key.startswith("jets.")]
 
 
@@ -108,6 +111,12 @@ def test_jets_imports_no_package_module_but_exact():
     # the jet oracle reads the rows it checks; it needs neither construction's module
     assert _package_imports(PACKAGE / "jets.py") == {"ncstirling.exact"}
 
+
+def test_identities_imports_no_package_module_but_exact_and_stirling():
+    # the identity suite, like the jets, reads the rows it checks, and its own formulas for
+    # the k=1 column need only the classical table and the recurrence at one alpha
+    assert _package_imports(PACKAGE / "identities.py") == {"ncstirling.exact",
+                                                          "ncstirling.stirling"}
 
 
 def test_the_explicit_sum_reads_no_closed_form():

@@ -5,12 +5,13 @@ and summarise the pairs.
         --seeds 4401-4410 [--commit HASH] [--note TEXT]
 
 The parent is exported with `git archive REV`, the working tree is copied (without
-.git and caches), each into a fresh temporary directory, and both are compiled with
-compileall, so that the two sides start from the same bytecode state. For each seed
-and workload, each side's `perfbench/run.py --workload W --seed S --seconds T --trace 0`,
-with T the run_seconds of BENCHMARK.json, runs as a black box under
+.git and caches), each into a fresh temporary directory, so that neither side holds any
+bytecode. For each seed and workload, each side's `perfbench/run.py --workload W --seed S
+--seconds T --trace 0`, with T the run_seconds of BENCHMARK.json, runs as a black box under
 PYTHONDONTWRITEBYTECODE=1, in ABBA order: the parent first for even pair indices, the
-change first for odd ones.
+change first for odd ones. So every spawned command compiles the package from source, as
+the benchmark's own runs of each side do, and a change to what a command compiles reads
+here as it reads there.
 
 It prints, per workload and end-to-end metric of BENCHMARK.json: both medians, the
 per-run values, the pairs the change won, and the distance between the quartiles of
@@ -21,7 +22,6 @@ object a line. Standard library only.
 from __future__ import annotations
 
 import argparse
-import compileall
 import json
 import os
 import platform
@@ -144,7 +144,7 @@ def host() -> str:
 
 
 def prepare(parent_rev: str, into: Path) -> dict:
-    """Export the parent and copy the working tree into `into`; compile both."""
+    """Export the parent and copy the working tree into `into`, neither with bytecode."""
     dirs = {side: into / side for side in SIDES}
     archive = subprocess.run(["git", "archive", "--format=tar", parent_rev], cwd=ROOT,
                              capture_output=True, check=True, timeout=300).stdout
@@ -152,10 +152,6 @@ def prepare(parent_rev: str, into: Path) -> dict:
     subprocess.run(["tar", "-x", "-C", str(dirs["parent"])], input=archive, check=True,
                    timeout=300)
     shutil.copytree(ROOT, dirs["change"], ignore=COPY_IGNORE)
-    for path in dirs.values():
-        if not compileall.compile_dir(str(path / "src"), quiet=1) or \
-                not compileall.compile_dir(str(path / "perfbench"), quiet=1):
-            raise SystemExit("compileall failed in %s" % path)
     return dirs
 
 
