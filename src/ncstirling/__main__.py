@@ -5,11 +5,11 @@ from .cli import main
 
 
 def run() -> None:
-    """Run main(), flush stdout and stderr, and os._exit(status): teardown frees only what the OS
-    frees. SystemExit (--help, usage errors) and uncaught exceptions take the interpreter's exit."""
+    """Run main(), flush stdout and os._exit(status): teardown frees only what the OS frees.
+    SystemExit (--help, usage errors) and uncaught exceptions take the interpreter's exit."""
     status = main()
-    for stream in filter(None, (sys.stdout, sys.stderr)):  # either is None if its fd was closed
-        stream.flush()
+    if sys.stdout is not None:  # stderr is line-buffered: it holds only a line it failed to write
+        sys.stdout.flush()
     os._exit(status)
 
 

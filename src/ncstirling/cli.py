@@ -82,8 +82,8 @@ CORRUPT_RE = re.compile(r"\s*([+-]?[0-9]+)\s*,\s*([+-]?[0-9]+)\s*")
 
 
 class Refusal(Exception):
-    """Refusal(status, message): a value a command cannot serve (status 2) or an --out it
-    cannot write (status 1); main prints the message as one "ncstirling: <command>:" line."""
+    """Refusal(status, message): a value a command cannot serve (status 2) or an --out it cannot
+    write (1); main returns the status, with one "ncstirling:" stderr line if stderr takes it."""
 
 
 def _rational_argument(text: str):
@@ -341,31 +341,31 @@ def _attach_signed_values(argv) -> list:
     return out
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
-    if sys.stdout is None:  # the interpreter found descriptor 1 closed at start
-        print("ncstirling: %s: stdout is closed" % args.command, file=sys.stderr)
-        return 1
+def _outcome(command, args) -> tuple:
+    """(status, None) of the command that ran, or (status, message) of its Refusal."""
     try:
-        try:
-            status = COMMANDS[args.command](args)
-        except Refusal as exc:
-            status, message = exc.args
-            sys.stdout.flush()  # what the command printed goes first, as if stdout were unbuffered
-            print("ncstirling: %s: %s" % (args.command, message), file=sys.stderr)
-        sys.stdout.flush()
-    except OSError as exc:  # from stdout, since --out errors are Refusals
-        try:
-            fd = sys.stdout.fileno()
-        except (OSError, ValueError):  # no descriptor (io.UnsupportedOperation is both)
-            pass
-        else:  # point it at os.devnull, so that the exit flush passes
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
-        reason = ("stdout closed before the end" if isinstance(exc, BrokenPipeError)
-                  else "cannot write stdout: %s" % exc)
-        print("ncstirling: %s: %s" % (args.command, reason), file=sys.stderr)
-        return 1
-    return status
+        return command(args), None
+    except Refusal as exc:
+        return exc.args
 
+
+def main(argv=None) -> int:
+    """Run the command and return its status. A Refusal, or stdout closed or failing, ends in one
+    "ncstirling:" line on stderr; a closed or unwritable stderr loses it, not stdout or status."""
+    args = build_parser().parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
+    status, message = 1, "stdout is closed"  # kept if the interpreter found fd 1 closed
+    try:
+        if sys.stdout is not None:
+            status, message = _outcome(COMMANDS[args.command], args)
+            sys.stdout.flush()  # what the command printed goes first, as if stdout were unbuffered
+    except OSError as exc:  # from stdout, since --out errors are Refusals
+        with contextlib.suppress(OSError, ValueError):  # no fd: io.UnsupportedOperation is both
+            fd = sys.stdout.fileno()
+            os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), fd)  # so the exit flush passes
+            os.close(devnull)
+        status, message = 1, ("stdout closed before the end" if isinstance(exc, BrokenPipeError)
+                              else "cannot write stdout: %s" % exc)
+    if message is not None and sys.stderr is not None:  # print(file=None) would write stdout
+        with contextlib.suppress(OSError):  # so that the status stays the command's
+            print("ncstirling: %s: %s" % (args.command, message), file=sys.stderr)
+    return status

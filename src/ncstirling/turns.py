@@ -12,8 +12,8 @@ helper read before it wrote that turn, and this process waits for that write bef
 
 A write error in either process ends both: the helper sends its errno in place of the token and
 this process raises it as its own OSError, and a helper that ends early is a ChildProcessError
-here. The helper is killed and reaped whatever happens. No thread is started, so the fork is
-made from a process with one thread.
+here. A defect in the helper prints its traceback to stderr, or nothing if stderr is closed. The
+helper is killed and reaped whatever happens; no thread is started, so one thread forks.
 """
 from __future__ import annotations
 
@@ -40,8 +40,8 @@ def write_in_turns(rows, row_chunks, n_max: int, stream) -> None:
     row_chunks(n, row) writes them, to the descriptor of stream, after flushing it. Raises the
     OSError of a failed write of either process."""
     fd = stream.fileno()
-    stream.flush()
-    sys.stderr.flush()  # so that a traceback the helper prints repeats nothing held here
+    for held in filter(None, (stream, sys.stderr)):  # stderr is None if its fd was closed
+        held.flush()  # so that a traceback the helper prints to stderr repeats nothing held here
     buffers = [mmap.mmap(-1, _record_bound(n_max)) for _ in range(2)]  # shared by the fork
     (from_parent, to_helper), (from_helper, to_parent) = os.pipe(), os.pipe()
     os.write(to_parent, TURN)  # this process has the first turn
@@ -108,7 +108,7 @@ def _send(pipe: int, data: bytes) -> None:
 def _helper(row_chunks, n_max: int, fd: int, buffers, token_in: int, token_out: int) -> None:
     """The forked process: take the turns of the rows between this process's, each record's
     length read ahead of its token, then wait for the last turn and leave through os._exit,
-    never into the command. A write error is sent as its errno; a defect prints its traceback."""
+    never into the command. A write error is sent as its errno, a defect's traceback to stderr."""
     status = 1
     try:
         for turn, n in enumerate(range(1, n_max + 1, CYCLE)):
@@ -128,9 +128,9 @@ def _helper(row_chunks, n_max: int, fd: int, buffers, token_in: int, token_out: 
         except OSError:  # the parent ended first
             pass
     except Exception:
-        import traceback
-
-        traceback.print_exc()
-        sys.stderr.flush()
+        if sys.stderr is not None:  # print_exc would print to stdout, which may be the triangle's
+            import traceback
+            traceback.print_exc()
+            sys.stderr.flush()
     finally:
         os._exit(status)

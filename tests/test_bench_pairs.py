@@ -6,6 +6,7 @@ import pytest
 from test_bench_history import bench_pairs
 
 BETTER = {"ops_per_s": "higher", "latency_p50_s": "lower"}
+BOUNDS = {"ops_per_s": 0.25, "latency_p50_s": 0.25}
 
 
 def _line(ops, p50, failed=0):
@@ -66,7 +67,30 @@ def test_history_entries_have_the_keys_bench_history_checks():
 
 def test_report_prints_every_metric_and_the_failures():
     runs = _runs()
-    lines = bench_pairs.report("eval", bench_pairs.summarise(runs, BETTER), runs)
+    lines = bench_pairs.report("eval", bench_pairs.summarise(runs, BETTER), runs, BOUNDS)
     assert lines[0].startswith("eval ops_per_s: parent 17.25 -> change 17.35 (+0.6%)")
     assert lines[-2] == ("eval parent: failed [0, 0, 0, 0] of attempted [32, 32, 32, 32]; "
                          "correct [True, True, True, True]")
+
+
+PARENT_OPS = [10.0, 10.2, 9.9, 10.1, 10.0, 9.8, 10.3, 10.1, 9.9, 10.0]  # quartile distance 0.225
+
+
+@pytest.mark.parametrize("change_ops, change_failed, verdicts", [
+    ([v * 1.1 for v in PARENT_OPS], 0, "claim met; within bound"),
+    ([v * 1.1 for v in PARENT_OPS[:9]] + [9.0], 0, "claim met; within bound"),  # 9 of 10
+    ([v * 1.1 for v in PARENT_OPS[:8]] + [9.0, 9.0], 0, "claim not met; within bound"),
+    ([v * 1.001 for v in PARENT_OPS], 0, "claim not met; within bound"),  # under the distance
+    ([v * 1.1 for v in PARENT_OPS], 1, "claim not met; within bound"),  # more of it failed
+    ([v * 0.85 for v in PARENT_OPS], 0, "claim not met; within bound"),
+    ([v * 0.7 for v in PARENT_OPS], 0, "claim not met; outside bound"),
+], ids=["won-10", "won-9", "won-8", "within-the-distance", "more-failed", "worse-15%",
+        "worse-30%"])
+def test_report_states_the_claim_and_regression_verdicts(change_ops, change_failed, verdicts):
+    # latency is 1/ops, so each pair is won on both metrics or on neither
+    runs = {side: [bench_pairs.parse_result(_line(ops, 1 / ops, failed)) for ops in values]
+            for side, values, failed in (("parent", PARENT_OPS, 0),
+                                         ("change", change_ops, change_failed))}
+    lines = bench_pairs.report("eval", bench_pairs.summarise(runs, BETTER), runs, BOUNDS)
+    assert lines[0].endswith("; %s 0.25" % verdicts)  # ops_per_s, higher is better
+    assert lines[3].endswith("; %s 0.25" % verdicts)  # latency_p50_s, lower is better

@@ -2,6 +2,7 @@
 by os._exit, without the interpreter's teardown, and loses no output on the way; argparse's
 SystemExit and an uncaught exception keep the interpreter's exit."""
 import ast
+import os
 import re
 import shutil
 import subprocess
@@ -109,6 +110,41 @@ def test_the_process_writes_what_main_writes_in_process(capsys, tmp_path, argv):
                            *[arg.replace("{out}", str(in_child)) for arg in argv]],
                           capture_output=True, env=_env(), timeout=120)
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (status, out, err)
+    if "{out}" in argv:
+        assert in_child.read_bytes() == in_process.read_bytes()
+
+
+REFUSALS = OUTPUT_RUNS[-3:]
+# `sh -c '"$@" 2>&-'` starts the command with descriptor 2 closed, and the interpreter sets
+# sys.stderr to None; a read-only descriptor 2 is a stderr that every write fails on
+STDERR_RUNS = ([pytest.param("closed", argv, marks=pytest.mark.skipif(
+                    shutil.which("sh") is None, reason="closes descriptor 2 through sh"))
+                for argv in OUTPUT_RUNS]
+               + [pytest.param("read-only", argv) for argv in REFUSALS])
+
+
+@pytest.mark.parametrize("stderr, argv", STDERR_RUNS,
+                         ids=[" ".join([param.values[0], *param.values[1]])
+                              .replace(" --out {out}", "") for param in STDERR_RUNS])
+def test_a_closed_or_unwritable_stderr_changes_neither_stdout_nor_the_status(capsys, tmp_path,
+                                                                           stderr, argv):
+    in_process, in_child = tmp_path / "in_process", tmp_path / "in_child"
+    status = cli.main([arg.replace("{out}", str(in_process)) for arg in argv])
+    out, err = capsys.readouterr()
+    if argv in REFUSALS:
+        assert (status, out) == (2, "") and err
+    else:
+        assert not err
+    command = [sys.executable, "-m", "ncstirling",
+               *[arg.replace("{out}", str(in_child)) for arg in argv]]
+    if stderr == "closed":
+        proc = subprocess.run(["sh", "-c", '"$@" 2>&-', "sh", *command], stdout=subprocess.PIPE,
+                              env=_env(), timeout=120)
+    else:
+        with open(os.devnull, "rb") as read_only:
+            proc = subprocess.run(command, stdout=subprocess.PIPE, stderr=read_only, env=_env(),
+                                  timeout=120)
+    assert (proc.returncode, proc.stdout.decode()) == (status, out)
     if "{out}" in argv:
         assert in_child.read_bytes() == in_process.read_bytes()
 

@@ -14,10 +14,18 @@ the benchmark's own runs of each side do, and a change to what a command compile
 here as it reads there.
 
 It prints, per workload and end-to-end metric of BENCHMARK.json: both medians, the
-per-run values, the pairs the change won, and the distance between the quartiles of
-the parent's runs; the failed operations of every run; and, given --commit (the change's
-commit, known only once it is made), the BENCH_history.json entries of the pairs, one JSON
-object a line. Standard library only.
+per-run values, the pairs the change won, the distance between the quartiles of the
+parent's runs, and two verdicts; the failed operations of every run; and, given --commit
+(the change's commit, known only once it is made), the BENCH_history.json entries of the
+pairs, one JSON object a line. Standard library only.
+
+The verdicts, one pair of words at the end of each metric's line:
+- "claim met" when the change won at least 9 of every 10 pairs, its median moved the better
+  way by more than the parent's quartile distance, and no larger share of its operations
+  failed than of the parent's (failed over attempted, summed over the runs); else "claim
+  not met".
+- "within bound" when the change's median is worse than the parent's by at most the
+  metric's BENCHMARK.json bound, a fraction of the parent's median; else "outside bound".
 """
 from __future__ import annotations
 
@@ -88,6 +96,7 @@ def summarise(runs: dict, better: dict) -> dict:
     for metric, direction in better.items():
         values = {side: [r["metrics"][metric]["value"] for r in runs[side]] for side in SIDES}
         summary[metric] = {
+            "better": direction,
             "parent": statistics.median(values["parent"]),
             "change": statistics.median(values["change"]),
             "parent_runs": values["parent"],
@@ -113,15 +122,41 @@ def history_entries(commit, workload: str, summary: dict, seeds: list, seconds, 
     return entries
 
 
-def report(workload: str, summary: dict, runs: dict) -> list:
-    """Lines that print one workload's summary and every run's failures."""
+def failed_share(results: list) -> float:
+    """The share of one side's operations that failed, over all its runs."""
+    return sum(r["failed"] for r in results) / max(1, sum(r["attempted"] for r in results))
+
+
+def gain(s: dict) -> float:
+    """How far one metric's summary s moved from the parent's median, the better way."""
+    return s["change"] - s["parent"] if s["better"] == "higher" else s["parent"] - s["change"]
+
+
+def claim_met(s: dict, failed: dict) -> bool:
+    """The claim verdict of one metric's summary s, given each side's failed_share."""
+    return (10 * s["won"] >= 9 * s["pairs"] and gain(s) > s["parent_quartile_distance"]
+            and failed["change"] <= failed["parent"])
+
+
+def within_bound(s: dict, bound: float) -> bool:
+    """The regression verdict of one metric's summary s under its BENCHMARK.json bound."""
+    return -gain(s) <= bound * abs(s["parent"])
+
+
+def report(workload: str, summary: dict, runs: dict, bounds: dict) -> list:
+    """Lines that print one workload's summary, each metric's verdicts under its bound in
+    `bounds` ({name: bound}), and every run's failures."""
+    failed = {side: failed_share(runs[side]) for side in SIDES}
     lines = []
     for metric, s in summary.items():
         lines.append("%s %s: parent %.4g -> change %.4g (%+.1f%%), change won %d of %d, "
-                     "parent quartile distance %.4g"
+                     "parent quartile distance %.4g; claim %s; %s bound %.2g"
                      % (workload, metric, s["parent"], s["change"],
                         100 * (s["change"] / s["parent"] - 1) if s["parent"] else 0.0,
-                        s["won"], s["pairs"], s["parent_quartile_distance"]))
+                        s["won"], s["pairs"], s["parent_quartile_distance"],
+                        "met" if claim_met(s, failed) else "not met",
+                        "within" if within_bound(s, bounds[metric]) else "outside",
+                        bounds[metric]))
         for side in SIDES:
             lines.append("  %s runs: %s" % (side, " ".join("%.4g" % v
                                                           for v in s[side + "_runs"])))
@@ -178,6 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     entries = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -189,7 +225,7 @@ def main(argv=None) -> int:
                     runs[side].append(run_once(dirs[side], workload, seed, seconds))
                     print("%s seed %d %s done" % (workload, seed, side), flush=True)
             summary = summarise(runs, better)
-            print("\n".join(report(workload, summary, runs)), flush=True)
+            print("\n".join(report(workload, summary, runs, bounds)), flush=True)
             entries += history_entries(args.commit, workload, summary, args.seeds, seconds,
                                        host(), args.note)
     if args.commit is not None:
