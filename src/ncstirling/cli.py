@@ -17,7 +17,6 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from importlib import import_module
-from itertools import chain
 
 from .exact import RATIONAL_RE, format_rational, parse_rational
 from .stirling import StirlingTable, check_index, last_scaled_row
@@ -40,18 +39,18 @@ recurrence_rows = _deferred("noncentral", "recurrence_rows")
 render_chunks = _deferred("noncentral", "render_chunks")
 write_behind = _deferred("noncentral", "write_behind")
 write_in_turns = _deferred("turns", "write_in_turns")
-reports_to_json_records = _deferred("identities", "reports_to_json_records")
-residuals_to_json_records = _deferred("identities", "residuals_to_json_records")
 run_suite = _deferred("identities", "run_suite")
 structural_checks = _deferred("identities", "structural_checks")
-structural_json_records = _deferred("identities", "structural_json_records")
 verify_csv_chunks = _deferred("identities", "verify_csv_chunks")
+verify_json_chunks = _deferred("identities", "verify_json_chunks")
 evaluate_expansion = _deferred("jets", "evaluate_expansion")
 expansion_grid = _deferred("jets", "expansion_grid")
-# No command calls these three; they are here for perfbench/tracing.py, which wraps them.
+# No command calls these five; they are here for perfbench/tracing.py, which wraps them.
 build_by_explicit = _deferred("noncentral", "build_by_explicit")
 build_by_recurrence = _deferred("noncentral", "build_by_recurrence")
 triangle_to_json = _deferred("noncentral", "triangle_to_json")
+reports_to_json_records = _deferred("identities", "reports_to_json_records")
+residuals_to_json_records = _deferred("identities", "residuals_to_json_records")
 
 
 MAX_FAILURES_PRINTED = 25
@@ -128,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--n-max", type=int, default=20,
                      help="largest row N (default 20, at most %d); rows are checked as they "
                           "are built: with --with-oracle 0.20 s, 16 MiB at N=32; 0.64 s, 19 MiB "
-                          "at N=64; 5.0 s, 32 MiB at N=128, or 38 MiB with --out; past N=64 the "
+                          "at N=64; 5.0 s, 32 MiB at N=128, or 34 MiB with --out; past N=64 the "
                           "O(N^4) explicit sum and the identity suite dominate" % VERIFY_N_MAX)
     ver.add_argument("--with-oracle", action="store_true",
                      help="also run the numerical derivative-expansion grid")
@@ -271,14 +270,9 @@ def cmd_verify(args) -> int:
             print("... %d more failing records" % (len(failing) - MAX_FAILURES_PRINTED))
 
         if out is not None:
-            if args.format == "json":
-                chunks = chain(['{"seed":"%d","n_max":"%d","structural":%s,"identities":'
-                                % (args.seed, args.n_max, structural_json_records(checks))],
-                               reports_to_json_records(identity_reports),
-                               [',"oracle":%s}\n' % residuals_to_json_records(oracle_reports)])
-            else:
-                chunks = verify_csv_chunks(checks, identity_reports, oracle_reports)
-            _emit(partial(write_behind, chunks), out)
+            report = (partial(verify_json_chunks, args.seed, args.n_max) if args.format == "json"
+                      else verify_csv_chunks)
+            _emit(partial(write_behind, report(checks, identity_reports, oracle_reports)), out)
 
     print("VERIFY: %s" % ("FAIL" if failing else "PASS"))
     return 1 if failing else 0

@@ -48,13 +48,18 @@ def _json_string(text: str) -> str:
     return json.dumps(text)
 
 
-# verify's JSON records as the text json.dumps writes with separators (",", ":"): numbers are
-# decimal strings; names, digits, "/" and float reprs need no escaping, detail goes through it.
-def structural_json_records(checks) -> str:
-    return "[%s]" % ",".join([
-        '{"check":"%s","n":"%d","k":%s,"ok":%s,"detail":%s}'
-        % (c.check, c.n, "null" if c.k is None else '"%d"' % c.k, "true" if c.ok else "false",
-           _json_string(c.detail)) for c in checks])
+# verify's whole JSON report as the text json.dumps writes with separators (",", ":"), one chunk
+# per structural and identity record: numbers are decimal strings; names, digits, "/" and float
+# reprs need no escaping, detail goes through it.
+def verify_json_chunks(seed, n_max, checks, identity_reports, oracle_reports):
+    yield '{"seed":"%d","n_max":"%d","structural":[' % (seed, n_max)
+    for i, c in enumerate(checks):
+        yield ('%s{"check":"%s","n":"%d","k":%s,"ok":%s,"detail":%s}'
+               % ("," if i else "", c.check, c.n, "null" if c.k is None else '"%d"' % c.k,
+                  "true" if c.ok else "false", _json_string(c.detail)))
+    yield '],"identities":'
+    yield from reports_to_json_records(identity_reports)
+    yield ',"oracle":%s}\n' % residuals_to_json_records(oracle_reports)
 
 
 # One chunk per record; a report whose lhs is its rhs (run_suite's holding ones) formats it once.

@@ -6,9 +6,10 @@ the tail with row n_max, so the helper is forked before anything is rendered.
 Each process renders its whole next turn while the other writes, and writes it in pieces once
 its turn comes; up to N = 160 a turn is under 4 MiB of text. A one-byte token on a pair of
 pipes passes the turn, so the descriptor gets the bytes one process would write, in order. The
-rows of the helper's turn t go to it as one marshal record in shared memory buffer t % 2, its
-length on the token's pipe ahead of that turn's token. The buffer held turn t - 2, which the
-helper read before it wrote that turn, and this process waits for that write before turn t - 1.
+rows of the helper's turn t go to it as one marshal record in shared memory buffer t % 2, read
+to marshal's own end once a token ahead of that turn's token says it is there. The buffer held
+turn t - 2, which the helper read before it wrote that turn, and this process waits for that
+write before turn t - 1.
 
 A write error in either process ends both: the helper sends its errno in place of the token and
 this process raises it as its own OSError, and a helper that ends early is a ChildProcessError
@@ -22,7 +23,6 @@ import math
 import mmap
 import os
 import signal
-import struct
 import sys
 from itertools import chain, islice
 
@@ -32,7 +32,6 @@ TURN = b"\0"  # any other byte read in its place is the errno of the helper's fa
 # This process writes rows 0, CYCLE, 2 CYCLE, ... and also runs the recurrence and ships the
 # helper's rows, so the helper writes the CYCLE - 1 rows after each of them.
 CYCLE = 3
-_LENGTH = struct.Struct("=Q")  # of a shipped record, ahead of its turn's token
 
 
 def write_in_turns(rows, row_chunks, n_max: int, stream) -> None:
@@ -59,7 +58,7 @@ def write_in_turns(rows, row_chunks, n_max: int, stream) -> None:
                 buffer = buffers[turn % 2]
                 buffer.seek(0)
                 marshal.dump(shipped, buffer)  # dumps' bytes would be held through the turn
-                _send(to_helper, _LENGTH.pack(buffer.tell()))
+                _send(to_helper)  # the record is in its buffer
             _take_turn(fd, chunks, from_helper, to_helper)
         if n_max % CYCLE:  # the helper wrote the last row: wait for that write
             _take_turn(fd, (), from_helper, to_helper)
@@ -94,28 +93,27 @@ def _take_turn(fd: int, chunks, token_in: int, token_out: int) -> None:
         view = memoryview(piece.encode())
         while view:
             view = view[os.write(fd, view):]
-    _send(token_out, TURN)
+    _send(token_out)
 
 
-def _send(pipe: int, data: bytes) -> None:
-    """Write data, at most PIPE_BUF bytes, to the other process's pipe."""
+def _send(pipe: int) -> None:
+    """Write the token to the other process's pipe."""
     try:
-        os.write(pipe, data)
+        os.write(pipe, TURN)
     except BrokenPipeError:
         raise ChildProcessError("the other writing process ended before its turn did") from None
 
 
 def _helper(row_chunks, n_max: int, fd: int, buffers, token_in: int, token_out: int) -> None:
-    """The forked process: take the turns of the rows between this process's, each record's
-    length read ahead of its token, then wait for the last turn and leave through os._exit,
-    never into the command. A write error is sent as its errno, a defect's traceback to stderr."""
+    """The forked process: take the turns of the rows between this process's, each record read
+    when its token comes, then wait for the last turn and leave through os._exit, never into
+    the command. A write error is sent as its errno, a defect's traceback to stderr."""
     status = 1
     try:
         for turn, n in enumerate(range(1, n_max + 1, CYCLE)):
-            length = os.read(token_in, _LENGTH.size)
-            if not length:
+            if not os.read(token_in, 1):
                 raise ChildProcessError("the parent ended")
-            rows = marshal.loads(buffers[turn % 2][:_LENGTH.unpack(length)[0]])
+            rows = marshal.loads(buffers[turn % 2])  # marshal ignores the stale bytes past its end
             _take_turn(fd, chain.from_iterable(map(row_chunks, range(n, n_max + 1), rows)),
                        token_in, token_out)
         if os.read(token_in, 1) == TURN:

@@ -304,9 +304,10 @@ def test_triangle_streams_in_bounded_memory():
 
 
 def test_verify_streams_in_bounded_memory(tmp_path):
-    # verify reads its rows as they are made and writes its report as it goes: at N=128 with
-    # --with-oracle and --out it peaks near 38 MiB, where holding both triangles and the whole
-    # report took 136 MiB, and keeping every row whole 67 MiB. The report goes to a fresh path.
+    # verify reads its rows as they are made and writes its report as it goes, one record per
+    # chunk: at N=128 with --with-oracle and --out it peaks near 34 MiB, where holding both
+    # triangles and the whole report took 136 MiB, keeping every row whole 67 MiB, and joining
+    # the structural records ahead of the first write 38 MiB. The report goes to a fresh path.
     assert _peak_rss_kib(["verify", "--n-max", "128", "--with-oracle", "--seed", "1",
                           "--out", str(tmp_path / "memory128.json")]) <= 64 * 1024
 
@@ -1261,9 +1262,31 @@ def test_verify_json_report_is_compact_json_byte_for_byte(capsys, argv, seed):
 def test_json_records_escape_detail_as_json_dumps_does():
     checks = [StructuralCheck("degree", 3, None, False, 'expected "a\\b", got \u00e9\n'),
               StructuralCheck("degree", 4, 2, True)]
-    expected = [{"check": c.check, "n": str(c.n), "k": None if c.k is None else str(c.k),
-                 "ok": c.ok, "detail": c.detail} for c in checks]
-    assert identities.structural_json_records(checks) == json.dumps(expected, separators=(",", ":"))
+    expected = {"seed": "7", "n_max": "4",
+                "structural": [{"check": c.check, "n": str(c.n),
+                                "k": None if c.k is None else str(c.k), "ok": c.ok,
+                                "detail": c.detail} for c in checks],
+                "identities": [], "oracle": []}
+    assert "".join(identities.verify_json_chunks(7, 4, checks, [], [])) == (
+        json.dumps(expected, separators=(",", ":")) + "\n")
+
+
+def test_verify_json_report_goes_to_the_writer_one_record_per_chunk(monkeypatch, tmp_path):
+    # no structural or identity record is joined with another ahead of the first write
+    chunks, write_behind = [], cli.write_behind
+
+    def spy(report, stream):
+        chunks.extend(report)
+        write_behind(chunks, stream)
+
+    monkeypatch.setattr(cli, "write_behind", spy)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--n-max", "12", "--with-oracle", "--corrupt", "5,2",
+                 "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    records = [chunk.count('{"check":') + chunk.count('{"identity":') for chunk in chunks]
+    assert "".join(chunks) == out.read_text() and max(records) == 1
+    assert sum(records) == len(report["structural"]) + len(report["identities"])
 
 
 def test_verify_bound_sits_above_every_pinned_size(capsys, monkeypatch):
