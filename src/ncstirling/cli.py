@@ -14,12 +14,11 @@ import os
 import re
 import sys
 from decimal import Decimal
-from fractions import Fraction
 from functools import partial
 from importlib import import_module
 
-from .exact import RATIONAL_RE, format_rational, parse_rational
-from .stirling import StirlingTable, check_index, last_scaled_row
+from .exact import format_rational, parse_rational
+from .stirling import StirlingTable, check_index, entry_value, last_scaled_row
 
 def _deferred(module: str, name: str):
     """A function that imports ncstirling.<module> when it is called, then calls its name."""
@@ -297,7 +296,7 @@ def cmd_eval(args) -> int:
             raise Refusal(2, "--x0 must exceed 1")
     p, q = args.alpha.as_integer_ratio()
     row = last_scaled_row(args.n, p, q, args.k if args.beta is None else args.n)
-    value = Fraction(row[args.k], q ** (args.n - args.k))
+    value = entry_value(row, args.n, args.k, q)
     # C decimal converts an int without the int-to-str digit limit and sets nothing process-wide
     numerator, denominator = map(Decimal, value.as_integer_ratio())
     print(numerator if denominator == 1 else "%s/%s" % (numerator, denominator))
@@ -311,24 +310,16 @@ def cmd_eval(args) -> int:
 COMMANDS = {"triangle": cmd_triangle, "verify": cmd_verify, "eval": cmd_eval}
 
 
-def _reads_as_float(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
 def _attach_signed_values(argv) -> list:
-    """Rewrite "--alpha VALUE" as "--alpha=VALUE" when VALUE is a rational literal, and
-    "--beta VALUE" as "--beta=VALUE" when float() reads VALUE, since argparse takes a
-    separate value such as "-5/2" or "-1e3", which its negative-number pattern misses,
-    for an option."""
+    """Rewrite "OPTION VALUE" as "OPTION=VALUE" for OPTION --alpha, --beta, --x0 or --corrupt
+    and a VALUE that starts with one "-", not "--", since argparse takes a separate value such
+    as "-5/2", "-1e3" or "-1,0", which its negative-number pattern misses, for an option; the
+    option's type or its command then judges the value."""
     out = []
     for token in argv:
         option = out[-1] if out else None
-        if (option == "--alpha" and RATIONAL_RE.fullmatch(token)
-                or option == "--beta" and _reads_as_float(token)):
+        if (option in ("--alpha", "--beta", "--x0", "--corrupt") and token.startswith("-")
+                and not token.startswith("--")):
             out[-1] = option + "=" + token
         else:
             out.append(token)

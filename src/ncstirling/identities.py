@@ -23,7 +23,7 @@ from .exact import (
     horner,
     scaled_horner,
 )
-from .stirling import StirlingTable, scaled_rows, stirling_expansion_oracle
+from .stirling import StirlingTable, entry_value, scaled_rows, stirling_expansion_oracle
 from .stirling import harmonic  # noqa: F401  unused; perfbench/tracing.py patches this name
 
 RANDOM_NUMERATOR_RANGE = (-50, 50)
@@ -141,13 +141,13 @@ def s_n1_sum_formula(n: int, alpha: int | Fraction,
 
 
 def s_n1_recurrence(n: int, alpha: int | Fraction) -> list[Fraction]:
-    """[s(0, 1, alpha), ..., s(n, 1, alpha)]: column 1 of scaled_rows(n, p, q, 1), with
-    s(m, 1, alpha) = c(m, 1) / q^(m-1) at alpha = p/q: the recurrence run once on columns
+    """[s(0, 1, alpha), ..., s(n, 1, alpha)]: column 1 of scaled_rows(n, p, q, 1), each
+    s(m, 1, alpha) the entry_value that eval prints: the recurrence run once on columns
     0 and 1 alone, O(n) integer steps for the whole column, independent of any triangle."""
     p, q = alpha.as_integer_ratio()
     rows = scaled_rows(n, p, q, 1)
     next(rows)  # row 0 has no column 1: s(0, 1, alpha) = 0
-    return [Fraction(0)] + [Fraction(row[1], q ** m) for m, row in enumerate(rows)]
+    return [Fraction(0)] + [entry_value(row, m, 1, q) for m, row in enumerate(rows, 1)]
 
 
 def run_suite(table: StirlingTable, rows: Sequence[Sequence[Sequence[int]]],

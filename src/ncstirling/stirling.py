@@ -1,7 +1,8 @@
 """scaled_rows, the recurrence at one rational alpha = p/q in the ints p, q; last_scaled_row, its
-last row (eval's integers), and evaluate_row and evaluate_entry, its Fractions; the classical
-signed numbers of the first kind, its rows at alpha = 0 (|s(n, k)| is not stored), with an oracle
-for them; the non-central numbers read off them by a closed form; harmonic numbers."""
+last row (eval's integers); entry_value, the one division that makes an entry s(n, k, p/q): what
+eval prints, verify's column1_recurrence checks and evaluate_row and evaluate_entry return; the
+classical signed numbers of the first kind, its rows at alpha = 0 (|s(n, k)| is not stored), with
+an oracle for them; the non-central numbers read off them by a closed form; harmonic numbers."""
 from __future__ import annotations
 
 import math
@@ -30,21 +31,28 @@ def last_scaled_row(n: int, p: int, q: int, top: int) -> list[int]:
     return deque(scaled_rows(n, p, q, top), maxlen=1).pop()
 
 
+def entry_value(row: list[int], n: int, k: int, q: int) -> Fraction:
+    """s(n, k, p/q) = c(n, k) / q^(n-k), from row n of scaled_rows(n', p, q, top), top >= k:
+    the one place an entry of the scaled recurrence becomes its Fraction."""
+    return Fraction(row[k], q ** (n - k))
+
+
 def evaluate_row(n: int, alpha: int | Fraction) -> list[Fraction]:
     """[s(n, 0, alpha), ..., s(n, n, alpha)], exactly: the coefficients of (x - alpha)...
-    (x - alpha - n + 1), last_scaled_row(n, p, q, n) over powers of q, O(n^2)."""
+    (x - alpha - n + 1), entry_value of each of last_scaled_row(n, p, q, n), O(n^2)."""
     p, q = alpha.as_integer_ratio()
-    return [Fraction(value, q ** (n - i)) for i, value in enumerate(last_scaled_row(n, p, q, n))]
+    row = last_scaled_row(n, p, q, n)
+    return [entry_value(row, n, k, q) for k in range(n + 1)]
 
 
 def evaluate_entry(n: int, k: int, alpha: int | Fraction) -> Fraction:
-    """s(n, k, alpha) alone, exactly: entry k of last_scaled_row(n, p, q, k), whose rows
-    stop at column k, in O(n (k+1)) integer steps, not evaluate_row's O(n^2)."""
+    """s(n, k, alpha) alone, exactly: entry_value of entry k of last_scaled_row(n, p, q, k),
+    whose rows stop at column k, in O(n (k+1)) integer steps, not evaluate_row's O(n^2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_index(n, k, n)
     p, q = alpha.as_integer_ratio()
-    return Fraction(last_scaled_row(n, p, q, k)[k], q ** (n - k))
+    return entry_value(last_scaled_row(n, p, q, k), n, k, q)
 
 
 def check_index(n: int, k: int, n_max: int) -> None:

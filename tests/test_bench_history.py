@@ -1,7 +1,10 @@
 """BENCH_history.json, the record of parent -> change benchmark medians, stays
-valid JSON with the stated keys, and names only declared workloads and metrics."""
+valid JSON with the stated keys, names only declared workloads and metrics, and
+states medians and counts that agree with the runs it states."""
 import importlib.util
 import json
+import math
+import statistics
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,3 +53,20 @@ def test_bench_history_parses_with_the_stated_keys():
             parent, change = entry["parent"], entry["change"]
             assert parent is not None and change is not None, entry
             assert change > parent if better[entry["metric"]] == "higher" else change < parent
+
+
+def test_bench_history_medians_and_counts_agree_with_the_runs():
+    # a stated median is the median of its runs to the 4 significant digits the runs are
+    # written with; pairs and seeds count the runs
+    doc = json.loads((ROOT / "BENCH_history.json").read_text())
+    for entry in doc["entries"]:
+        for side in ("parent", "change"):
+            runs = entry[side + "_runs"]
+            if runs is None:
+                continue
+            if entry[side] is not None:
+                assert math.isclose(entry[side], statistics.median(runs), rel_tol=1e-3), entry
+            if entry["pairs"] is not None:
+                assert entry["pairs"] == len(runs), entry
+            if entry["seeds"] is not None:
+                assert len(entry["seeds"]) == len(runs), entry

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from ncstirling import cli, identities, jets, noncentral
+from ncstirling import cli, exact, identities, jets, noncentral
 from ncstirling.cli import main
 from ncstirling.exact import AlphaPoly
 from ncstirling.identities import IdentityReport, StructuralCheck
@@ -36,6 +36,7 @@ from ncstirling.noncentral import (
 )
 from ncstirling.stirling import (
     StirlingTable,
+    entry_value,
     evaluate_entry,
     last_scaled_row,
     stirling_expansion_oracle,
@@ -508,6 +509,27 @@ def test_eval_beta_takes_only_a_float_as_a_separate_value(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("before, option, value, after, status, out, err", [
+    (("eval", "--n", "6", "--k", "2"), "--alpha", "-5/2", (), 0, "259/16\n", ""),
+    (("eval", "--n", "3", "--k", "1", "--alpha", "1"), "--beta", "-1e3", ("--x0", "2"), 0,
+     None, ""),
+    (("eval", "--n", "3", "--k", "1", "--alpha", "1", "--beta", "2"), "--x0", "-1e3", (), 2,
+     "", "ncstirling: eval: --x0 must exceed 1\n"),
+    (("verify", "--n-max", "2"), "--corrupt", "-1,0", (), 2,
+     "", "ncstirling: verify: bad --corrupt argument '-1,0': n=-1 outside [0, 2]\n"),
+], ids=["alpha", "beta", "x0", "corrupt"])
+def test_a_signed_option_value_reads_as_one_attached_by_equals(capsys, before, option, value,
+                                                                after, status, out, err):
+    # a separate value that starts with one "-" is the option's value, judged by its type or its
+    # command, not argparse's "expected one argument"
+    assert run_cli(*before, option, value, *after) == status
+    separate = capsys.readouterr()
+    assert run_cli(*before, option + "=" + value, *after) == status
+    assert capsys.readouterr() == separate
+    assert separate.err == err
+    assert out is None or separate.out == out
+
+
 def test_eval_and_verify_share_the_expansion_sum(capsys, monkeypatch):
     # one perturbed weight, (beta)_0, must fail the grid that verify checks and change the
     # expansion that eval prints: the two run one sum
@@ -529,6 +551,25 @@ def test_eval_and_verify_share_the_expansion_sum(capsys, monkeypatch):
     after = capsys.readouterr().out.split("\n")
     assert after[0] == before[0]
     assert after[1] != before[1] and after[1].startswith("expansion n=6 alpha=1/2 beta=0.5 ")
+
+
+def test_eval_and_verify_share_the_entry_division(capsys):
+    # a wrong power of q in entry_value, swapped into its code so that every binding of it runs
+    # the mutant, must change the value eval prints and fail verify's column1_recurrence
+    def mutant(row, n, k, q):
+        return Fraction(row[k], q ** (n - k + 1))
+
+    code = entry_value.__code__
+    entry_value.__code__ = mutant.__code__
+    try:
+        assert run_cli("eval", "--n", "6", "--k", "2", "--alpha=-5/2") == 0
+        assert capsys.readouterr().out == "259/32\n"
+        assert run_cli("verify", "--n-max", "12", "--with-oracle") == 1
+        out = capsys.readouterr().out
+    finally:
+        entry_value.__code__ = code
+    assert "FAIL IdentityReport(identity='column1_recurrence', " in out
+    assert out.endswith("VERIFY: FAIL\n")
 
 
 def test_abbreviated_options_are_rejected(capsys):
@@ -1404,7 +1445,7 @@ def test_eval_alpha_bound_sits_above_every_pinned_alpha(capsys):
     refused = {argv[argv.index("--alpha") + 1] for argv, _, message in REFUSALS
                if message.startswith("--alpha")}
     pinned = [cli.parse_rational(text) for text in set(literals) - refused
-              if cli.RATIONAL_RE.fullmatch(text) and not text.endswith("/0")]
+              if exact.RATIONAL_RE.fullmatch(text) and not text.endswith("/0")]
     workloads = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
                           .read_text())
     ranges = {node.targets[0].id: ast.literal_eval(node.value) for node in ast.walk(workloads)
